@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from repro.datasets.base import ClientData, FederatedDataset, TaskSpec, classification_error
-from repro.engine import TrialFusedRunner
+from repro.core import FederatedTrialRunner
 from repro.nn import make_mlp, softmax_cross_entropy
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -79,8 +79,9 @@ def rung_configs(n=RUNG):
 
 
 def make_runner(ds, dtype):
-    return TrialFusedRunner(
-        ds, max_rounds=10_000, clients_per_round=COHORT, seed=3, cohort_dtype=dtype
+    return FederatedTrialRunner(
+        ds, max_rounds=10_000, clients_per_round=COHORT, seed=3,
+        cohort_mode="fused", cohort_dtype=dtype,
     )
 
 

@@ -1,8 +1,9 @@
-"""Cohort-training benchmarks: serial vs vectorized round throughput.
+"""Cohort-training benchmarks: serial vs standalone-slab round throughput.
 
 Measures :class:`repro.fl.trainer.FederatedTrainer` round throughput at
 the paper's cohort size (10) on an MLP and a CNN task, in both cohort
-modes, asserting equivalence of the resulting parameters before timing is
+modes (a standalone ``cohort_mode="fused"`` trainer runs its own T=1
+slab), asserting equivalence of the resulting parameters before timing is
 trusted. Results are appended to ``BENCH_cohort.json`` at the repo root so
 future PRs can track the perf trajectory.
 
@@ -104,24 +105,24 @@ class TestCohortThroughput:
         # chaotically with horizon (ReLU/argmax boundaries), so the
         # documented tolerance applies to few-round windows (see README).
         a = make_trainer(ds, "serial", batch_size)
-        b = make_trainer(ds, "vectorized", batch_size)
+        b = make_trainer(ds, "fused", batch_size)
         a.run(5)
         b.run(5)
         np.testing.assert_allclose(b.params, a.params, rtol=1e-8, atol=1e-11)
         t_serial = time_rounds(ds, "serial", batch_size)
-        t_vector = time_rounds(ds, "vectorized", batch_size)
-        speedup = t_serial / t_vector
+        t_fused = time_rounds(ds, "fused", batch_size)
+        speedup = t_serial / t_fused
         result = {
             "serial_s": round(t_serial, 4),
-            "vectorized_s": round(t_vector, 4),
+            "fused_s": round(t_fused, 4),
             "speedup": round(speedup, 3),
             "rounds_per_s_serial": round(ROUNDS / t_serial, 2),
-            "rounds_per_s_vectorized": round(ROUNDS / t_vector, 2),
+            "rounds_per_s_fused": round(ROUNDS / t_fused, 2),
             "batch_size": batch_size,
         }
         record_result(name, result)
         print(
-            f"\n{name}: serial {t_serial:.3f}s, vectorized {t_vector:.3f}s "
+            f"\n{name}: serial {t_serial:.3f}s, fused {t_fused:.3f}s "
             f"-> {speedup:.2f}x at cohort {COHORT} ({os.cpu_count()} CPUs)"
         )
         return speedup
@@ -141,4 +142,4 @@ class TestCohortThroughput:
         # serial parity by more than measurement noise.
         ds = load_dataset("cifar10", "small", seed=0)
         speedup = self.run_task("cnn", ds, batch_size=8)
-        assert speedup >= 0.8, f"vectorized CNN rounds slower than serial: {speedup:.2f}x"
+        assert speedup >= 0.8, f"slab CNN rounds slower than serial: {speedup:.2f}x"

@@ -3,7 +3,7 @@
 Times a :class:`repro.core.PopulationTuner` run — a population of 8
 same-architecture MLP configurations, trained in lockstep with periodic
 evaluate → exploit → explore — in the serial reference mode vs the fused
-cross-trial slab mode (:class:`repro.engine.TrialFusedRunner`). This is
+cross-trial slab mode (``FederatedTrialRunner(cohort_mode="fused")``). This is
 the steady-state shape the fused engine was built for: unlike a
 Hyperband rung, a population never shrinks, so *every* step is a
 full-width ``(N*C, P)`` slab pass plus one stacked evaluation sweep.
@@ -29,7 +29,6 @@ import pytest
 from repro.core import FederatedTrialRunner, NoiseConfig, PopulationTuner
 from repro.core.search_space import paper_space
 from repro.datasets.base import ClientData, FederatedDataset, TaskSpec, classification_error
-from repro.engine import TrialFusedRunner
 from repro.nn import make_mlp, softmax_cross_entropy
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -65,12 +64,9 @@ def mlp_dataset(n_train=40, n_eval=8, d=8, classes=4, n=32, seed=0, hidden=(16,)
 
 
 def run_tuner(ds, mode, seed=5):
-    if mode == "fused":
-        runner = TrialFusedRunner(ds, max_rounds=MAX_ROUNDS, clients_per_round=COHORT, seed=3)
-    else:
-        runner = FederatedTrialRunner(
-            ds, max_rounds=MAX_ROUNDS, clients_per_round=COHORT, seed=3, cohort_mode=mode
-        )
+    runner = FederatedTrialRunner(
+        ds, max_rounds=MAX_ROUNDS, clients_per_round=COHORT, seed=3, cohort_mode=mode
+    )
     tuner = PopulationTuner(
         paper_space(batch_sizes=(4,)),
         runner,
@@ -126,23 +122,18 @@ class TestPopulationThroughput:
             assert a.state._rng.bit_generator.state == b.state._rng.bit_generator.state
 
         t_serial = time_mode(ds, "serial")
-        t_vector = time_mode(ds, "vectorized")
         t_fused = time_mode(ds, "fused")
         fused_vs_serial = t_serial / t_fused
         result = {
             "serial_s": round(t_serial, 4),
-            "vectorized_s": round(t_vector, 4),
             "fused_s": round(t_fused, 4),
             "speedup_fused_vs_serial": round(fused_vs_serial, 3),
-            "speedup_fused_vs_vectorized": round(t_vector / t_fused, 3),
-            "speedup_vectorized_vs_serial": round(t_serial / t_vector, 3),
         }
         record_result(result)
         print(
             f"\nfedpop population of {POPULATION} MLP configs x {MAX_ROUNDS} rounds: "
-            f"serial {t_serial:.3f}s, vectorized {t_vector:.3f}s, fused {t_fused:.3f}s "
-            f"-> fused {fused_vs_serial:.2f}x over serial, "
-            f"{t_vector / t_fused:.2f}x over vectorized ({os.cpu_count()} CPUs)"
+            f"serial {t_serial:.3f}s, fused {t_fused:.3f}s "
+            f"-> fused {fused_vs_serial:.2f}x over serial ({os.cpu_count()} CPUs)"
         )
         if fused_vs_serial < 2.0 and (os.cpu_count() or 1) < 2:
             pytest.skip(
@@ -159,8 +150,4 @@ class TestPopulationThroughput:
         keys the nightly regression gate compares; skips on fresh clones."""
         base = committed_baseline("BENCH_population.json")
         assert "fedpop_mlp" in base
-        assert {
-            "speedup_fused_vs_serial",
-            "speedup_fused_vs_vectorized",
-            "speedup_vectorized_vs_serial",
-        } <= set(base["fedpop_mlp"])
+        assert "speedup_fused_vs_serial" in base["fedpop_mlp"]

@@ -1,21 +1,25 @@
-"""Trial-fused execution benchmark: whole rungs as one cross-trial slab.
+"""Trial-fused execution benchmark: whole rungs as cross-trial slabs.
 
-Times ``advance_many`` over a rung of 8 same-architecture MLP
+Times ``advance_many`` over rungs of 8 same-architecture MLP
 configurations (the shape of a Hyperband/SHA rung or an RS batch) in the
-engine's three in-process execution modes:
+engine's two in-process cohort modes:
 
-- **serial** — per-client loops, one trial at a time;
-- **vectorized** — PR 2's per-trainer ``(C, P)`` cohort slabs, trials
-  advanced one after another;
-- **fused** — this PR's ``(T*C, P)`` cross-trial mega-slab
-  (:class:`repro.engine.TrialFusedRunner`).
+- **serial** — per-client loops, one trial at a time (the reference);
+- **fused** — ``(T*C, P)`` cross-trial slabs
+  (``FederatedTrialRunner(cohort_mode="fused")``).
+
+Two rungs are timed: ``mlp_rung`` pins one batch size, so all eight
+trials share one slab pass per round; ``mlp_mixed_rung`` draws
+``batch_size`` from three choices like the paper's search space
+(``paper_space``), so the pool trains one pass per batch-size bucket —
+the traffic every Hyperband rung of a paper artifact actually produces.
 
 Equivalence of the resulting trial parameters is asserted before any
 timing is trusted. Results append to ``BENCH_trialfuse.json`` at the repo
 root (uploaded as a nightly CI artifact and guarded by the baseline
 regression gate). As with the engine/cohort benchmarks, the >=2x
-fused-over-vectorized criterion degrades to a skip on a single-CPU box
-where timing noise can swamp the measurement.
+fused-over-serial criterion degrades to a skip on a single-CPU box where
+timing noise can swamp the measurement.
 """
 
 import json
@@ -27,7 +31,6 @@ import pytest
 
 from repro.core import FederatedTrialRunner
 from repro.datasets.base import ClientData, FederatedDataset, TaskSpec, classification_error
-from repro.engine import TrialFusedRunner
 from repro.nn import make_mlp, softmax_cross_entropy
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -62,8 +65,12 @@ def mlp_dataset(n_train=40, n_eval=8, d=8, classes=4, n=32, seed=0, hidden=(16,)
     )
 
 
-def rung_configs(n=RUNG):
-    """A rung of stable same-architecture configs differing in HPs only."""
+BATCH_CHOICES = (4, 8, 16)  # the mixed rung's batch_size axis
+
+
+def rung_configs(n=RUNG, batch_sizes=(4,)):
+    """A rung of stable same-architecture configs differing in HPs only;
+    ``batch_size`` cycles through ``batch_sizes`` (every choice present)."""
     rng = np.random.default_rng(42)
     return [
         {
@@ -74,16 +81,14 @@ def rung_configs(n=RUNG):
             "client_lr": float(10 ** rng.uniform(-2, -0.5)),
             "client_momentum": float(rng.uniform(0.1, 0.9)),
             "client_weight_decay": 5e-5,
-            "batch_size": 4,
+            "batch_size": batch_sizes[i % len(batch_sizes)],
             "epochs": 1,
         }
-        for _ in range(n)
+        for i in range(n)
     ]
 
 
 def make_runner(ds, mode):
-    if mode == "fused":
-        return TrialFusedRunner(ds, max_rounds=10_000, clients_per_round=COHORT, seed=3)
     return FederatedTrialRunner(
         ds, max_rounds=10_000, clients_per_round=COHORT, seed=3, cohort_mode=mode
     )
@@ -109,7 +114,7 @@ def time_mode(ds, cfgs, mode, rounds=ROUNDS, repeats=REPEATS):
     return best
 
 
-def record_result(result):
+def record_result(name, result):
     data = {}
     if os.path.exists(BENCH_PATH):
         try:
@@ -117,7 +122,7 @@ def record_result(result):
                 data = json.load(fh)
         except (OSError, ValueError):
             data = {}
-    data["mlp_rung"] = result
+    data[name] = result
     data["rung_size"] = RUNG
     data["cohort_size"] = COHORT
     data["rounds_timed"] = ROUNDS
@@ -128,9 +133,8 @@ def record_result(result):
 
 
 class TestTrialFusedThroughput:
-    def test_mlp_rung_throughput(self):
+    def run_rung(self, name, cfgs):
         ds = mlp_dataset()
-        cfgs = rung_configs()
         # Equivalence first, short horizon (documented tolerance; drift
         # amplifies chaotically over long horizons, see README).
         serial_trials = advance_rung(make_runner(ds, "serial"), cfgs, 5)
@@ -142,33 +146,32 @@ class TestTrialFusedThroughput:
             assert a.state._rng.bit_generator.state == b.state._rng.bit_generator.state
 
         t_serial = time_mode(ds, cfgs, "serial")
-        t_vector = time_mode(ds, cfgs, "vectorized")
         t_fused = time_mode(ds, cfgs, "fused")
-        fused_vs_vector = t_vector / t_fused
-        result = {
+        speedup = t_serial / t_fused
+        record_result(name, {
             "serial_s": round(t_serial, 4),
-            "vectorized_s": round(t_vector, 4),
             "fused_s": round(t_fused, 4),
-            "speedup_fused_vs_serial": round(t_serial / t_fused, 3),
-            "speedup_fused_vs_vectorized": round(fused_vs_vector, 3),
-            "speedup_vectorized_vs_serial": round(t_serial / t_vector, 3),
+            "speedup_fused_vs_serial": round(speedup, 3),
             "rung_rounds_per_s_fused": round(ROUNDS / t_fused, 2),
-            "rung_rounds_per_s_vectorized": round(ROUNDS / t_vector, 2),
             "rung_rounds_per_s_serial": round(ROUNDS / t_serial, 2),
-        }
-        record_result(result)
+            "batch_sizes": sorted({c["batch_size"] for c in cfgs}),
+        })
         print(
-            f"\nrung of {RUNG} MLP configs x {ROUNDS} rounds: "
-            f"serial {t_serial:.3f}s, vectorized {t_vector:.3f}s, fused {t_fused:.3f}s "
-            f"-> fused {fused_vs_vector:.2f}x over vectorized, "
-            f"{t_serial / t_fused:.2f}x over serial ({os.cpu_count()} CPUs)"
+            f"\n{name}: {RUNG} MLP configs x {ROUNDS} rounds: serial {t_serial:.3f}s, "
+            f"fused {t_fused:.3f}s -> {speedup:.2f}x ({os.cpu_count()} CPUs)"
         )
-        if fused_vs_vector < 2.0 and (os.cpu_count() or 1) < 2:
+        if speedup < 2.0 and (os.cpu_count() or 1) < 2:
             pytest.skip(
-                f"fused speedup {fused_vs_vector:.2f}x < 2x over vectorized on a "
+                f"fused speedup {speedup:.2f}x < 2x over serial on a "
                 "single-CPU box (timing noise); equivalence verified"
             )
-        assert fused_vs_vector >= 2.0, (
-            f"expected >=2x rung throughput fused over per-trial vectorized, "
-            f"got {fused_vs_vector:.2f}x"
+        assert speedup >= 2.0, (
+            f"expected >=2x rung throughput fused over serial, got {speedup:.2f}x"
         )
+
+    def test_mlp_rung_throughput(self):
+        self.run_rung("mlp_rung", rung_configs())
+
+    def test_mlp_mixed_batch_rung_throughput(self):
+        """Three batch sizes in one rung: three slab passes per round."""
+        self.run_rung("mlp_mixed_rung", rung_configs(batch_sizes=BATCH_CHOICES))

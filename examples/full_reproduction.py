@@ -15,6 +15,7 @@ import time
 
 from repro.experiments import ExperimentContext, format_table
 from repro.experiments.cli import _ARTIFACTS
+from repro.fl import COHORT_MODES
 from repro.utils.records import records_to_json
 
 # Order artifacts the way the paper presents them.
@@ -58,11 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cohort-mode",
-        choices=("serial", "vectorized", "fused"),
+        choices=COHORT_MODES,
         default=None,
         help=(
-            "cohort training: per-client serial, per-trainer lockstep slabs, or "
-            "cross-trial fused slabs (default: $REPRO_COHORT_VECTOR)"
+            "cohort training: per-client serial (the reference) or fused "
+            "lockstep slabs (default: $REPRO_COHORT_VECTOR, else serial)"
         ),
     )
     return parser

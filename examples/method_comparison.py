@@ -24,6 +24,7 @@ from repro.experiments import (
     run_method_comparison,
 )
 from repro.experiments import parse_methods as _parse_methods
+from repro.fl import COHORT_MODES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,11 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cohort-mode",
-        choices=("serial", "vectorized", "fused"),
+        choices=COHORT_MODES,
         default=None,
         help=(
-            "cohort training: per-client serial, per-trainer lockstep slabs, or "
-            "cross-trial fused slabs (default: $REPRO_COHORT_VECTOR)"
+            "cohort training: per-client serial (the reference) or fused "
+            "lockstep slabs (default: $REPRO_COHORT_VECTOR, else serial)"
         ),
     )
     parser.add_argument(

@@ -10,9 +10,9 @@ Runs the two PR-5 population tuners against a live federated runner:
   winners' slab rows) -> explore (perturb per-row client lr / momentum /
   weight decay).
 
-With ``--cohort-mode fused`` every population step trains as ONE
-cross-trial ``(N*C, P)`` slab and scores as ONE stacked inference sweep —
-population size is nearly free on top of the fused engine.
+With ``--cohort-mode fused`` every population step trains as cross-trial
+slabs (one pass per batch-size bucket) and scores as ONE stacked inference
+sweep — population size is nearly free on top of the fused engine.
 
 Run:  python examples/population_tuning.py [--preset test] [--cohort-mode fused]
 """
@@ -22,6 +22,7 @@ import time
 
 from repro.core import FederatedTrialRunner, NoiseConfig, PopulationTuner, WeightSharingTuner
 from repro.experiments import ExperimentContext, format_table
+from repro.fl import COHORT_MODES
 from repro.utils.records import Record
 
 
@@ -52,11 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cohort-mode",
-        choices=("serial", "vectorized", "fused"),
+        choices=COHORT_MODES,
         default=None,
         help=(
-            "cohort training: per-client serial, per-trainer lockstep slabs, or "
-            "cross-trial fused slabs (default: $REPRO_COHORT_VECTOR)"
+            "cohort training: per-client serial (the reference) or fused "
+            "lockstep slabs (default: $REPRO_COHORT_VECTOR, else serial)"
         ),
     )
     return parser

@@ -329,10 +329,14 @@ class FederatedTrialRunner(TrialRunner):
     across processes: each trainer carries its own RNG stream, so training
     trials in workers and merging their state back is bit-identical to the
     serial loop. With ``cohort_mode="fused"`` (and no multi-process
-    executor), :meth:`advance_many` instead merges every same-architecture
-    trial of the batch into one cross-trial parameter slab
-    (:class:`repro.fl.fused.FusedTrainerPool`) — whole Hyperband/SHA rungs
-    train as a single lockstep mega-cohort in this process.
+    executor), :meth:`advance_many` instead hands the batch to a
+    :class:`repro.fl.fused.FusedTrainerPool`, which trains every
+    same-architecture, same-schedule bucket of trials as one cross-trial
+    parameter slab — whole Hyperband/SHA rungs train as a few lockstep
+    mega-cohorts in this process. Workers are orthogonal to the mode:
+    ``FederatedTrialRunner(..., executor=make_executor(n),
+    cohort_mode="fused")`` fans the batch across processes and each
+    worker's trainer runs its own T=1 slab.
     """
 
     def __init__(
@@ -465,9 +469,9 @@ class FederatedTrialRunner(TrialRunner):
                 self._record_trial_failure(trial, exc)
                 continue
             work.append((trial, allowed))
-        if pooled and len(work) > 1:
+        if pooled:
             # Process-level parallelism wins over in-process fusion: each
-            # worker's trainer still runs its own lockstep cohort.
+            # worker's trainer runs its own (T=1 slab or serial) rounds.
             payload = [(trial.state, allowed) for trial, allowed in work]
             states = executor.map(_advance_trainer_task, range(len(work)), payload=payload)
             for (trial, _), state in zip(work, states):
@@ -477,7 +481,7 @@ class FederatedTrialRunner(TrialRunner):
                     )
                 else:
                     trial.state.load_state_dict(state)
-        elif self.cohort_mode == "fused" and len(work) > 1:
+        else:
             if self._fused_pool is None:
                 from repro.fl.fused import FusedTrainerPool
 
@@ -505,12 +509,6 @@ class FederatedTrialRunner(TrialRunner):
                         trial.state.run(remaining)
                     except Exception as trial_exc:
                         self._record_trial_failure(trial, trial_exc)
-        else:
-            for trial, allowed in work:
-                try:
-                    trial.state.run(allowed)
-                except Exception as exc:
-                    self._record_trial_failure(trial, exc)
         for trial, allowed in planned:
             trial.rounds += allowed
             self.rounds_used += allowed

@@ -25,9 +25,9 @@ same-architecture configurations concurrently:
 
 Both are exactly the workload the fused engine was built for: a
 population is a permanent rung. Every training step is one
-``BaseTuner.train_trials`` batch — which ``cohort_mode="fused"`` merges
-into a single ``(N*C, P)`` :class:`~repro.fl.cohort.SlabTrainer` slab —
-and every scoring pass is one ``observe_many``/``error_rates_many``
+``BaseTuner.train_trials`` batch — which ``cohort_mode="fused"`` trains
+as one :class:`~repro.fl.cohort.SlabTrainer` slab pass per local step
+schedule (members keep their batch size and epochs for life) — and every scoring pass is one ``observe_many``/``error_rates_many``
 batch, stacked through one inference slab. Exploit is an in-slab row
 copy and explore a per-row hyperparameter-vector edit
 (:func:`repro.nn.optim.copy_slab_rows` / :func:`~repro.nn.optim.perturb_rows`
@@ -74,7 +74,7 @@ class PopulationTunerBase(BaseTuner):
     The whole population advances together: each step trains every member
     ``rounds_per_step`` more rounds (capped at the runner's per-config
     max) as ONE ``advance_many`` batch, then scores every member as ONE
-    ``error_rates_many`` batch — the fused runner turns both into single
+    ``error_rates_many`` batch — the fused runner turns both into
     cross-trial slab passes. The final step may be truncated by budget
     exhaustion exactly as :meth:`BaseTuner.train_trials` truncates it, and
     only the members that received a grant are scored; the upfront

@@ -8,15 +8,13 @@ The engine is the execution substrate underneath every online experiment:
   rides a fork-inherited payload and only small, picklable results cross
   process boundaries. :class:`SerialExecutor` is the drop-in fallback and
   the reference for bit-equivalence.
-- :mod:`repro.engine.runner` — :class:`ParallelTrialRunner`, a
-  :class:`repro.core.evaluator.FederatedTrialRunner` whose
-  ``advance_many`` batch API fans independent trials across workers while
-  preserving per-trial deterministic seeding.
-- :mod:`repro.engine.trialfuse` — :class:`TrialFusedRunner`, the
-  in-process counterpart: ``advance_many`` merges every
-  same-architecture trial of a batch into one cross-trial ``(T*C, P)``
-  parameter slab and trains the whole rung in lockstep
-  (``cohort_mode="fused"``).
+  Pass one to :class:`repro.core.evaluator.FederatedTrialRunner`
+  (``executor=make_executor(n)``) and its ``advance_many`` /
+  ``error_rates_many`` batch API fans independent trials across workers
+  while preserving per-trial deterministic seeding; without one,
+  ``cohort_mode="fused"`` trains the batch in-process as cross-trial
+  parameter slabs (:mod:`repro.fl.fused`). Workers and cohort mode are
+  orthogonal: a worker's trainer runs whichever mode the runner was given.
 - :mod:`repro.engine.bank_store` — :class:`BankStore`, a disk-backed
   memo of built configuration banks keyed by the full build signature
   ``(dataset, preset, seed, n_configs, max_rounds, format_version, ...)``.
@@ -49,8 +47,6 @@ from repro.engine.checkpoint import (
     resume_checkpoint,
     save_checkpoint,
 )
-from repro.engine.runner import ParallelTrialRunner
-from repro.engine.trialfuse import TrialFusedRunner
 
 __all__ = [
     "BANK_FORMAT_VERSION",
@@ -58,12 +54,10 @@ __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
     "CheckpointError",
     "CheckpointVersionError",
-    "ParallelTrialRunner",
     "ProcessExecutor",
     "RunCheckpointer",
     "SerialExecutor",
     "TrialExecutor",
-    "TrialFusedRunner",
     "WorkerCrashedError",
     "default_workers",
     "load_checkpoint",

@@ -41,7 +41,10 @@ from repro.experiments.bank import ConfigBank
 #: 2: PR 2's ReLU forward now propagates NaN/-inf inputs instead of
 #:    zeroing them, so diverged-config trajectories can early-stop sooner
 #:    than pre-PR serial runs; pre-PR caches of diverged configs differ.
-BANK_FORMAT_VERSION = 2
+#: 3: a fused build buckets configs by local step schedule before sharing
+#:    a slab, so mixed-batch-size pools pad differently than version-2
+#:    fused builds (results move at the ~1e-15 ragged-padding tolerance).
+BANK_FORMAT_VERSION = 3
 
 
 class BankStore:

@@ -9,8 +9,8 @@ tuner's trial table). The hard contract — asserted method-by-method in
 ``tests/engine/test_checkpoint.py`` — is that a run killed after any
 observation and resumed from its last checkpoint produces the same
 ``TuningResult`` (observations, curves, DP release counts) and the same
-tuner/trainer RNG end states as the uninterrupted run, across serial,
-vectorized, and fused cohort modes and any ``REPRO_WORKERS`` setting.
+tuner/trainer RNG end states as the uninterrupted run, across the serial
+and fused cohort modes and any ``REPRO_WORKERS`` setting.
 
 Checkpoints are written atomically (temp file + ``os.replace``, the same
 pattern as :meth:`repro.engine.bank_store.BankStore.put`), so a crash

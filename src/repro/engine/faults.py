@@ -33,7 +33,7 @@ index, client id, trial id, release index) are themselves part of the
 deterministic run state, so:
 
 - the same fault seed injects the *same* faults regardless of cohort mode
-  (serial / vectorized / fused), worker count, or batch order;
+  (serial / fused), worker count, or batch order;
 - a checkpoint/resume replays the identical fault sequence (the plan
   itself has no state to lose — only its config travels, as an echo that
   :meth:`repro.core.tuner.BaseTuner.load_state_dict` validates);

@@ -73,15 +73,16 @@ def _build_config_task(payload, k: int):
 
 
 def effective_build_mode(cohort_mode, executor) -> str:
-    """The cohort mode a bank build will *actually* run under.
+    """The build path a bank build will *actually* take, as a cache-key label.
 
-    "fused" only engages for in-process builds; with a multi-worker
-    executor each worker's trainer runs standalone, which is exactly the
-    "vectorized" build (a fused-mode trainer's own rounds are vectorized
-    rounds). Cache keys must use this effective mode — keying a
-    worker-built bank as "fused" would alias two numerically different
-    builds (cross-config slab padding vs per-trainer slabs) under one
-    entry, breaking the store's every-input-in-the-key contract.
+    A fused build is one of two numerically different builds, chosen by
+    the executor, not the user: in-process it trains the config pool as
+    cross-config slabs ("fused"); under a multi-worker executor every
+    worker's trainer runs standalone on its own T=1 slab (labelled
+    "vectorized", the key those builds have always carried). Keying both
+    as "fused" would alias cross-config slab padding and per-trainer
+    slabs under one entry, breaking the store's every-input-in-the-key
+    contract.
     """
     from repro.fl.cohort import resolve_cohort_mode
 
@@ -94,12 +95,12 @@ def effective_build_mode(cohort_mode, executor) -> str:
 def _build_fused(
     dataset, configs, seeds, ckpts, clients_per_round, scheme, store_params, cohort_dtype=None
 ):
-    """Train the whole config pool as one cross-config slab.
+    """Train the whole config pool as cross-config slabs.
 
     All configs share the dataset's architecture, so the fused pool merges
-    every config's cohort into one slab and advances the pool checkpoint
-    to checkpoint in lockstep. Each checkpoint's per-config snapshot is
-    one fused evaluation sweep (:meth:`FusedTrainerPool.evaluate`): the
+    every same-schedule config's cohort into one slab pass and advances
+    the pool checkpoint to checkpoint in lockstep. Each checkpoint's
+    per-config snapshot is one fused evaluation sweep (:meth:`FusedTrainerPool.evaluate`): the
     whole validation pool pushes through a single inference slab —
     borrowed from the training slab the pool just used — instead of
     re-running the full pool once per config. Per config the rates are
@@ -207,15 +208,15 @@ class ConfigBank:
         trainer seed is drawn serially before dispatch, so the parallel
         build is bit-identical to the serial one.
 
-        ``cohort_mode`` selects cohort training ("vectorized" lockstep
-        slabs vs "serial" per-client loops; ``None`` resolves from
-        ``$REPRO_COHORT_VECTOR``) — see :mod:`repro.fl.cohort`. "fused"
-        goes further when the build is in-process (no multi-worker
-        executor): the whole config pool advances checkpoint to checkpoint
-        as one cross-config parameter slab
-        (:class:`repro.fl.fused.FusedTrainerPool`), every config's cohort
-        in lockstep. With a multi-worker executor, "fused" defers to
-        process parallelism and each worker's trainer runs vectorized.
+        ``cohort_mode`` selects cohort training ("serial" per-client loops
+        or "fused" lockstep slabs; ``None`` resolves from
+        ``$REPRO_COHORT_VECTOR``) — see :mod:`repro.fl.cohort`. An
+        in-process "fused" build (no multi-worker executor) advances the
+        whole config pool checkpoint to checkpoint as cross-config
+        parameter slabs (:class:`repro.fl.fused.FusedTrainerPool`), every
+        same-schedule config's cohort in lockstep. With a multi-worker
+        executor, process parallelism wins and each worker's trainer runs
+        on its own T=1 slab.
 
         ``cohort_dtype`` selects the slab compute dtype of the build
         (``None`` resolves from ``$REPRO_DTYPE``; see
@@ -245,8 +246,7 @@ class ConfigBank:
         # Trainer seeds are drawn serially (one rng stream, config order)
         # regardless of how the training is executed.
         seeds = [int(rng.integers(0, 2**63 - 1)) for _ in configs]
-        cohort_mode = effective_build_mode(cohort_mode, executor)
-        if cohort_mode == "fused":
+        if effective_build_mode(cohort_mode, executor) == "fused":
             results = _build_fused(
                 dataset,
                 configs,

@@ -39,6 +39,7 @@ from repro.experiments import (
     run_table2,
     run_transfer_scatter,
 )
+from repro.fl.cohort import COHORT_MODES
 from repro.utils.records import records_to_json
 
 # artifact -> (runner, display columns)
@@ -155,13 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cohort-mode",
-        choices=("serial", "vectorized", "fused"),
+        choices=COHORT_MODES,
         default=None,
         help=(
-            "cohort training path: 'serial' per-client loops, 'vectorized' "
-            "per-trainer lockstep slabs, or 'fused' cross-trial slabs (whole "
-            "rungs/bank pools train as one slab; default: $REPRO_COHORT_VECTOR, "
-            "else serial)"
+            "cohort training path: 'serial' per-client loops (the reference) "
+            "or 'fused' lockstep slabs (whole rungs/bank pools train as "
+            "cross-trial slabs; default: $REPRO_COHORT_VECTOR, else serial)"
         ),
     )
     parser.add_argument(
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("float64", "float32"),
         default=None,
         help=(
-            "slab compute dtype for cohort/fused training: 'float64' is the "
+            "slab compute dtype for fused training: 'float64' is the "
             "bit-exact serial-equivalence reference, 'float32' halves slab "
             "memory at documented tolerance (default: $REPRO_DTYPE, else "
             "float64)"

@@ -20,7 +20,7 @@ from repro.utils.rng import RngFactory
 # Environment defaults for the execution engine (see repro.engine):
 # REPRO_BANK_CACHE — directory for the disk-backed bank store.
 # REPRO_WORKERS — worker-process count for parallel bank builds.
-# REPRO_COHORT_VECTOR — vectorized lockstep cohort training (repro.fl.cohort).
+# REPRO_COHORT_VECTOR — cohort mode, "serial" or "fused" (repro.fl.cohort).
 # REPRO_DTYPE — slab compute dtype ("float64"/"float32"; repro.nn.backend).
 # REPRO_BACKEND — array backend for slab kernels (repro.nn.backend).
 # REPRO_CHECKPOINT_DIR — directory for tuning-run checkpoints (repro.engine.checkpoint).
@@ -66,13 +66,12 @@ class ExperimentContext:
         in is explicit).
     n_workers : worker processes for bank builds (``$REPRO_WORKERS`` when
         unset; both unset means serial).
-    cohort_mode : "serial", "vectorized", or "fused" cohort training for
-        every trainer this context builds (``$REPRO_COHORT_VECTOR`` when
-        unset; see :mod:`repro.fl.cohort`). "fused" additionally trains
-        whole in-process bank builds as one cross-config slab
-        (:mod:`repro.fl.fused`). Non-serial modes join the bank-store
-        cache key, since lockstep padding can perturb results at float
-        tolerance.
+    cohort_mode : "serial" or "fused" cohort training for every trainer
+        this context builds (``$REPRO_COHORT_VECTOR`` when unset, else
+        serial; see :mod:`repro.fl.cohort`). "fused" trains tuner rungs
+        and in-process bank builds as cross-trial slabs
+        (:mod:`repro.fl.fused`) and joins the bank-store cache key, since
+        lockstep padding can perturb results at float tolerance.
     cohort_dtype : slab compute dtype ("float64" or "float32") for every
         trainer this context builds (``$REPRO_DTYPE`` when unset; see
         :mod:`repro.nn.backend`). float32 halves slab memory at
@@ -195,15 +194,14 @@ class ExperimentContext:
     def bank_key_fields(self, name: str, store_params: bool = False) -> Dict:
         """The :class:`BankStore` key a bank build of ``name`` maps to.
 
-        Keys carry the *effective* cohort mode of the build
-        (:func:`repro.experiments.bank.effective_build_mode`): "fused"
-        degrades to "vectorized" under a multi-worker executor, and those
-        builds are bit-identical, so they share one entry. Serial keys
-        stay unchanged (pre-vectorization caches remain valid); every
-        non-serial mode gets its own entries. The same conditional-field
-        pattern stamps the slab dtype and array backend: float64-on-NumPy
-        builds keep their historical keys, while a float32 (or non-NumPy)
-        build can never alias a float64 cache entry.
+        Keys carry the build path the executor selects
+        (:func:`repro.experiments.bank.effective_build_mode`): an
+        in-process fused build trains cross-config slabs, a fused build
+        under a multi-worker executor trains one slab per worker trainer,
+        and the two never share an entry. Serial builds carry no mode
+        field. The same conditional-field pattern stamps the slab dtype
+        and array backend: a float32 (or non-NumPy) build can never alias
+        a float64 cache entry.
         """
         from repro.engine.bank_store import BankStore
         from repro.experiments.bank import effective_build_mode

@@ -11,7 +11,6 @@ from repro.fl.client import ClientTrainer, evaluate_client
 from repro.fl.cohort import (
     COHORT_MODES,
     COHORT_VECTOR_ENV,
-    CohortTrainer,
     SlabGroup,
     SlabTrainer,
     resolve_cohort_mode,
@@ -44,7 +43,6 @@ from repro.fl.evaluation import (
 __all__ = [
     "ClientTrainer",
     "evaluate_client",
-    "CohortTrainer",
     "COHORT_MODES",
     "COHORT_VECTOR_ENV",
     "FusedTrainerPool",

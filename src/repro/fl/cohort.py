@@ -1,25 +1,23 @@
-"""Vectorized cohort training: slab-agnostic lockstep SGD over client rows.
+"""Lockstep cohort training: slab-agnostic SGD over client rows.
 
-:class:`repro.fl.trainer.FederatedTrainer.run_round` historically trained
-its cohort one client at a time through :class:`~repro.fl.client.ClientTrainer`
-— hundreds of small-array layer calls per round. This module replaces that
-loop with lockstep SGD over a :class:`~repro.nn.stacked.StackedModel`: every
-participating client's parameters live in one ``(R, P)`` slab, every local
-step is one batched forward/backward over an ``(R, B, ...)`` stacked batch,
-and the optimizer update is one fused whole-slab call
+The serial reference trains a round's cohort one client at a time through
+:class:`~repro.fl.client.ClientTrainer` — hundreds of small-array layer
+calls per round. This module replaces that loop with lockstep SGD over a
+:class:`~repro.nn.stacked.StackedModel`: every participating client's
+parameters live in one ``(R, P)`` slab, every local step is one batched
+forward/backward over an ``(R, B, ...)`` stacked batch, and the optimizer
+update is one fused whole-slab call
 (:func:`repro.nn.optim.fused_sgd_step`).
 
-The compute core, :class:`SlabTrainer`, is *slab-agnostic*: it trains a
-list of :class:`SlabGroup` row groups, where each group carries its own
+:class:`SlabTrainer` is *slab-agnostic*: it trains a list of
+:class:`SlabGroup` row groups, where each group carries its own
 round-start parameters and hyperparameters (lr / momentum / weight decay /
 FedProx mu broadcast per slab row via the per-row vector form of
-:func:`~repro.nn.optim.fused_sgd_step`). Two callers share it:
-
-- :class:`CohortTrainer` — one group: a single trainer's cohort, the PR 2
-  execution mode (``cohort_mode="vectorized"``).
-- :class:`repro.fl.fused.FusedTrainerPool` — many groups: one per trial of
-  a tuner rung, fusing a whole ``advance_many`` batch into a ``(T*C, P)``
-  mega-slab (``cohort_mode="fused"``).
+:func:`~repro.nn.optim.fused_sgd_step`). One round function drives it,
+:func:`repro.fl.trainer.run_slab_round`: a standalone
+``FederatedTrainer(cohort_mode="fused")`` calls it with itself (T=1), a
+:class:`repro.fl.fused.FusedTrainerPool` with every trial of a tuner rung
+that shares a local step schedule (a ``(T*C, P)`` slab).
 
 Equivalence contract (asserted in ``tests/fl/test_cohort.py`` and
 ``tests/fl/test_fused.py``):
@@ -46,8 +44,7 @@ Equivalence contract (asserted in ``tests/fl/test_cohort.py`` and
   are discarded, and the caller reruns that trainer's round serially after
   restoring its RNG snapshots — reproducing serial semantics exactly
   (including the diverged client's early stop and its effect on later
-  draws). When *every* group has failed the attempt aborts early, which
-  for the single-group :class:`CohortTrainer` is the PR 2 behavior.
+  draws). When *every* group has failed the attempt aborts early.
 
 Rows are processed sorted by local step count (stable descending), so
 finished clients retire from a shrinking *prefix* of the slab — ragged
@@ -69,44 +66,34 @@ from repro.nn.stacked import (
     STACKED_LOSSES,
     StackedDropout,
     StackedModel,
-    collect_dropout_rngs,
     supports_stacking,
 )
 
-#: Environment switch for the default cohort mode. Accepted values:
-#: falsy ("", "0", "false", "no", "off") or "serial" -> serial;
-#: truthy ("1", "true", "yes", "on") or "vectorized" -> vectorized;
-#: "fused" -> fused. Anything else is an error (not a silent fallback).
+#: Environment switch for the default cohort mode: unset (or empty) and
+#: "serial" -> serial, "fused" -> fused. Anything else is an error (not a
+#: silent fallback).
 COHORT_VECTOR_ENV = "REPRO_COHORT_VECTOR"
 
-COHORT_MODES = ("serial", "vectorized", "fused")
-
-_ENV_SERIAL = ("", "0", "false", "no", "off", "serial")
-_ENV_VECTORIZED = ("1", "true", "yes", "on", "vectorized")
+COHORT_MODES = ("serial", "fused")
 
 
 def resolve_cohort_mode(mode: Optional[str] = None) -> str:
     """Resolve an explicit or environment-provided cohort mode.
 
-    ``None`` consults ``$REPRO_COHORT_VECTOR`` (unset/falsy -> "serial",
-    so vectorization is opt-in, like ``REPRO_WORKERS``/``REPRO_BANK_CACHE``).
+    ``None`` consults ``$REPRO_COHORT_VECTOR`` (unset -> "serial", so slab
+    training is opt-in, like ``REPRO_WORKERS``/``REPRO_BANK_CACHE``).
     Unknown values — explicit or from the environment — raise instead of
     silently degrading to serial.
     """
+    source = "cohort_mode"
     if mode is None:
-        raw = os.environ.get(COHORT_VECTOR_ENV, "").strip().lower()
-        if raw in _ENV_SERIAL:
-            return "serial"
-        if raw in _ENV_VECTORIZED:
-            return "vectorized"
-        if raw == "fused":
-            return "fused"
-        raise ValueError(
-            f"${COHORT_VECTOR_ENV} must be one of {COHORT_MODES} or a boolean "
-            f"flag ('1'/'0', 'true'/'false', 'yes'/'no', 'on'/'off'), got {raw!r}"
-        )
+        source = f"${COHORT_VECTOR_ENV}"
+        mode = os.environ.get(COHORT_VECTOR_ENV, "").strip().lower() or "serial"
     if mode not in COHORT_MODES:
-        raise ValueError(f"cohort_mode must be one of {COHORT_MODES}, got {mode!r}")
+        raise ValueError(
+            f"{source} must be one of {COHORT_MODES} (lockstep slab training is "
+            f"'fused'), got {mode!r}"
+        )
     return mode
 
 
@@ -139,9 +126,9 @@ class SlabGroup:
 class SlabTrainer:
     """Slab-agnostic lockstep local SGD over row groups.
 
-    One instance is reused across rounds (and, for the fused runner,
-    across trials): the stacked model, its slab, the velocity buffer, and
-    the batch-assembly buffers are allocated once and grown on demand via
+    One instance is reused across rounds (and, in a trainer pool, across
+    trials): the stacked model, its slab, the velocity buffer, and the
+    batch-assembly buffers are allocated once and grown on demand via
     :meth:`ensure_capacity`.
 
     ``dtype`` is the slab compute dtype
@@ -152,6 +139,12 @@ class SlabTrainer:
     consume the generators' native float64 stream regardless, preserving
     serial RNG-state equivalence in every dtype.
     """
+
+    @staticmethod
+    def supports(task: TaskSpec, template: Module) -> bool:
+        """Whether this task/model pair has lockstep kernels (without
+        paying for a slab — trainers check this at construction)."""
+        return supports_stacking(template) and task.loss_fn in STACKED_LOSSES
 
     def __init__(self, task: TaskSpec, template: Module, capacity: int, dtype=None):
         if capacity < 1:
@@ -579,107 +572,3 @@ class SlabTrainer:
                 else:
                     outs[gi][...] = slab[pos_of_row[row_base[gi] : row_base[gi + 1]]]
         return [not f for f in failed]
-
-
-class CohortTrainer:
-    """Lockstep local SGD for a fixed-size client cohort (one trainer).
-
-    A thin single-group wrapper over :class:`SlabTrainer`: it pre-draws the
-    batch permutations from the shared trainer RNG in serial order,
-    snapshots every generator the attempt consumes, and restores them on
-    failure so the caller's serial rerun reproduces serial semantics
-    exactly. Construct via :meth:`maybe_build`, which returns ``None`` for
-    model or loss families without stacked kernels.
-
-    One instance is reused across rounds: the stacked model, its slab, the
-    velocity buffer, and the batch-assembly buffers are allocated once.
-    """
-
-    def __init__(
-        self,
-        task: TaskSpec,
-        template: Module,
-        cohort_size: int,
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        batch_size: int = 32,
-        epochs: int = 1,
-        prox_mu: float = 0.0,
-        dtype=None,
-    ):
-        if cohort_size < 1:
-            raise ValueError(f"cohort_size must be >= 1, got {cohort_size}")
-        self.task = task
-        self.cohort_size = cohort_size
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.batch_size = batch_size
-        self.epochs = epochs
-        self.prox_mu = prox_mu
-        self._slab = SlabTrainer(task, template, cohort_size, dtype=dtype)
-        self.dtype = self._slab.dtype
-        self._dropout_rngs = collect_dropout_rngs(template)
-
-    @staticmethod
-    def supports(task: TaskSpec, template: Module) -> bool:
-        """Whether this task/model pair has lockstep kernels (without
-        paying for a slab — the fused path checks this per trial)."""
-        return supports_stacking(template) and task.loss_fn in STACKED_LOSSES
-
-    @classmethod
-    def maybe_build(
-        cls,
-        task: TaskSpec,
-        template: Module,
-        cohort_size: int,
-        **hps,
-    ) -> Optional["CohortTrainer"]:
-        """A :class:`CohortTrainer` when the model family supports stacking,
-        else ``None`` (serial fallback)."""
-        if not cls.supports(task, template):
-            return None
-        return cls(task, template, cohort_size, **hps)
-
-    def train_cohort(
-        self,
-        global_params: np.ndarray,
-        clients: Sequence[ClientData],
-        rng: np.random.Generator,
-        out: np.ndarray,
-    ) -> bool:
-        """Run every client's local training from ``global_params`` in lockstep.
-
-        Writes each client's updated flat parameters into ``out`` (shape
-        ``(len(clients), P)``, cohort order) and returns True. Returns
-        False — with ``rng`` (and any Dropout generators) restored to
-        their entry state and ``out`` unspecified — when any client's loss
-        goes non-finite; the caller must then rerun the round serially.
-        """
-        n_clients = len(clients)
-        if n_clients != self.cohort_size:
-            raise ValueError(f"expected cohort of {self.cohort_size}, got {n_clients}")
-        rng_snapshot = rng.bit_generator.state
-        dropout_snapshots = [r.bit_generator.state for r in self._dropout_rngs]
-        # Pre-draw batch permutations in the serial loop's exact RNG order:
-        # client by client (cohort order), epoch by epoch.
-        perms = [[rng.permutation(c.n) for _ in range(self.epochs)] for c in clients]
-        group = SlabGroup(
-            start=global_params,
-            clients=clients,
-            perms=perms,
-            lr=self.lr,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            prox_mu=self.prox_mu,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            dropout_rngs=self._dropout_rngs,
-        )
-        if self._slab.train_groups([group], [out])[0]:
-            return True
-        rng.bit_generator.state = rng_snapshot
-        for r, state in zip(self._dropout_rngs, dropout_snapshots):
-            r.bit_generator.state = state
-        return False

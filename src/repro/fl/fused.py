@@ -4,13 +4,15 @@ A tuner rung (Hyperband/SHA), a random-search batch, or a grid sweep hands
 ``advance_many`` a set of trials that differ *only in hyperparameters* —
 same dataset, same model architecture. :class:`FusedTrainerPool` exploits
 that: it groups trainers by :func:`repro.nn.stacked.stack_signature` and
-advances each group's rounds in lockstep, with every trial's whole cohort
-occupying a contiguous row block of one ``(sum of cohorts, P)`` mega-slab.
-Per-trial hyperparameters (client lr / momentum / weight decay / FedProx
-mu) broadcast per slab row through the per-row vector form of
-:func:`repro.nn.optim.fused_sgd_step`; per-trial batch sizes and epoch
-counts just produce different row step schedules (ragged steps are
-loss-masked, exactly as within a single cohort).
+local step schedule ``(batch_size, epochs)`` and advances each bucket's
+rounds in lockstep, with every trial's whole cohort occupying a contiguous
+row block of one ``(sum of cohorts, P)`` slab. Per-trial hyperparameters
+(client lr / momentum / weight decay / FedProx mu) broadcast per slab row
+through the per-row vector form of :func:`repro.nn.optim.fused_sgd_step`.
+Trials with different schedules never share a pass: a mixed slab pads
+every row to the widest batch and runs as long as the smallest one, which
+measured slower than training the buckets one after another on the paper's
+CNN and LSTM rungs (the paper's search space tunes ``batch_size``).
 
 Equivalence is inherited from :class:`repro.fl.cohort.SlabTrainer` and is
 *per trainer*: each trainer samples its cohort and pre-draws its batch
@@ -29,31 +31,26 @@ can drive it.
 from __future__ import annotations
 
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.nn.backend import resolve_dtype
-from repro.fl.cohort import SlabGroup, SlabTrainer
+from repro.fl.cohort import SlabTrainer
 from repro.fl.evaluation import StackedEvalEngine, fused_group_rates
-from repro.fl.trainer import FederatedTrainer
-from repro.nn.stacked import (
-    STACKED_LOSSES,
-    StackedModel,
-    collect_dropout_rngs,
-    stack_signature,
-)
+from repro.fl.trainer import FederatedTrainer, run_slab_round, trainer_names
+from repro.nn.stacked import STACKED_LOSSES, StackedModel, stack_signature
 
 
 class FusedTrainerPool:
     """Advances batches of :class:`~repro.fl.trainer.FederatedTrainer`\\ s
     in cross-trial lockstep, one shared :class:`SlabTrainer` per model
-    architecture (slabs are cached across calls, so successive rungs of a
-    tuning run reuse one allocation). :meth:`evaluate` is the matching
-    read path: every trainer of a batch is scored on the validation pool
-    through one inference slab — borrowing the training slab the batch
-    just used, so a train→evaluate rung cycle never unstacks and restacks
-    parameters.
+    architecture (slabs are cached across calls, so the schedule buckets
+    of a rung and successive rungs of a tuning run reuse one allocation).
+    :meth:`evaluate` is the matching read path: every trainer of a batch
+    is scored on the validation pool through one inference slab —
+    borrowing the training slab the batch just used, so a train→evaluate
+    rung cycle never unstacks and restacks parameters.
 
     ``dtype`` is the pool's default slab compute dtype
     (:func:`repro.nn.backend.resolve_dtype`); each group's slab is built
@@ -116,50 +113,33 @@ class FusedTrainerPool:
     def advance(self, trainers: Sequence[FederatedTrainer], rounds: Sequence[int]) -> None:
         """Advance ``trainers[i]`` by ``rounds[i]`` rounds, fusing where possible.
 
-        Trainers are grouped by architecture signature; each group of two
-        or more trains as one slab. Singleton groups and trainers without
-        stacked kernels run their own ``run`` (which is itself vectorized
-        when the model allows).
+        Trainers are bucketed by architecture signature, loss, slab dtype
+        and local step schedule; each bucket — of one trainer or many —
+        trains as one pass over the pool's slab for that architecture.
+        Trainers without stacked kernels run their own (serial) ``run``.
         """
         if len(trainers) != len(rounds):
             raise ValueError(f"{len(trainers)} trainers but {len(rounds)} round counts")
         for r in rounds:
             if r < 0:
                 raise ValueError(f"rounds must be >= 0, got {r}")
-        groups: Dict[tuple, List[int]] = {}
-        solo: List[int] = []
+        buckets: Dict[tuple, List[int]] = {}
         for i, trainer in enumerate(trainers):
             signature = stack_signature(trainer.model)
             if signature is None or trainer.dataset.task.loss_fn not in STACKED_LOSSES:
-                solo.append(i)
+                trainer.run(rounds[i])
                 continue
-            dtype_name = np.dtype(
-                getattr(trainer, "cohort_dtype", self.dtype)
-            ).name
-            groups.setdefault(
-                (signature, trainer.dataset.task.loss_fn, dtype_name), []
-            ).append(i)
-        for key, members in groups.items():
-            if len(members) == 1:
-                solo.extend(members)
-                continue
-            self._advance_group(
-                [trainers[i] for i in members], [rounds[i] for i in members], key
+            dtype_name = np.dtype(getattr(trainer, "cohort_dtype", self.dtype)).name
+            slab_key = (signature, trainer.dataset.task.loss_fn, dtype_name)
+            schedule = (trainer.local.batch_size, trainer.local.epochs)
+            buckets.setdefault((slab_key, schedule), []).append(i)
+        for (slab_key, _), members in buckets.items():
+            self._advance_bucket(
+                [trainers[i] for i in members], [rounds[i] for i in members], slab_key
             )
-        for i in solo:
-            trainers[i].run(rounds[i])
 
     # -- internals -----------------------------------------------------------
-    @staticmethod
-    def _trainer_names(trainers: Sequence[FederatedTrainer]) -> str:
-        """Human-readable trial names for degradation warnings (the fault
-        key is the trial id when a runner attached one)."""
-        return ", ".join(
-            str(t.fault_key) if t.fault_key is not None else f"#{i}"
-            for i, t in enumerate(trainers)
-        )
-
-    def _advance_group(
+    def _advance_bucket(
         self, trainers: List[FederatedTrainer], rounds: List[int], key: tuple
     ) -> None:
         slab = self._slabs.get(key)
@@ -172,13 +152,13 @@ class FusedTrainerPool:
                     dtype=getattr(trainers[0], "cohort_dtype", self.dtype),
                 )
             except Exception as exc:
-                # First degradation step: no cross-trial slab, but each
-                # trainer still runs its own (vectorized-where-possible)
-                # rounds. No training happened yet, so this is exact.
+                # First degradation step: no pool slab, but each trainer
+                # still runs its own rounds. No training happened yet, so
+                # this is exact.
                 warnings.warn(
                     f"fused slab unavailable for trials "
-                    f"[{self._trainer_names(trainers)}]: {exc!r}; degrading "
-                    "group to per-trainer rounds",
+                    f"[{trainer_names(trainers)}]: {exc!r}; degrading "
+                    "bucket to per-trainer rounds",
                     RuntimeWarning,
                     stacklevel=3,
                 )
@@ -191,80 +171,6 @@ class FusedTrainerPool:
             active = [i for i, r in enumerate(remaining) if r > 0]
             if not active:
                 return
-            self._run_fused_round([trainers[i] for i in active], slab)
+            run_slab_round([trainers[i] for i in active], slab)
             for i in active:
                 remaining[i] -= 1
-
-    def _run_fused_round(self, trainers: List[FederatedTrainer], slab: SlabTrainer) -> None:
-        """One lockstep communication round across every given trainer.
-
-        Mirrors :meth:`FederatedTrainer.run_round` phase for phase, per
-        trainer: sample cohort -> local training (fused here) -> aggregate
-        + server step, with the serial rerun fallback on divergence.
-        """
-        cohorts = []
-        snapshots: List[Tuple] = []
-        groups: List[SlabGroup] = []
-        rng_lists: List[list] = []
-        for trainer in trainers:
-            cohort = trainer._sample_cohort()
-            # Snapshot after the cohort draw (a serial rerun reuses the
-            # cohort) but before the permutation pre-draw, which the rerun
-            # repeats client by client.
-            drngs = collect_dropout_rngs(trainer.model)
-            snapshots.append(
-                (
-                    trainer._rng.bit_generator.state,
-                    [r.bit_generator.state for r in drngs],
-                )
-            )
-            clients = [trainer.dataset.train_clients[k] for k in cohort]
-            local = trainer.local
-            perms = [
-                [trainer._rng.permutation(c.n) for _ in range(local.epochs)] for c in clients
-            ]
-            cohorts.append(cohort)
-            rng_lists.append(drngs)
-            groups.append(
-                SlabGroup(
-                    start=trainer.params,
-                    clients=clients,
-                    perms=perms,
-                    lr=local.lr,
-                    momentum=local.momentum,
-                    weight_decay=local.weight_decay,
-                    prox_mu=local.prox_mu,
-                    batch_size=local.batch_size,
-                    epochs=local.epochs,
-                    dropout_rngs=drngs,
-                )
-            )
-        outs = [trainer._updates for trainer in trainers]
-        try:
-            succeeded = slab.train_groups(groups, outs)
-        except Exception as exc:
-            # Second degradation step: the slab pass itself blew up. Every
-            # trainer still holds its post-sample RNG snapshot, so marking
-            # the whole round as failed reruns it through the exact serial
-            # divergence-fallback path below — same results the slab would
-            # have produced, one warning naming the degraded trials.
-            warnings.warn(
-                f"fused round failed for trials "
-                f"[{self._trainer_names(trainers)}]: {exc!r}; rerunning the "
-                "round serially per trainer",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-            succeeded = [False] * len(trainers)
-        for trainer, cohort, snapshot, drngs, ok in zip(
-            trainers, cohorts, snapshots, rng_lists, succeeded
-        ):
-            if not ok:
-                # Exact serial fallback for the diverged trial only: rewind
-                # its generators to the post-sample state and replay the
-                # round through the serial per-client path.
-                trainer._rng.bit_generator.state = snapshot[0]
-                for r, state in zip(drngs, snapshot[1]):
-                    r.bit_generator.state = state
-                trainer._train_cohort_serial(cohort, trainer._updates)
-            trainer._finish_round(cohort, trainer._updates)

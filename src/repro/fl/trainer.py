@@ -12,19 +12,21 @@ need to continue promising configurations.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.datasets.base import FederatedDataset
 from repro.fl.client import ClientTrainer
 from repro.nn.backend import resolve_dtype
-from repro.fl.cohort import CohortTrainer, resolve_cohort_mode
+from repro.fl.cohort import SlabGroup, SlabTrainer, resolve_cohort_mode
 from repro.fl.evaluation import client_error_rates, evaluate_model
 from repro.fl.sampling import UniformSampler
 from repro.fl.server import ServerOptimizer
 from repro.nn.module import Module, get_flat_params, set_flat_params
+from repro.nn.stacked import collect_dropout_rngs
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -70,17 +72,17 @@ class FederatedTrainer:
     scheme : "weighted" (by example count) or "uniform" client aggregation,
         matching the evaluation weighting per the paper's footnote 1.
     seed : controls model init, cohort sampling, and local batch order.
-    cohort_mode : "vectorized" trains the round's whole cohort in lockstep
-        on stacked parameter slabs (see :mod:`repro.fl.cohort`); "serial"
-        trains clients one at a time; "fused" additionally lets a
-        :class:`repro.fl.fused.FusedTrainerPool` (via the trial runners'
-        ``advance_many``) merge this trainer's rounds into a cross-trial
-        slab — a standalone ``run_round`` behaves exactly like
-        "vectorized". ``None`` resolves from ``$REPRO_COHORT_VECTOR``
-        (default serial). Models without stacked kernels and rounds with
-        diverging clients automatically fall back to the serial path;
+    cohort_mode : "serial" trains clients one at a time (the reference
+        oracle); "fused" trains the round's whole cohort in lockstep on a
+        stacked parameter slab (see :mod:`repro.fl.cohort`) — this
+        trainer's own T=1 slab for a standalone ``run_round``, or a
+        cross-trial slab when a :class:`repro.fl.fused.FusedTrainerPool`
+        (via the trial runners' ``advance_many``) drives the round.
+        ``None`` resolves from ``$REPRO_COHORT_VECTOR`` (default serial).
+        Models without stacked kernels and rounds with diverging clients
+        automatically fall back to the serial path;
         ``cohort_mode_effective`` reports the path actually in use.
-    cohort_dtype : slab compute dtype for the vectorized/fused paths
+    cohort_dtype : slab compute dtype for the fused path
         (:func:`repro.nn.backend.resolve_dtype`; ``None`` resolves
         ``$REPRO_DTYPE``, default float64). float32 halves slab memory at
         a documented per-round tolerance vs the float64 reference. Global
@@ -133,14 +135,13 @@ class FederatedTrainer:
         self.participation = None
         self.cohort_mode = resolve_cohort_mode(cohort_mode)
         self.cohort_dtype = resolve_dtype(cohort_dtype)
-        # The per-trainer slab is built lazily on the first standalone
-        # round: trials advanced through the fused pool never touch it, so
-        # a fused rung does not pay one (C, P) slab per trial.
-        self._cohort_capable = self.cohort_mode in (
-            "vectorized",
-            "fused",
-        ) and CohortTrainer.supports(dataset.task, self.model)
-        self._cohort_trainer = None
+        # The standalone slab is built lazily on the first run_round:
+        # trials advanced through a trainer pool train on the pool's slab,
+        # so a fused rung does not pay one (C, P) slab per trial.
+        self._slab_capable = self.cohort_mode == "fused" and SlabTrainer.supports(
+            dataset.task, self.model
+        )
+        self._slab: Optional[SlabTrainer] = None
         # Aggregation scratch, reused every round: the (cohort, P) client
         # updates, their weighted copy, and the averaged parameters.
         self._updates = np.empty((self.clients_per_round, self.params.size))
@@ -149,15 +150,14 @@ class FederatedTrainer:
 
     @property
     def cohort_mode_effective(self) -> str:
-        """The training path in use ("vectorized"/"fused" fall back to
-        "serial" for model families without stacked kernels; a "fused"
-        trainer running standalone rounds reports "vectorized")."""
-        return "vectorized" if self._cohort_capable else "serial"
+        """The training path in use ("fused" falls back to "serial" for
+        model families without stacked kernels)."""
+        return "fused" if self._slab_capable else "serial"
 
     # -- round phases --------------------------------------------------------
-    # run_round composes three hooks so the fused trainer pool
-    # (repro.fl.fused) can interleave many trainers' rounds: sample the
-    # cohort, produce per-client updates (lockstep or serial), aggregate.
+    # A round is three hooks — sample the cohort, produce per-client
+    # updates, aggregate — so run_slab_round can interleave many trainers'
+    # rounds around one lockstep slab pass.
     def _sample_cohort(self) -> np.ndarray:
         """Draw this round's client cohort from the shared trainer RNG."""
         return self._sampler.sample(self.clients_per_round, self._rng)
@@ -174,8 +174,8 @@ class FederatedTrainer:
 
         With a fault plan attached, dropped clients are excluded *here* —
         their updates were computed but never reported — so every RNG
-        stream advances exactly as in the fault-free run and the serial,
-        vectorized, and fused paths inject identical faults. A round whose
+        stream advances exactly as in the fault-free run and the serial
+        and fused paths inject identical faults. A round whose
         survivors miss the quorum is lost (global model frozen for that
         round, like the divergence convention).
         """
@@ -243,33 +243,19 @@ class FederatedTrainer:
 
     def run_round(self) -> None:
         """One communication round (the inner loop of Algorithm 2)."""
+        if self._slab_capable:
+            if self._slab is None:
+                self._slab = SlabTrainer(
+                    self.dataset.task,
+                    self.model,
+                    self.clients_per_round,
+                    dtype=self.cohort_dtype,
+                )
+            run_slab_round([self], self._slab)
+            return
         cohort = self._sample_cohort()
-        updates = self._updates
-        trained = False
-        if self._cohort_capable and self._cohort_trainer is None:
-            local = self.local
-            self._cohort_trainer = CohortTrainer(
-                self.dataset.task,
-                self.model,
-                self.clients_per_round,
-                lr=local.lr,
-                momentum=local.momentum,
-                weight_decay=local.weight_decay,
-                batch_size=local.batch_size,
-                epochs=local.epochs,
-                prox_mu=local.prox_mu,
-                dtype=self.cohort_dtype,
-            )
-        if self._cohort_trainer is not None:
-            trained = self._cohort_trainer.train_cohort(
-                self.params,
-                [self.dataset.train_clients[k] for k in cohort],
-                self._rng,
-                out=updates,
-            )
-        if not trained:
-            self._train_cohort_serial(cohort, updates)
-        self._finish_round(cohort, updates)
+        self._train_cohort_serial(cohort, self._updates)
+        self._finish_round(cohort, self._updates)
 
     def run(self, n_rounds: int) -> "FederatedTrainer":
         """Advance ``n_rounds`` more rounds; returns self for chaining."""
@@ -285,19 +271,17 @@ class FederatedTrainer:
 
         Population-based tuners perturb a live trial's client lr /
         momentum / weight decay between training steps (FedPop's explore
-        move). Every cached executor of the old values is refreshed so the
-        serial, vectorized, and fused paths all see the new config from
-        the next round on: the serial :class:`ClientTrainer` is rebuilt,
-        the lazily-built per-trainer cohort slab is dropped (rebuilt on
-        the next standalone round), and the fused pool needs nothing —
-        it reads ``self.local`` fresh every round. Training state (params,
-        RNG streams, server-optimizer moments, round count) is untouched.
+        move). The serial :class:`ClientTrainer` is rebuilt; the slab path
+        needs nothing — hyperparameters ride each round's
+        :class:`~repro.fl.cohort.SlabGroup`, read fresh from ``self.local``.
+        Training state (params, RNG streams, server-optimizer moments,
+        round count) is untouched.
         """
         if local.batch_size != self.local.batch_size or local.epochs != self.local.epochs:
             # Not a correctness limit — just out of scope: the paper-space
             # perturbations touch the three SGD knobs only, and keeping
-            # the local step schedule fixed preserves the uniform-schedule
-            # fast path across a population slab.
+            # the local step schedule fixed keeps a population in the one
+            # slab bucket it started in.
             raise ValueError(
                 "set_local_config only swaps lr/momentum/weight_decay/prox_mu; "
                 f"batch_size/epochs must stay "
@@ -313,7 +297,6 @@ class FederatedTrainer:
             epochs=local.epochs,
             prox_mu=local.prox_mu,
         )
-        self._cohort_trainer = None
 
     # -- fault injection -----------------------------------------------------
     def set_fault_plan(self, plan, key) -> None:
@@ -352,8 +335,6 @@ class FederatedTrainer:
         training, and a worker round-trip that dropped them would leave
         the parent's Dropout draws stale for the next batch.
         """
-        from repro.nn.stacked import collect_dropout_rngs
-
         state = {
             "params": self.params.copy(),
             "rng_state": self._rng.bit_generator.state,
@@ -372,8 +353,6 @@ class FederatedTrainer:
 
     def load_state_dict(self, state: dict) -> None:
         """Restore state captured by :meth:`state_dict`."""
-        from repro.nn.stacked import collect_dropout_rngs
-
         self.params = np.asarray(state["params"], dtype=np.float64).copy()
         self._rng.bit_generator.state = state["rng_state"]
         self.server_opt.load_state_dict(state["server_opt"])
@@ -419,3 +398,82 @@ class FederatedTrainer:
             subset=None,
             scheme=scheme or self.scheme,
         )
+
+
+def trainer_names(trainers: Sequence[FederatedTrainer]) -> str:
+    """Human-readable trial names for degradation warnings (the fault key
+    is the trial id when a runner attached one)."""
+    return ", ".join(
+        str(t.fault_key) if t.fault_key is not None else f"#{i}"
+        for i, t in enumerate(trainers)
+    )
+
+
+def run_slab_round(trainers: Sequence[FederatedTrainer], slab: SlabTrainer) -> None:
+    """One lockstep communication round across every given trainer.
+
+    The serial round phase for phase, per trainer: sample cohort -> local
+    training (one slab pass for all of them) -> aggregate + server step.
+    A standalone trainer passes ``[self]`` and its own slab; a
+    :class:`repro.fl.fused.FusedTrainerPool` passes every trainer of a
+    schedule bucket and the pool's slab.
+    """
+    cohorts = []
+    snapshots = []
+    groups = []
+    for trainer in trainers:
+        cohort = trainer._sample_cohort()
+        # Snapshot after the cohort draw (a serial rerun reuses the
+        # cohort) but before the permutation pre-draw, which the rerun
+        # repeats client by client.
+        drngs = collect_dropout_rngs(trainer.model)
+        snapshots.append(
+            (trainer._rng.bit_generator.state, [r.bit_generator.state for r in drngs])
+        )
+        clients = [trainer.dataset.train_clients[k] for k in cohort]
+        local = trainer.local
+        # Pre-draw batch permutations in the serial loop's exact RNG order:
+        # client by client (cohort order), epoch by epoch.
+        perms = [[trainer._rng.permutation(c.n) for _ in range(local.epochs)] for c in clients]
+        cohorts.append(cohort)
+        groups.append(
+            SlabGroup(
+                start=trainer.params,
+                clients=clients,
+                perms=perms,
+                lr=local.lr,
+                momentum=local.momentum,
+                weight_decay=local.weight_decay,
+                prox_mu=local.prox_mu,
+                batch_size=local.batch_size,
+                epochs=local.epochs,
+                dropout_rngs=drngs,
+            )
+        )
+    try:
+        succeeded = slab.train_groups(groups, [trainer._updates for trainer in trainers])
+    except Exception as exc:
+        # The slab pass itself blew up. Every trainer still holds its
+        # post-sample RNG snapshot, so marking the whole round as failed
+        # reruns it through the exact serial divergence-fallback path
+        # below — same results the slab would have produced, one warning
+        # naming the degraded trials.
+        warnings.warn(
+            f"slab round failed for trials [{trainer_names(trainers)}]: {exc!r}; "
+            "rerunning the round serially per trainer",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        succeeded = [False] * len(trainers)
+    for trainer, cohort, (rng_state, dropout_states), group, ok in zip(
+        trainers, cohorts, snapshots, groups, succeeded
+    ):
+        if not ok:
+            # Exact serial fallback for the diverged trainer only: rewind
+            # its generators to the post-sample state and replay the round
+            # through the serial per-client path.
+            trainer._rng.bit_generator.state = rng_state
+            for r, state in zip(group.dropout_rngs, dropout_states):
+                r.bit_generator.state = state
+            trainer._train_cohort_serial(cohort, trainer._updates)
+        trainer._finish_round(cohort, trainer._updates)

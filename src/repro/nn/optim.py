@@ -241,7 +241,7 @@ class FlatSGD:
     Where :class:`SGD` loops over a module's parameter list, this operates
     on a single ``(P,)`` vector — or a stacked ``(C, P)`` slab holding C
     independent parameter copies with per-row momentum state — which is
-    what the vectorized cohort trainer (:mod:`repro.fl.cohort`) runs local
+    what the lockstep slab trainer (:mod:`repro.fl.cohort`) runs local
     SGD on. Updates are bit-identical to the per-parameter loop.
 
     Each hyperparameter may also be a per-row ``(C,)`` vector, giving

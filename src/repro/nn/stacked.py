@@ -1,6 +1,6 @@
 """Stacked (multi-copy) layers: lockstep compute over a leading client axis.
 
-The vectorized cohort trainer (:mod:`repro.fl.cohort`) trains every client
+The lockstep slab trainer (:mod:`repro.fl.cohort`) trains every client
 of a federated round simultaneously. Each client holds its own copy of the
 model parameters, so the compute primitive is a *stacked* layer: inputs
 carry a leading copy axis ``C`` (``(C, B, ...)``) and parameters carry the

@@ -100,6 +100,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Buffered replies: http.server's default unbuffered wfile sends the
+    # header block and the body as two small segments, and on a keep-alive
+    # connection the second waits out Nagle + the client's delayed ACK
+    # (~40 ms per reply). handle_one_request flushes once per request.
+    wbufsize = 1 << 16
 
     def log_message(self, fmt, *args):  # quiet by default; tests read stdout
         pass

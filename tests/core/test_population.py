@@ -26,7 +26,6 @@ from repro.core import (
 )
 from repro.core.search_space import paper_space
 from repro.datasets.base import ClientData, FederatedDataset, TaskSpec, classification_error
-from repro.engine import TrialFusedRunner
 from repro.nn import make_mlp, softmax_cross_entropy
 
 TUNERS = (WeightSharingTuner, PopulationTuner)
@@ -68,9 +67,7 @@ def make_runner(dataset, fused, **kw):
     kw.setdefault("max_rounds", 8)
     kw.setdefault("clients_per_round", 4)
     kw.setdefault("seed", 3)
-    if fused:
-        return TrialFusedRunner(dataset, **kw)
-    return FederatedTrialRunner(dataset, **kw)
+    return FederatedTrialRunner(dataset, cohort_mode="fused" if fused else "serial", **kw)
 
 
 def make_tuner(cls, space, runner, **kw):

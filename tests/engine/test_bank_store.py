@@ -175,8 +175,9 @@ class TestFormatVersion:
 
 
 class TestCohortModeKeySeparation:
-    """Each non-serial cohort mode gets its own cache entry; serial keys
-    stay unchanged (pre-vectorization caches remain valid)."""
+    """Each build path gets its own cache entry: serial (no mode field),
+    in-process fused (cross-config slabs), and fused under a multi-worker
+    executor (one T=1 slab per worker trainer, key label "vectorized")."""
 
     def context_for(self, tmp_path, mode, n_workers=1):
         from repro.experiments import ExperimentContext
@@ -194,7 +195,13 @@ class TestCohortModeKeySeparation:
         )
 
     def test_three_modes_three_cache_paths(self, tmp_path):
-        contexts = {m: self.context_for(tmp_path, m) for m in ("serial", "vectorized", "fused")}
+        contexts = {
+            "serial": self.context_for(tmp_path, "serial"),
+            "fused": self.context_for(tmp_path, "fused"),
+            "fused-workers": self.context_for(tmp_path, "fused", n_workers=2),
+        }
+        if contexts["fused-workers"].executor.n_workers < 2:
+            pytest.skip("needs fork start method")
         paths = {
             m: ctx.bank_store.path_for(ctx.bank_key_fields("cifar10")) for m, ctx in contexts.items()
         }
@@ -205,14 +212,13 @@ class TestCohortModeKeySeparation:
         assert "cohort_mode" not in ctx.bank_key_fields("cifar10")
 
     def test_fused_with_workers_keys_as_vectorized(self, tmp_path):
-        """A multi-worker executor makes a fused build run per-trainer
-        vectorized (bit-identical to a vectorized build), so the key must
-        say so — a 'fused' entry must never hold worker-built contents."""
+        """A multi-worker executor makes a fused build train one slab per
+        worker trainer instead of cross-config slabs, so the key must say
+        so — a 'fused' entry must never hold worker-built contents."""
         pooled = self.context_for(tmp_path, "fused", n_workers=2)
-        vectorized = self.context_for(tmp_path, "vectorized")
         in_process = self.context_for(tmp_path, "fused")
         if pooled.executor.n_workers > 1:  # fork available on this platform
-            assert pooled.bank_key_fields("cifar10") == vectorized.bank_key_fields("cifar10")
+            assert pooled.bank_key_fields("cifar10")["cohort_mode"] == "vectorized"
             assert pooled.bank_key_fields("cifar10") != in_process.bank_key_fields("cifar10")
         assert in_process.bank_key_fields("cifar10")["cohort_mode"] == "fused"
 
@@ -226,8 +232,9 @@ class TestCohortModeKeySeparation:
         assert np.array_equal(
             store.get(serial_ctx.bank_key_fields("cifar10")).errors, make_bank(seed=1).errors
         )
-        vect_ctx = self.context_for(tmp_path, "vectorized")
-        assert store.get(vect_ctx.bank_key_fields("cifar10")) is None
+        pooled_ctx = self.context_for(tmp_path, "fused", n_workers=2)
+        if pooled_ctx.executor.n_workers > 1:
+            assert store.get(pooled_ctx.bank_key_fields("cifar10")) is None
 
 
 class TestConcurrentWriters:

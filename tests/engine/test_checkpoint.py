@@ -5,8 +5,9 @@ from its last on-disk checkpoint produces the *same* ``TuningResult`` —
 observations, curves, DP release counts — and the same tuner/trainer RNG
 end states as the uninterrupted run. Asserted here for every method in
 the registry (plus the non-registry tuners: SHA, grid, robust RS
-variants), under plain / DP / biased evaluation noise, across serial,
-vectorized, and fused cohort modes, and at every kill point.
+variants), under plain / DP / biased evaluation noise, across the serial
+and fused cohort modes (in-process pool slabs and per-worker T=1 slabs),
+and at every kill point.
 """
 
 import os
@@ -26,7 +27,6 @@ from repro.core.robust import ResampledRandomSearch, TwoStageRandomSearch
 from repro.core.search_space import paper_space
 from repro.core.tpe import TPE
 from repro.datasets.base import ClientData, FederatedDataset, TaskSpec, classification_error
-from repro.engine import TrialFusedRunner
 from repro.engine.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointError,
@@ -96,8 +96,6 @@ def dataset():
 
 def make_runner(dataset, mode="serial", scheme="weighted", executor=None):
     kw = dict(max_rounds=MAX_ROUNDS, clients_per_round=3, scheme=scheme, seed=3)
-    if mode == "fused":
-        return TrialFusedRunner(dataset, **kw)
     if executor is not None:
         kw["executor"] = executor
     return FederatedTrialRunner(dataset, cohort_mode=mode, **kw)
@@ -242,7 +240,7 @@ class TestKillResumeBitIdentity:
 
     @pytest.mark.slow
     @pytest.mark.parametrize("method", ALL_METHODS)
-    @pytest.mark.parametrize("mode", ("vectorized", "fused"))
+    @pytest.mark.parametrize("mode", ("fused",))
     def test_cohort_modes(self, tmp_path, dataset, method, mode):
         kill_resume_roundtrip(tmp_path, dataset, method, NOISES["plain"], mode=mode)
 
@@ -258,16 +256,19 @@ class TestKillResumeBitIdentity:
 
     @pytest.mark.slow
     @pytest.mark.parametrize("method", ("hb", "rs"))
-    def test_multiworker_executor(self, tmp_path, dataset, method):
+    @pytest.mark.parametrize("mode", ("serial", "fused"))
+    def test_multiworker_executor(self, tmp_path, dataset, method, mode):
         """The contract holds with advance_many batches fanned across
         worker processes (the REPRO_WORKERS regime): a resumed run under
-        a pooled executor matches the uninterrupted pooled run."""
+        a pooled executor matches the uninterrupted pooled run — with
+        serial workers and with each worker's trainer on its own T=1
+        slab."""
         from repro.engine.executor import ProcessExecutor, fork_available
 
         if not fork_available():
             pytest.skip("needs fork")
         kill_resume_roundtrip(
-            tmp_path, dataset, method, NOISES["dp"], executor=ProcessExecutor(2)
+            tmp_path, dataset, method, NOISES["dp"], mode=mode, executor=ProcessExecutor(2)
         )
 
     def test_kill_before_first_boundary(self, tmp_path, dataset):

@@ -17,7 +17,7 @@ from repro.core import (
     paper_space,
 )
 from repro.datasets import load_dataset
-from repro.engine import ParallelTrialRunner
+from repro.engine import make_executor
 from repro.engine.executor import ProcessExecutor, SerialExecutor, fork_available
 from repro.experiments.bank import ConfigBank
 
@@ -67,7 +67,7 @@ class TestTunerEquivalence:
         ).run()
         parallel = tuner_cls(
             SPACE,
-            ParallelTrialRunner(cifar, max_rounds=9, seed=11, n_workers=2),
+            FederatedTrialRunner(cifar, max_rounds=9, seed=11, executor=make_executor(2)),
             noise,
             seed=3,
             **kwargs,
@@ -106,7 +106,9 @@ class TestAdvanceManyEquivalence:
             return [runner.create(SPACE.sample(rng)) for _ in range(3)]
 
         serial_runner = FederatedTrialRunner(cifar, max_rounds=6, seed=2)
-        parallel_runner = ParallelTrialRunner(cifar, max_rounds=6, seed=2, n_workers=2)
+        parallel_runner = FederatedTrialRunner(
+            cifar, max_rounds=6, seed=2, executor=make_executor(2)
+        )
         ts = build_trials(serial_runner)
         tp = build_trials(parallel_runner)
         requests = [4, 10, 0]  # includes a cap overflow and a no-op

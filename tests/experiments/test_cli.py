@@ -21,6 +21,15 @@ class TestParser:
         expected = {"table1", "table2"} | {f"fig{i}" for i in (1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)}
         assert expected <= set(_ARTIFACTS)
 
+    def test_cohort_mode_choices_come_from_the_library(self):
+        """One source of truth: the flag offers exactly COHORT_MODES."""
+        from repro.fl.cohort import COHORT_MODES
+
+        (action,) = [a for a in build_parser()._actions if a.dest == "cohort_mode"]
+        assert tuple(action.choices) == COHORT_MODES == ("serial", "fused")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--artifact", "fig8", "--cohort-mode", "vectorized"])
+
 
 class TestMain:
     def test_list(self, capsys):

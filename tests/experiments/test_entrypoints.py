@@ -37,15 +37,19 @@ class TestResolveCohortModeRejections:
         with pytest.raises(ValueError, match="cohort_mode"):
             resolve_cohort_mode("lockstep")
 
-    @pytest.mark.parametrize("raw", ["2", "fussed", "vector", "none?"])
+    @pytest.mark.parametrize(
+        "raw", ["2", "fussed", "vector", "none?", "vectorized", "1", "off", "true"]
+    )
     def test_env_unknown_values(self, raw, monkeypatch):
+        """Typos, the retired "vectorized" mode and its boolean spellings
+        all raise, and the message names the surviving slab mode."""
         monkeypatch.setenv(COHORT_VECTOR_ENV, raw)
-        with pytest.raises(ValueError, match=COHORT_VECTOR_ENV):
+        with pytest.raises(ValueError, match=f"{COHORT_VECTOR_ENV}.*fused"):
             resolve_cohort_mode(None)
 
     @pytest.mark.parametrize(
         "raw,expected",
-        [("", "serial"), ("off", "serial"), ("1", "vectorized"), ("FUSED", "fused")],
+        [("", "serial"), ("serial", "serial"), ("fused", "fused"), ("FUSED", "fused")],
     )
     def test_env_accepted_values(self, raw, expected, monkeypatch):
         monkeypatch.setenv(COHORT_VECTOR_ENV, raw)
@@ -113,10 +117,10 @@ class TestExampleParsers:
     def test_method_comparison_flags(self):
         mod = load_example("method_comparison")
         args = mod.build_parser().parse_args(
-            ["--methods", "rs,fedpop", "--cohort-mode", "vectorized", "--workers", "2"]
+            ["--methods", "rs,fedpop", "--cohort-mode", "fused", "--workers", "2"]
         )
         assert args.methods == "rs,fedpop"
-        assert args.cohort_mode == "vectorized"
+        assert args.cohort_mode == "fused"
         assert args.workers == 2
         assert mod.parse_methods(args.methods) == ("rs", "fedpop")
         with pytest.raises(SystemExit):

@@ -1,6 +1,7 @@
-"""Serial vs vectorized cohort training: the equivalence contract.
+"""Serial vs standalone slab cohort training: the equivalence contract.
 
-The vectorized path must be numerically equivalent to the serial
+A standalone ``FederatedTrainer(cohort_mode="fused")`` trains its cohort
+on its own T=1 slab, which must be numerically equivalent to the serial
 per-client loop: bit-identical when no ragged-batch padding occurs, and
 allclose at float tolerance otherwise (padding changes only per-client
 reduction *order*). It must also leave the shared trainer RNG in the
@@ -21,11 +22,12 @@ from repro.core.search_space import paper_space
 from repro.datasets import load_dataset
 from repro.datasets.base import ClientData, FederatedDataset, TaskSpec, classification_error
 from repro.fl import (
+    COHORT_MODES,
     COHORT_VECTOR_ENV,
-    CohortTrainer,
     FedAdam,
     FederatedTrainer,
     LocalTrainingConfig,
+    SlabTrainer,
     resolve_cohort_mode,
 )
 from repro.nn import make_mlp, softmax_cross_entropy
@@ -81,7 +83,7 @@ def make_trainer(ds, mode, seed=7, lr=0.1, momentum=0.9, batch_size=8, epochs=1,
 
 def run_pair(ds, rounds, **kwargs):
     a = make_trainer(ds, "serial", **kwargs)
-    b = make_trainer(ds, "vectorized", **kwargs)
+    b = make_trainer(ds, "fused", **kwargs)
     a.run(rounds)
     b.run(rounds)
     return a, b
@@ -94,45 +96,43 @@ def cifar():
 
 class TestResolveCohortMode:
     def test_explicit_modes(self):
+        assert COHORT_MODES == ("serial", "fused")
         assert resolve_cohort_mode("serial") == "serial"
-        assert resolve_cohort_mode("vectorized") == "vectorized"
         assert resolve_cohort_mode("fused") == "fused"
-        with pytest.raises(ValueError):
-            resolve_cohort_mode("lockstep")
+        for gone in ("lockstep", "vectorized"):
+            with pytest.raises(ValueError, match="fused"):
+                resolve_cohort_mode(gone)
 
     def test_env_default(self, monkeypatch):
         monkeypatch.delenv(COHORT_VECTOR_ENV, raising=False)
         assert resolve_cohort_mode(None) == "serial"
-        for truthy in ("1", "true", "vectorized", "ON"):
-            monkeypatch.setenv(COHORT_VECTOR_ENV, truthy)
-            assert resolve_cohort_mode(None) == "vectorized"
-        for falsy in ("0", "false", "no", "off", "serial", ""):
-            monkeypatch.setenv(COHORT_VECTOR_ENV, falsy)
-            assert resolve_cohort_mode(None) == "serial"
-        monkeypatch.setenv(COHORT_VECTOR_ENV, "fused")
-        assert resolve_cohort_mode(None) == "fused"
+        for raw, expected in (("", "serial"), ("serial", "serial"), ("fused", "fused"), (" Fused ", "fused")):
+            monkeypatch.setenv(COHORT_VECTOR_ENV, raw)
+            assert resolve_cohort_mode(None) == expected
 
     def test_env_rejects_unknown_values(self, monkeypatch):
         """Typos must error loudly, not silently run serial (regression:
-        e.g. REPRO_COHORT_VECTOR=vectorised used to degrade to serial)."""
-        for bad in ("vectorised", "lockstep", "2", "Fused mode"):
+        e.g. REPRO_COHORT_VECTOR=vectorised used to degrade to serial) —
+        and so must the retired "vectorized" mode and its boolean
+        spellings, with a message naming the surviving slab mode."""
+        for bad in ("vectorised", "lockstep", "2", "Fused mode", "vectorized", "1", "true", "on", "0", "off"):
             monkeypatch.setenv(COHORT_VECTOR_ENV, bad)
-            with pytest.raises(ValueError, match="REPRO_COHORT_VECTOR"):
+            with pytest.raises(ValueError, match="REPRO_COHORT_VECTOR.*fused"):
                 resolve_cohort_mode(None)
 
 
 class TestSmokeEquivalence:
-    """Fast-tier 1-round vectorized-vs-serial smoke checks (run in CI's
-    fast job on every push)."""
+    """Fast-tier 1-round slab-vs-serial smoke checks (run in CI's fast
+    job on every push)."""
 
     def test_mlp_one_round(self):
         a, b = run_pair(mlp_dataset(), 1)
-        assert b.cohort_mode_effective == "vectorized"
+        assert b.cohort_mode_effective == "fused"
         np.testing.assert_allclose(b.params, a.params, rtol=RTOL, atol=ATOL)
 
     def test_cnn_one_round(self, cifar):
         a, b = run_pair(cifar, 1)
-        assert b.cohort_mode_effective == "vectorized"
+        assert b.cohort_mode_effective == "fused"
         np.testing.assert_allclose(b.params, a.params, rtol=RTOL, atol=ATOL)
 
     def test_rng_stream_identical_after_round(self, cifar):
@@ -189,9 +189,9 @@ class TestTrajectoryEquivalence:
 
     def test_resumable_equals_one_shot(self):
         ds = mlp_dataset(seed=10)
-        a = make_trainer(ds, "vectorized")
+        a = make_trainer(ds, "fused")
         a.run(4)
-        b = make_trainer(ds, "vectorized")
+        b = make_trainer(ds, "fused")
         b.run(2).run(2)
         assert np.array_equal(a.params, b.params)
 
@@ -209,8 +209,8 @@ class TestFallbacks:
     def test_text_model_trains_in_lockstep(self):
         """Stacked Embedding/LSTM kernels: text models no longer fall back."""
         ds = load_dataset("stackoverflow", "test", seed=0)
-        b = make_trainer(ds, "vectorized", batch_size=4)
-        assert b.cohort_mode_effective == "vectorized"
+        b = make_trainer(ds, "fused", batch_size=4)
+        assert b.cohort_mode_effective == "fused"
         a = make_trainer(ds, "serial", batch_size=4)
         a.run(2)
         b.run(2)
@@ -229,25 +229,38 @@ class TestFallbacks:
             Linear(6, 8, rng=1), Dropout(0.2, rng=shared), Linear(8, 3, rng=2), Dropout(0.1, rng=shared)
         )
         ds = mlp_dataset()
-        assert CohortTrainer.maybe_build(ds.task, model, 5, lr=0.1) is not None
+        assert SlabTrainer.supports(ds.task, model)
+        SlabTrainer(ds.task, model, 5)  # builds without raising
 
-    def test_maybe_build_accepts_text_and_image_models(self, cifar):
+    def test_supports_accepts_text_and_image_models(self, cifar):
         ds = load_dataset("reddit", "test", seed=0)
-        assert (
-            CohortTrainer.maybe_build(ds.task, ds.task.build_model(0), 5, lr=0.1) is not None
-        )
-        assert (
-            CohortTrainer.maybe_build(cifar.task, cifar.task.build_model(0), 5, lr=0.1)
-            is not None
-        )
+        assert SlabTrainer.supports(ds.task, ds.task.build_model(0))
+        assert SlabTrainer.supports(cifar.task, cifar.task.build_model(0))
+
+    def test_supports_rejects_models_without_stacked_kernels(self):
+        """A model family without stacked kernels is never slab-capable:
+        the check is free, and building a slab for it raises."""
+        from repro.nn.module import Module
+
+        class Opaque(Module):
+            def forward(self, x):
+                return x
+
+            def backward(self, grad):
+                return grad
+
+        ds = mlp_dataset()
+        assert not SlabTrainer.supports(ds.task, Opaque())
+        with pytest.raises(ValueError, match="stacked kernels"):
+            SlabTrainer(ds.task, Opaque(), 5)
 
     def test_state_dict_round_trip_across_modes(self, cifar):
-        """state_dict from a vectorized trainer resumes a serial one (and
-        vice versa): cohort mode adds no hidden mutable state."""
-        a = make_trainer(cifar, "vectorized", seed=13)
+        """state_dict from one slab trainer resumes another: the slab
+        adds no hidden mutable state."""
+        a = make_trainer(cifar, "fused", seed=13)
         a.run(2)
         state = a.state_dict()
-        b = make_trainer(cifar, "vectorized", seed=13)
+        b = make_trainer(cifar, "fused", seed=13)
         b.load_state_dict(state)
         a.run(2)
         b.run(2)
@@ -284,8 +297,9 @@ SPACE = paper_space(batch_sizes=(4, 8, 16))
 class TestEngineComposition:
     def test_workers_times_vectorization_bit_identical(self, cifar):
         """In-process lockstep composes with process-level parallelism:
-        a vectorized trainer round-trips workers bit-identically."""
-        from repro.engine import ParallelTrialRunner
+        a standalone (T=1 slab) trainer round-trips workers
+        bit-identically."""
+        from repro.engine import make_executor
         from repro.engine.executor import fork_available
 
         if not fork_available():
@@ -293,22 +307,25 @@ class TestEngineComposition:
         rng = np.random.default_rng(5)
         cfgs = [SPACE.sample(rng) for _ in range(3)]
 
-        def run(runner):
-            trials = [runner.create(c) for c in cfgs]
-            runner.advance_many([(t, 5) for t in trials])
-            return [t.state.params for t in trials]
+        def make_runner(executor=None):
+            return FederatedTrialRunner(
+                cifar, max_rounds=9, seed=2, executor=executor, cohort_mode="fused"
+            )
 
-        serial = run(FederatedTrialRunner(cifar, max_rounds=9, seed=2, cohort_mode="vectorized"))
-        pooled = run(
-            ParallelTrialRunner(cifar, max_rounds=9, seed=2, n_workers=2, cohort_mode="vectorized")
-        )
-        for a, b in zip(serial, pooled):
-            assert np.array_equal(a, b)
+        in_process = make_runner()
+        standalone = [in_process.create(c) for c in cfgs]
+        for trial in standalone:
+            in_process.advance(trial, 5)  # one trainer.run on its own slab each
+        pooled_runner = make_runner(make_executor(2))
+        pooled = [pooled_runner.create(c) for c in cfgs]
+        pooled_runner.advance_many([(t, 5) for t in pooled])
+        for a, b in zip(standalone, pooled):
+            assert np.array_equal(a.state.params, b.state.params)
 
 
 @pytest.mark.slow
 class TestTunerFamilyEquivalence:
-    """Serial vs vectorized cohort training under each tuner family. Tuner
+    """Serial vs slab cohort training under each tuner family. Tuner
     decisions compare per-client error *counts*, so float-tolerance
     parameter drift only rarely crosses a decision boundary; with these
     fixed seeds the full trajectories agree."""
@@ -331,7 +348,7 @@ class TestTunerFamilyEquivalence:
 
     def pair(self, dataset, tuner_cls, **kwargs):
         a = self.run_tuner(dataset, tuner_cls, "serial", **kwargs)
-        b = self.run_tuner(dataset, tuner_cls, "vectorized", **kwargs)
+        b = self.run_tuner(dataset, tuner_cls, "fused", **kwargs)
         return a, b
 
     def test_random_search(self, cifar):

@@ -20,7 +20,7 @@ from repro.core.noise import NoisyEvaluator
 from repro.core.search_space import paper_space
 from repro.datasets import load_dataset
 from repro.datasets.base import ClientData, FederatedDataset, TaskSpec, classification_error
-from repro.engine import TrialFusedRunner
+from repro.engine import make_executor
 from repro.fl import FusedTrainerPool
 from repro.fl.evaluation import (
     client_error_rates,
@@ -133,7 +133,7 @@ class TestStackedVsSerial:
         """A fused rung evaluates straight from the slab it just trained:
         the eval engine allocates no slab of its own."""
         ds = mlp_dataset(n_lo=16, n_hi=16)
-        runner = TrialFusedRunner(ds, max_rounds=10, seed=3)
+        runner = FederatedTrialRunner(ds, max_rounds=10, seed=3, cohort_mode="fused")
         trials = trained_trials(runner, 4)
         assert runner._fused_pool is not None  # the rung actually fused
         reference = [t.state.eval_error_rates().copy() for t in trials]
@@ -156,14 +156,13 @@ class TestStackedVsSerial:
         assert runner._eval_engine is not None and len(runner._eval_engine._models) == 1
 
     def test_pooled_workers_bit_identical(self):
-        from repro.engine import ParallelTrialRunner
         from repro.engine.executor import fork_available
 
         if not fork_available():
             pytest.skip("needs fork start method")
         ds = mlp_dataset()
         serial = FederatedTrialRunner(ds, max_rounds=10, seed=3)
-        pooled = ParallelTrialRunner(ds, max_rounds=10, seed=3, n_workers=2)
+        pooled = FederatedTrialRunner(ds, max_rounds=10, seed=3, executor=make_executor(2))
         ts = trained_trials(serial, 3)
         tp = trained_trials(pooled, 3)
         for a, b in zip(serial.error_rates_many(ts), pooled.error_rates_many(tp)):

@@ -6,8 +6,8 @@ The precision contract (README "Backends & precision"):
   everywhere — passing ``cohort_dtype="float64"`` explicitly changes
   nothing, bit for bit.
 - float32 halves slab memory. Within float32 the engine is
-  self-consistent — vectorized and fused training produce bit-identical
-  parameters — and tracks the float64 trajectory at a documented
+  self-consistent — a standalone T=1 slab and a pooled cross-trial slab
+  produce bit-identical parameters — and tracks the float64 trajectory at a documented
   per-round tolerance (rtol=1e-3, atol=1e-5 over a few rounds on these
   workloads) without ever being bit-equal to it.
 - Global parameters, aggregation, the server optimizer, and the serial
@@ -22,7 +22,7 @@ import pytest
 
 from repro.datasets.base import ClientData, FederatedDataset, TaskSpec, classification_error
 from repro.fl import FedAdam, FederatedTrainer, LocalTrainingConfig
-from repro.fl.cohort import CohortTrainer
+from repro.fl.cohort import SlabTrainer
 from repro.fl.fused import FusedTrainerPool
 from repro.nn import make_mlp, softmax_cross_entropy
 from repro.nn.backend import DTYPE_ENV
@@ -72,7 +72,7 @@ class TestFloat64Reference:
 
     def test_explicit_float64_is_the_default_bit_for_bit(self):
         ds = mlp_dataset()
-        for mode in ("serial", "vectorized"):
+        for mode in ("serial", "fused"):
             a = make_trainer(ds, mode)
             b = make_trainer(ds, mode, dtype="float64")
             a.run(3)
@@ -96,12 +96,13 @@ class TestFloat64Reference:
 
 class TestFloat32SelfConsistency:
     def test_vectorized_and_fused_bit_identical(self):
-        """Within float32 the two slab paths agree bit for bit, including
+        """Within float32 a standalone trainer's own (vectorized, T=1)
+        slab and the pool's cross-trial slab agree bit for bit, including
         the per-row hyperparameter-vector path (heterogeneous lr in the
-        fused slab vs the scalar path in per-trainer slabs)."""
+        pooled slab vs the scalar path in per-trainer slabs)."""
         ds = mlp_dataset()
-        v1 = make_trainer(ds, "vectorized", dtype="float32", lr=0.1)
-        v2 = make_trainer(ds, "vectorized", dtype="float32", lr=0.05, seed=9)
+        v1 = make_trainer(ds, "fused", dtype="float32", lr=0.1)
+        v2 = make_trainer(ds, "fused", dtype="float32", lr=0.05, seed=9)
         v1.run(3)
         v2.run(3)
         f1 = make_trainer(ds, "fused", dtype="float32", lr=0.1)
@@ -112,9 +113,9 @@ class TestFloat32SelfConsistency:
 
     def test_resumable_equals_one_shot(self):
         ds = mlp_dataset(seed=3)
-        a = make_trainer(ds, "vectorized", dtype="float32")
+        a = make_trainer(ds, "fused", dtype="float32")
         a.run(4)
-        b = make_trainer(ds, "vectorized", dtype="float32")
+        b = make_trainer(ds, "fused", dtype="float32")
         b.run(2).run(2)
         assert np.array_equal(a.params, b.params)
 
@@ -122,8 +123,8 @@ class TestFloat32SelfConsistency:
 class TestFloat32Tolerance:
     def test_tracks_float64_at_documented_tolerance(self):
         ds = mlp_dataset()
-        a = make_trainer(ds, "vectorized", dtype="float64")
-        b = make_trainer(ds, "vectorized", dtype="float32")
+        a = make_trainer(ds, "fused", dtype="float64")
+        b = make_trainer(ds, "fused", dtype="float32")
         a.run(3)
         b.run(3)
         np.testing.assert_allclose(b.params, a.params, rtol=F32_RTOL, atol=F32_ATOL)
@@ -134,7 +135,7 @@ class TestFloat32Tolerance:
 
     def test_global_state_stays_float64(self):
         ds = mlp_dataset()
-        t = make_trainer(ds, "vectorized", dtype="float32")
+        t = make_trainer(ds, "fused", dtype="float32")
         t.run(2)
         assert t.params.dtype == np.float64
         assert t._updates.dtype == np.float64
@@ -143,8 +144,8 @@ class TestFloat32Tolerance:
         """Masks/permutations are drawn float64 regardless of slab dtype,
         so the generators land in exactly the same end state."""
         ds = mlp_dataset(dropout=0.25)
-        a = make_trainer(ds, "vectorized", dtype="float64")
-        b = make_trainer(ds, "vectorized", dtype="float32")
+        a = make_trainer(ds, "fused", dtype="float64")
+        b = make_trainer(ds, "fused", dtype="float32")
         a.run(3)
         b.run(3)
         assert a._rng.bit_generator.state == b._rng.bit_generator.state
@@ -156,21 +157,19 @@ class TestSlabMemory:
     def test_float32_slab_is_half_the_bytes(self):
         ds = mlp_dataset()
         template = ds.task.build_model(0)
-        s64 = CohortTrainer.maybe_build(ds.task, template, 6, lr=0.1, dtype="float64")
-        s32 = CohortTrainer.maybe_build(ds.task, template, 6, lr=0.1, dtype="float32")
-        b64 = s64._slab._stacked.slab.nbytes
-        b32 = s32._slab._stacked.slab.nbytes
-        assert s32._slab._stacked.slab.dtype == np.float32
-        assert b32 * 2 == b64
+        s64 = SlabTrainer(ds.task, template, 6, dtype="float64")
+        s32 = SlabTrainer(ds.task, template, 6, dtype="float32")
+        assert s32.stacked_model.slab.dtype == np.float32
+        assert s32.stacked_model.slab.nbytes * 2 == s64.stacked_model.slab.nbytes
 
 
 class TestPlumbing:
     def test_env_var_selects_float32(self, monkeypatch):
         monkeypatch.setenv(DTYPE_ENV, "float32")
         ds = mlp_dataset()
-        t = make_trainer(ds, "vectorized")
+        t = make_trainer(ds, "fused")
         assert t.cohort_dtype == np.dtype(np.float32)
-        explicit = make_trainer(ds, "vectorized", dtype="float32")
+        explicit = make_trainer(ds, "fused", dtype="float32")
         t.run(2)
         explicit.run(2)
         assert np.array_equal(t.params, explicit.params)
@@ -178,7 +177,7 @@ class TestPlumbing:
     def test_explicit_dtype_beats_env(self, monkeypatch):
         monkeypatch.setenv(DTYPE_ENV, "float32")
         ds = mlp_dataset()
-        assert make_trainer(ds, "vectorized", dtype="float64").cohort_dtype == np.dtype(
+        assert make_trainer(ds, "fused", dtype="float64").cohort_dtype == np.dtype(
             np.float64
         )
 
@@ -198,16 +197,19 @@ class TestPlumbing:
     def test_invalid_dtype_rejected_at_construction(self):
         ds = mlp_dataset()
         with pytest.raises(ValueError):
-            make_trainer(ds, "vectorized", dtype="float16")
+            make_trainer(ds, "fused", dtype="float16")
 
     def test_runner_layers_forward_cohort_dtype(self):
         from repro.core.evaluator import FederatedTrialRunner
-        from repro.engine import ParallelTrialRunner, TrialFusedRunner
+        from repro.core.search_space import paper_space
+        from repro.engine import make_executor
 
         ds = mlp_dataset()
-        for cls in (FederatedTrialRunner, ParallelTrialRunner, TrialFusedRunner):
-            runner = cls(ds, max_rounds=2, cohort_dtype="float32")
-            assert runner.cohort_dtype == np.dtype(np.float32), cls.__name__
+        for kwargs in ({}, {"executor": make_executor(2)}, {"cohort_mode": "fused"}):
+            runner = FederatedTrialRunner(ds, max_rounds=2, cohort_dtype="float32", **kwargs)
+            assert runner.cohort_dtype == np.dtype(np.float32), kwargs
+            trial = runner.create(paper_space(batch_sizes=(8,)).sample(np.random.default_rng(0)))
+            assert trial.state.cohort_dtype == np.dtype(np.float32), kwargs
 
 
 class TestBankKeys:

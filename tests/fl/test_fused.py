@@ -1,12 +1,13 @@
 """Trial-fused execution: the cross-trial slab equivalence contract.
 
-``cohort_mode="fused"`` (FusedTrainerPool / TrialFusedRunner) must be
-numerically equivalent to advancing each trainer on its own: bit-identical
-when no ragged-batch padding occurs (uniform client sizes, one batch
-size), allclose at the documented float tolerance otherwise, identical
-per-trial RNG end states, and exact serial semantics for trials that
-diverge mid-round. Mixed-architecture batches must split into per-slab
-groups rather than fuse incorrectly.
+``cohort_mode="fused"`` (FusedTrainerPool, driven by
+FederatedTrialRunner.advance_many) must be numerically equivalent to
+advancing each trainer on its own: bit-identical when no ragged-batch
+padding occurs (uniform client sizes), allclose at the documented float
+tolerance otherwise, identical per-trial RNG end states, and exact serial
+semantics for trials that diverge mid-round. Mixed-architecture batches
+must split into per-slab groups rather than fuse incorrectly, and trials
+with different local step schedules must never share a slab pass.
 """
 
 import numpy as np
@@ -17,8 +18,8 @@ from repro.core.hyperband import SuccessiveHalving
 from repro.core.search_space import paper_space
 from repro.datasets import load_dataset
 from repro.datasets.base import ClientData, FederatedDataset, TaskSpec, classification_error
-from repro.engine import TrialFusedRunner
-from repro.fl import FedAdam, FederatedTrainer, FusedTrainerPool, LocalTrainingConfig
+from repro.engine import make_executor
+from repro.fl import FedAdam, FederatedTrainer, FusedTrainerPool, LocalTrainingConfig, SlabTrainer
 from repro.nn import Dropout, Linear, ReLU, Sequential, make_mlp, softmax_cross_entropy
 from repro.nn.backend import DTYPE_ENV
 
@@ -210,7 +211,6 @@ class TestFusedTrainerPool:
     def test_dropout_parallel_advance_many_matches_serial(self):
         """Regression: the worker round-trip must ship Dropout streams
         back, or the second advance_many batch diverges from serial."""
-        from repro.engine import ParallelTrialRunner
         from repro.engine.executor import fork_available
 
         if not fork_available():
@@ -226,7 +226,7 @@ class TestFusedTrainerPool:
             return [t.state.params for t in trials]
 
         serial = run(FederatedTrialRunner(ds, max_rounds=9, seed=4))
-        pooled = run(ParallelTrialRunner(ds, max_rounds=9, seed=4, n_workers=2))
+        pooled = run(FederatedTrialRunner(ds, max_rounds=9, seed=4, executor=make_executor(2)))
         for a, b in zip(serial, pooled):
             assert np.array_equal(a, b)
 
@@ -250,9 +250,10 @@ class TestFusedTrainerPool:
             t.run(2)
         pool.advance(fused, [2] * len(spec))
         assert_pairs_equal(serial, fused, exact=False)
-        # Two multi-trial architectures fuse (mlp x2, cnn x2); the lone
-        # mlp_wide trainer is a singleton and runs standalone, slab-free.
-        assert len(pool._slabs) == 2
+        # One pool slab per architecture (mlp x2, cnn x2, and the lone
+        # mlp_wide trainer, which trains as T=1 on its own pool slab).
+        assert len(pool._slabs) == 3
+        assert all(t._slab is None for t in fused)
 
     def test_slab_capacity_grows_across_batches(self):
         """A later, larger batch reuses the cached slab trainer, growing
@@ -275,15 +276,54 @@ class TestFusedTrainerPool:
         assert_pairs_equal(second_serial, second_fused, exact=True)
         assert slab.capacity == 25
 
-    def test_singleton_group_runs_standalone(self):
+    def test_singleton_group_trains_on_pool_slab(self):
         ds = mlp_dataset(n_lo=16, n_hi=16)
         serial = [make_trainer(ds, "serial", seed=80)]
         fused = [make_trainer(ds, "fused", seed=80)]
         serial[0].run(3)
         pool = FusedTrainerPool()
         pool.advance(fused, [3])
-        assert np.array_equal(serial[0].params, fused[0].params)
-        assert pool._slabs == {}
+        assert_pairs_equal(serial, fused, exact=True)
+        (slab,) = pool._slabs.values()
+        assert slab.capacity == 5  # T=1: one cohort
+        assert fused[0]._slab is None  # no per-trainer slab was built
+
+    def test_mixed_batch_sizes_never_share_a_slab_pass(self, monkeypatch):
+        """A rung mixing batch sizes 8/16/32 (the paper space tunes
+        batch_size) trains one slab pass per (batch_size, epochs)
+        schedule — a mixed pass would pad every row to the widest batch
+        and run as long as the smallest — and a singleton bucket trains
+        on the pool's slab, not on a per-trainer one."""
+        ds = mlp_dataset(n_lo=40, n_hi=40, seed=6)
+        sizes = [8, 16, 32, 8, 16, 8]
+        epochs = [1, 1, 1, 1, 2, 1]
+        hps = [
+            dict(lr=0.05 + 0.01 * i, momentum=0.5, batch_size=b, epochs=e)
+            for i, (b, e) in enumerate(zip(sizes, epochs))
+        ]
+        serial = [make_trainer(ds, "serial", seed=30 + i, **h) for i, h in enumerate(hps)]
+        fused = [make_trainer(ds, "fused", seed=30 + i, **h) for i, h in enumerate(hps)]
+        calls = []
+        train_groups = SlabTrainer.train_groups
+
+        def spy(self, groups, outs):
+            calls.append((self, [(g.batch_size, g.epochs) for g in groups]))
+            return train_groups(self, groups, outs)
+
+        monkeypatch.setattr(SlabTrainer, "train_groups", spy)
+        pool = FusedTrainerPool()
+        pool.advance(fused, [2] * len(hps))
+        monkeypatch.undo()
+        for t in serial:
+            t.run(2)
+        assert_pairs_equal(serial, fused, exact=True)  # uniform sizes: no padding anywhere
+        (slab,) = pool._slabs.values()
+        assert all(owner is slab for owner, _ in calls)
+        assert all(len(set(schedules)) == 1 for _, schedules in calls)
+        # Four buckets x two rounds; (8, 1) holds three trials, the
+        # (32, 1), (16, 1) and (16, 2) buckets one each.
+        assert sorted(len(schedules) for _, schedules in calls) == [1] * 6 + [3] * 2
+        assert all(t._slab is None for t in fused)
 
     def test_input_validation(self):
         ds = mlp_dataset()
@@ -298,6 +338,9 @@ SPACE = paper_space(batch_sizes=(4, 8, 16))
 
 
 class TestTrialFusedRunner:
+    """``FederatedTrialRunner(cohort_mode="fused")`` — the one spelling of
+    the trial-fused runner — against the default serial runner."""
+
     def run_both(self, ds, cfgs, rounds, max_rounds=9, seed=2):
         def run(runner):
             trials = [runner.create(c) for c in cfgs]
@@ -305,7 +348,9 @@ class TestTrialFusedRunner:
             return trials, consumed
 
         st, sc = run(FederatedTrialRunner(ds, max_rounds=max_rounds, seed=seed))
-        ft, fc = run(TrialFusedRunner(ds, max_rounds=max_rounds, seed=seed))
+        ft, fc = run(
+            FederatedTrialRunner(ds, max_rounds=max_rounds, seed=seed, cohort_mode="fused")
+        )
         assert sc == fc
         return st, ft
 
@@ -329,7 +374,7 @@ class TestTrialFusedRunner:
 
     def test_single_trial_advance(self):
         ds = mlp_dataset(seed=2)
-        runner = TrialFusedRunner(ds, max_rounds=9, seed=3)
+        runner = FederatedTrialRunner(ds, max_rounds=9, seed=3, cohort_mode="fused")
         trial = runner.create(SPACE.sample(np.random.default_rng(7)))
         assert runner.advance(trial, 4) == 4
         serial = FederatedTrialRunner(ds, max_rounds=9, seed=3)
@@ -341,7 +386,7 @@ class TestTrialFusedRunner:
 
     def test_duplicate_trial_rejected(self):
         ds = mlp_dataset(seed=2)
-        runner = TrialFusedRunner(ds, max_rounds=9, seed=3)
+        runner = FederatedTrialRunner(ds, max_rounds=9, seed=3, cohort_mode="fused")
         t = runner.create(SPACE.sample(np.random.default_rng(8)))
         with pytest.raises(ValueError):
             runner.advance_many([(t, 1), (t, 1)])
@@ -356,10 +401,9 @@ class TestTunerFamilyEquivalence:
     trajectories agree."""
 
     def run_tuner(self, dataset, tuner_cls, fused, **kwargs):
-        if fused:
-            runner = TrialFusedRunner(dataset, max_rounds=9, seed=11)
-        else:
-            runner = FederatedTrialRunner(dataset, max_rounds=9, seed=11)
+        runner = FederatedTrialRunner(
+            dataset, max_rounds=9, seed=11, cohort_mode="fused" if fused else "serial"
+        )
         return tuner_cls(SPACE, runner, NoiseConfig(subsample=4), seed=3, **kwargs).run()
 
     def assert_equivalent(self, a, b):

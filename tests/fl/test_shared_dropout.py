@@ -9,7 +9,7 @@ and installing per-row mask streams into each ``StackedDropout``
 feature shapes discovered by a one-shot forward probe. These tests pin
 the equivalence contract: bit-identical parameters and RNG end states vs
 serial with uniform client sizes, the standard ~1e-15 ragged-padding
-tolerance otherwise, across vectorized and fused modes — and that every
+tolerance otherwise, on standalone and pooled slabs — and that every
 registered model stacks, so nothing in the repo falls back to serial
 under ``--cohort-mode fused``.
 """
@@ -80,8 +80,8 @@ class TestStackedVsSerial:
         ragged padding the slab matches serial bit for bit."""
         ds = dropout_dataset()
         a = make_trainer(ds, "serial")
-        b = make_trainer(ds, "vectorized")
-        assert b.cohort_mode_effective == "vectorized"  # no fallback
+        b = make_trainer(ds, "fused")
+        assert b.cohort_mode_effective == "fused"  # no fallback
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a degradation warning = failure
             a.run(3)
@@ -93,7 +93,7 @@ class TestStackedVsSerial:
         trainer and every dropout generator land in the same end state."""
         ds = dropout_dataset()
         a = make_trainer(ds, "serial")
-        b = make_trainer(ds, "vectorized")
+        b = make_trainer(ds, "fused")
         a.run(3)
         b.run(3)
         assert a._rng.bit_generator.state == b._rng.bit_generator.state
@@ -103,7 +103,7 @@ class TestStackedVsSerial:
     def test_ragged_cohort_within_tolerance(self):
         ds = dropout_dataset(lo=10, hi=25)
         a = make_trainer(ds, "serial")
-        b = make_trainer(ds, "vectorized")
+        b = make_trainer(ds, "fused")
         a.run(3)
         b.run(3)
         np.testing.assert_allclose(b.params, a.params, rtol=RTOL, atol=ATOL)
@@ -112,7 +112,7 @@ class TestStackedVsSerial:
     def test_three_shared_layers(self):
         ds = dropout_dataset(n_dropouts=3)
         a = make_trainer(ds, "serial", epochs=1)
-        b = make_trainer(ds, "vectorized", epochs=1)
+        b = make_trainer(ds, "fused", epochs=1)
         a.run(2)
         b.run(2)
         assert np.array_equal(a.params, b.params)
@@ -170,6 +170,8 @@ class TestEveryRegisteredModelStacks:
 
     @pytest.mark.parametrize("name", DATASET_NAMES)
     def test_effective_mode_is_vectorized(self, name):
+        """Every registered model takes the vectorized (lockstep slab)
+        path under ``cohort_mode="fused"`` — none reports "serial"."""
         ds = load_dataset(name, "test", seed=0)
         t = FederatedTrainer(
             ds,
@@ -177,6 +179,6 @@ class TestEveryRegisteredModelStacks:
             LocalTrainingConfig(lr=0.1, momentum=0.9, batch_size=4, epochs=1),
             clients_per_round=3,
             seed=1,
-            cohort_mode="vectorized",
+            cohort_mode="fused",
         )
-        assert t.cohort_mode_effective == "vectorized", name
+        assert t.cohort_mode_effective == "fused", name

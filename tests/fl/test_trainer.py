@@ -128,10 +128,12 @@ class TestSetLocalConfig:
     def test_future_rounds_use_new_hps(self, cifar):
         """A trainer whose hps are swapped mid-run must continue exactly
         like a fresh trainer constructed with the new hps and handed the
-        old trainer's full state — across serial and vectorized paths."""
+        old trainer's full state — on the serial path and on the slab,
+        which keeps its allocation across the swap (hyperparameters ride
+        each round's SlabGroup)."""
         from dataclasses import replace
 
-        for mode in ("serial", "vectorized"):
+        for mode in ("serial", "fused"):
             a = make_trainer(cifar, seed=4, cohort_mode=mode)
             a.run(2)
             new_local = replace(a.local, lr=0.05, momentum=0.3, weight_decay=1e-4)

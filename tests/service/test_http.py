@@ -1,7 +1,9 @@
 """Tests for the stdlib REST front end: the ServiceAPI semantics and a
 live ThreadingHTTPServer round trip against a real daemon run."""
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -146,3 +148,47 @@ class TestLiveServer:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(req, timeout=10)
         assert excinfo.value.code == 400
+
+    def test_one_socket_write_per_reply_on_reused_connection(self, tmp_path):
+        """Headers and body must leave in one send: two small writes per
+        reply stall every keep-alive request ~40 ms on Nagle + the
+        client's delayed ACK (the benchmark's service.http.get_ms_p50)."""
+        writes = []
+
+        class CountingSocket(socket.socket):
+            def send(self, data, *args):
+                writes.append(len(data))
+                return super().send(data, *args)
+
+            def sendall(self, data, *args):
+                writes.append(len(data))
+                return super().sendall(data, *args)
+
+        server = make_server(str(tmp_path / "svc"), port=0)
+        accept = server.get_request
+
+        def counting_accept():
+            sock, addr = accept()
+            return CountingSocket(sock.family, sock.type, sock.proto, fileno=sock.detach()), addr
+
+        server.get_request = counting_accept
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            conn = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+            try:
+                for path in ("/health", "/jobs", "/jobs/nope", "/health"):
+                    before = len(writes)
+                    conn.request("GET", path)
+                    response = conn.getresponse()
+                    body = response.read()
+                    assert json.loads(body) is not None
+                    assert len(writes) - before == 1, (path, writes[before:])
+                    assert writes[-1] > len(body)  # headers rode along
+            finally:
+                conn.close()
+        finally:
+            server.shutdown()
+            thread.join(timeout=10)
+            server.server_close()
+        assert not thread.is_alive()
