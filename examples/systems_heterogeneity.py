@@ -55,7 +55,6 @@ def main() -> None:
                 n_trials=args.n_trials,
                 k=8,
                 seed=args.seed,
-                space=ctx.space,
             )
             medians[b] = float(np.median(errs))
         print(f"{name:14s} {medians[0.0]:>16.3f} {medians[3.0]:>14.3f}")

@@ -210,16 +210,17 @@ class NoisyEvaluator:
             exact_subsampled_error=exact,
         )
 
-    def evaluate_repeated(self, error_rates: np.ndarray, n_repeats: int) -> List[NoisyEvaluation]:
-        """``n_repeats`` independent releases of one config's error rates,
-        bit-identical to ``[self.evaluate(rates) for _ in range(n_repeats)]``.
+    def evaluate_many(self, rows: np.ndarray) -> List[NoisyEvaluation]:
+        """One release per row of an ``(R, n)`` rate matrix, bit-identical
+        to ``[self.evaluate(row) for row in rows]``.
 
-        This is the hot call of repeated-evaluation consumers — robust
-        tuner resampling and the figure sweeps, which release thousands of
-        evaluations per bank config. Per-call overhead (validation, array
-        coercion, weight lookups) is paid once, and RNG draws batch where
-        NumPy's stream semantics keep the batch exactly equal to the
-        serial loop:
+        This is the hot call of repeated-evaluation consumers: the bank
+        bootstrap scores a whole trial's K configs in one call, and robust
+        tuner resampling releases one config ``R`` times
+        (``np.broadcast_to(rates, (R, n))``). Per-call overhead
+        (validation, array coercion, weight lookups) is paid once, and RNG
+        draws batch where NumPy's stream semantics keep the batch exactly
+        equal to the serial loop:
 
         - **biased, non-private** (the systems-heterogeneity sweeps): all
           cohorts' Gumbel keys come from ONE ``rng.gumbel((R, n))`` call —
@@ -231,53 +232,59 @@ class NoisyEvaluator:
           variates; and **DP** interleaves a Laplace draw after every
           cohort draw. Both draw serially (stream order is the contract);
           only the bookkeeping batches.
+        - under injected **evaluation faults** the realized cohort (and
+          with DP, the release's sensitivity) varies per row, so the
+          serial loop runs as is.
 
-        The per-repeat weighted means intentionally reuse
-        :func:`~repro.utils.stats.weighted_mean` (``np.dot``) rather than
-        a row-batched reduction — pairwise-vs-dot summation differs in the
-        last ulp, and bit-identity to :meth:`evaluate` wins here.
+        The per-row weighted means intentionally reuse
+        :func:`~repro.utils.stats.weighted_mean` (one ``np.dot`` per row)
+        rather than a row-batched reduction — pairwise-vs-dot summation
+        differs in the last ulp, and bit-identity to :meth:`evaluate` wins
+        here.
         """
-        if n_repeats < 1:
-            raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
-        error_rates = np.asarray(error_rates, dtype=np.float64)
-        if error_rates.shape != self.weights.shape:
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1:] != self.weights.shape:
             raise ValueError(
-                f"error_rates shape {error_rates.shape} != weights {self.weights.shape}"
+                f"rows shape {rows.shape} != (R, {self.n_clients}) for weights "
+                f"{self.weights.shape}"
             )
+        n_rows = rows.shape[0]
+        if n_rows < 1:
+            raise ValueError("rows must hold at least one rate vector")
         if self._injects_eval_faults():
-            # Under injected evaluation dropout the realized cohort (and
-            # with DP, the release's sensitivity) varies per repeat; the
-            # serial loop IS the contract, so just run it.
-            return [self.evaluate(error_rates) for _ in range(n_repeats)]
+            return [self.evaluate(row) for row in rows]
         size = self.noise.cohort_size(self.n_clients)
         private = self.privacy.enabled
         noise_draws: Optional[np.ndarray] = None
         if self._biased is not None and not private:
-            # sample_cohort recomputes accuracies/probs per call from the
-            # same rates, so hoisting them changes no values.
-            probs = biased_weights(1.0 - error_rates, self._biased.b, self._biased.delta)
-            gumbel = self.rng.gumbel(size=(n_repeats, self.n_clients))
-            keys = np.log(probs) + gumbel
+            # Row r's probabilities are exactly sample_cohort's for row r
+            # (biased_weights normalises along the last axis).
+            probs = biased_weights(1.0 - rows, self._biased.b, self._biased.delta)
+            gumbel = self.rng.gumbel(size=rows.shape)
+            with np.errstate(divide="ignore"):
+                # As in BiasedSampler.sample: a weight that underflows to
+                # 0 is a -inf key, not a warning.
+                keys = np.log(probs) + gumbel
             cohorts = np.argpartition(-keys, size - 1, axis=1)[:, :size]
         else:
-            cohorts = np.empty((n_repeats, size), dtype=np.intp)
+            cohorts = np.empty((n_rows, size), dtype=np.intp)
             if private:
-                noise_draws = np.empty(n_repeats)
+                noise_draws = np.empty(n_rows)
                 scale = value_release_scale(
                     self.privacy.epsilon, size, self.privacy.total_releases
                 )
-            for r in range(n_repeats):
-                cohorts[r] = self.sample_cohort(error_rates)
+            for r in range(n_rows):
+                cohorts[r] = self.sample_cohort(rows[r])
                 if private:
                     # Same stream position as evaluate()'s noisy_accuracy
                     # (the Laplace draw does not depend on the accuracy).
                     noise_draws[r] = self.rng.laplace(0.0, scale)
         out: List[NoisyEvaluation] = []
-        for r in range(n_repeats):
-            # Per-repeat copy: evaluate() hands out independent cohort
+        for r in range(n_rows):
+            # Per-row copy: evaluate() hands out independent cohort
             # arrays, and a row view would alias (and pin) the whole batch.
             cohort = cohorts[r].copy()
-            exact = weighted_mean(error_rates[cohort], self.weights[cohort])
+            exact = weighted_mean(rows[r, cohort], self.weights[cohort])
             accuracy = 1.0 - exact
             noisy_acc = float(accuracy + noise_draws[r]) if private else float(accuracy)
             out.append(

@@ -72,9 +72,12 @@ class ResampledRandomSearch(RandomSearch):
         return self.n_configs * self.n_resamples
 
     def _evaluate_rates(self, rates: np.ndarray) -> NoisyEvaluation:
-        # One batched release (bit-identical to the per-repeat loop; the
-        # biased-sampler path draws every cohort in a single RNG call).
-        evals = self.evaluator.evaluate_repeated(rates, self.n_resamples)
+        # One batched release of the same rates R times (bit-identical to
+        # the per-repeat loop; the biased-sampler path draws every cohort
+        # in a single RNG call).
+        evals = self.evaluator.evaluate_many(
+            np.broadcast_to(rates, (self.n_resamples, rates.size))
+        )
         agg = np.mean if self.aggregate == "mean" else np.median
         return NoisyEvaluation(
             error=float(agg([e.error for e in evals])),

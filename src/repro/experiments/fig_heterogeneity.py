@@ -50,9 +50,7 @@ def run_figure4(
         grid = counts if counts is not None else subsample_grid(n_eval)
         for count in grid:
             noise = NoiseConfig(subsample=None if count >= n_eval else int(count), scheme=scheme)
-            errors = bootstrap_rs_final_errors(
-                bank_p, noise, n_trials, k=k, seed=ctx.seed, space=ctx.space
-            )
+            errors = bootstrap_rs_final_errors(bank_p, noise, n_trials, k=k, seed=ctx.seed)
             q25, median, q75 = median_and_quartiles(errors)
             records.append(
                 Record(
@@ -90,9 +88,7 @@ def run_figure6(
                     bias_b=float(b),
                     scheme=scheme,
                 )
-                errors = bootstrap_rs_final_errors(
-                    bank, noise, n_trials, k=k, seed=ctx.seed, space=ctx.space
-                )
+                errors = bootstrap_rs_final_errors(bank, noise, n_trials, k=k, seed=ctx.seed)
                 q25, median, q75 = median_and_quartiles(errors)
                 records.append(
                     Record(

@@ -46,9 +46,7 @@ def run_figure13(
         )
         noiseless_best = bank.best_full_error()
         noise = NoiseConfig(subsample=1, epsilon=epsilon, scheme="uniform")
-        noisy_errors = bootstrap_rs_final_errors(
-            bank, noise, n_trials, k=k, seed=ctx.seed, space=space
-        )
+        noisy_errors = bootstrap_rs_final_errors(bank, noise, n_trials, k=k, seed=ctx.seed)
         q25, median, q75 = median_and_quartiles(noisy_errors)
         records.append(
             Record(

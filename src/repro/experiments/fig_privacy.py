@@ -39,14 +39,7 @@ def run_figure9(
                     epsilon=eps,
                     scheme="uniform",  # paper: uniform for all DP experiments
                 )
-                errors = bootstrap_rs_final_errors(
-                    bank,
-                    noise,
-                    n_trials,
-                    k=k,
-                    seed=ctx.seed,
-                    space=ctx.space,
-                )
+                errors = bootstrap_rs_final_errors(bank, noise, n_trials, k=k, seed=ctx.seed)
                 q25, median, q75 = median_and_quartiles(errors)
                 records.append(
                     Record(

@@ -127,9 +127,7 @@ def run_figure12(
     # Noisy-evaluation RS curves.
     for eps in epsilons:
         noise = NoiseConfig(subsample=subsample, epsilon=eps, scheme="uniform")
-        curves = bootstrap_rs_curves(
-            client_bank, noise, n_trials, k=k, seed=ctx.seed, space=ctx.space
-        )
+        curves = bootstrap_rs_curves(client_bank, noise, n_trials, k=k, seed=ctx.seed)
         medians = np.nanmedian(curves, axis=0)
         for i, median in enumerate(medians):
             records.append(

@@ -31,14 +31,15 @@ class UniformSampler:
 
 
 def biased_weights(accuracies: np.ndarray, b: float, delta: float = 1e-4) -> np.ndarray:
-    """Selection probabilities ``(a_k + δ)^b`` normalised to sum to 1."""
+    """Selection probabilities ``(a_k + δ)^b`` normalised to sum to 1
+    along the last axis (each row of a 2-D input is one client pool)."""
     accuracies = np.asarray(accuracies, dtype=np.float64)
     if np.any(accuracies < 0) or np.any(accuracies > 1):
         raise ValueError("accuracies must lie in [0, 1]")
     if b < 0:
         raise ValueError(f"bias exponent b must be >= 0, got {b}")
     w = (accuracies + delta) ** b
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 class BiasedSampler:

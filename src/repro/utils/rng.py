@@ -46,6 +46,15 @@ def spawn_rngs(seed: SeedLike, n: int) -> List[np.random.Generator]:
     return [np.random.default_rng(child) for child in ss.spawn(n)]
 
 
+def _fold(key: int, part: str) -> int:
+    """Fold ``part`` into a running path key: a stable string -> int hash
+    (Python's ``hash()`` is randomized per process). Folding is
+    sequential, so a path's key extends its parent's by the last part."""
+    for ch in part:
+        key = (key * 1000003 + ord(ch)) % (2**63)
+    return key
+
+
 class RngFactory:
     """A named, hierarchical source of reproducible random generators.
 
@@ -64,6 +73,9 @@ class RngFactory:
             seed = int(seed.integers(0, 2**63 - 1))
         self._root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self._path = tuple(_path)
+        self._key = 0
+        for part in self._path:
+            self._key = _fold(self._key, part)
 
     @property
     def path(self) -> tuple:
@@ -71,11 +83,10 @@ class RngFactory:
         return self._path
 
     def _entropy_for(self, name: str) -> np.random.SeedSequence:
-        # Stable string -> int key; avoids Python's randomized hash().
-        key = 0
-        for part in (*self._path, name):
-            for ch in part:
-                key = (key * 1000003 + ord(ch)) % (2**63)
+        # The path itself is already folded into self._key.
+        return self._sequence(_fold(self._key, name))
+
+    def _sequence(self, key: int) -> np.random.SeedSequence:
         return np.random.SeedSequence(entropy=self._root.entropy, spawn_key=(*self._root.spawn_key, key))
 
     def make(self, name: str) -> np.random.Generator:
@@ -89,7 +100,8 @@ class RngFactory:
     def child(self, name: str) -> "RngFactory":
         """Return a nested factory rooted at ``name``."""
         sub = RngFactory.__new__(RngFactory)
-        sub._root = self._entropy_for(name)
+        sub._key = _fold(self._key, name)
+        sub._root = self._sequence(sub._key)
         sub._path = (*self._path, name)
         return sub
 

@@ -1,5 +1,7 @@
 """Tests for the evaluation-noise stack."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -150,3 +152,105 @@ class TestNoisyEvaluator:
         out = ev.evaluate(self.rates)
         manual = self.rates[out.cohort].mean()
         assert out.exact_subsampled_error == pytest.approx(manual)
+
+
+class TestEvaluateMany:
+    """``evaluate_many(rows)`` is exactly ``[evaluate(row) for row in rows]``:
+    same errors, cohorts, exact errors, and generator end state."""
+
+    N = 12
+
+    def _rows_weights(self, n_rows=9, tied=False):
+        rng = np.random.default_rng(21)
+        if tied:
+            rows = rng.integers(0, 3, size=(n_rows, self.N)) / 2.0
+        else:
+            rows = rng.uniform(0, 1, size=(n_rows, self.N))
+        return rows, rng.uniform(1, 5, size=self.N)
+
+    def _assert_matches_serial(self, weights, noise, rows, privacy=None, plan=None):
+        serial = NoisyEvaluator(weights, noise, np.random.default_rng(5), privacy)
+        batch = NoisyEvaluator(weights, noise, np.random.default_rng(5), privacy)
+        if plan is not None:
+            serial.set_fault_plan(plan)
+            batch.set_fault_plan(plan)
+        expected = [serial.evaluate(row) for row in rows]
+        got = batch.evaluate_many(rows)
+        assert len(got) == len(expected)
+        for a, b in zip(expected, got):
+            assert a.error == b.error
+            assert a.exact_subsampled_error == b.exact_subsampled_error
+            assert np.array_equal(a.cohort, b.cohort)
+        assert serial.rng.bit_generator.state == batch.rng.bit_generator.state
+        return batch
+
+    @pytest.mark.parametrize("scheme", ["weighted", "uniform"])
+    @pytest.mark.parametrize("count", [1, 3, N - 1, None])
+    def test_uniform_cohorts(self, count, scheme):
+        rows, weights = self._rows_weights()
+        self._assert_matches_serial(weights, NoiseConfig(subsample=count, scheme=scheme), rows)
+
+    @pytest.mark.parametrize("count", [1, None])
+    @pytest.mark.parametrize("b", [1.0, 1.5, 3.0])
+    def test_biased_cohorts(self, b, count):
+        rows, weights = self._rows_weights()
+        self._assert_matches_serial(weights, NoiseConfig(subsample=count, bias_b=b), rows)
+
+    @pytest.mark.parametrize("count", [1, None])
+    @pytest.mark.parametrize("epsilon", [0.1, 10.0])
+    def test_private(self, epsilon, count):
+        rows, weights = self._rows_weights()
+        noise = NoiseConfig(subsample=count, epsilon=epsilon, scheme="uniform")
+        self._assert_matches_serial(
+            weights, noise, rows, PrivacyConfig(epsilon=epsilon, total_releases=len(rows))
+        )
+
+    def test_biased_private(self):
+        rows, weights = self._rows_weights()
+        noise = NoiseConfig(subsample=4, bias_b=2.0, epsilon=1.0, scheme="uniform")
+        self._assert_matches_serial(weights, noise, rows)
+
+    @pytest.mark.parametrize("b", [0.0, 3.0])
+    def test_tied_rates(self, b):
+        rows, weights = self._rows_weights(tied=True)
+        self._assert_matches_serial(weights, NoiseConfig(subsample=2, bias_b=b), rows)
+
+    def test_single_row(self):
+        rows, weights = self._rows_weights(n_rows=1)
+        self._assert_matches_serial(weights, NoiseConfig(subsample=5, bias_b=1.5), rows)
+
+    @pytest.mark.parametrize("b", [0.0, 2.0])
+    def test_eval_fault_plan(self, b):
+        from repro.engine.faults import FaultConfig, FaultPlan
+
+        rows, weights = self._rows_weights()
+        plan = FaultPlan(FaultConfig(seed=3, eval_dropout_rate=0.5, quorum=0.5))
+        batch = self._assert_matches_serial(
+            weights, NoiseConfig(subsample=6, bias_b=b), rows, plan=plan
+        )
+        assert batch.state_dict()["release_index"] == len(rows)
+
+    def test_biased_underflow_is_silent(self):
+        # At b = 200 a zero-accuracy client's weight underflows to 0, so its
+        # log-weight is -inf. The serial sampler ignores that divide; the
+        # batched path must too (it is an error under -W error).
+        rates = np.array([1.0, 0.0, 0.999, 0.5, 1.0])
+        noise = NoiseConfig(subsample=2, bias_b=200)
+        rows = np.stack([rates, rates])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._assert_matches_serial(np.ones(rates.size), noise, rows)
+
+    def test_shape_mismatch_rejected(self):
+        rows, weights = self._rows_weights()
+        ev = NoisyEvaluator(weights, NoiseConfig(subsample=3), 0)
+        with pytest.raises(ValueError):
+            ev.evaluate_many(rows[:, :-1])
+        with pytest.raises(ValueError):
+            ev.evaluate_many(rows[0])
+
+    def test_no_rows_rejected(self):
+        rows, weights = self._rows_weights()
+        ev = NoisyEvaluator(weights, NoiseConfig(subsample=3), 0)
+        with pytest.raises(ValueError):
+            ev.evaluate_many(rows[:0])

@@ -10,8 +10,11 @@ from repro.experiments import (
     BankTrialRunner,
     ConfigBank,
     bank_config_source,
+    bootstrap_rs_curves,
+    bootstrap_rs_final_errors,
     checkpoint_schedule,
 )
+from repro.utils.rng import RngFactory
 
 SPACE = paper_space(batch_sizes=(4, 8, 16))
 
@@ -196,3 +199,108 @@ class TestBankTrialRunner:
         sampled_ids = {o.config[BANK_ID_KEY] for o in result.observations}
         best_sampled = min(sampled_ids, key=lambda i: small_bank.full_errors()[i])
         assert result.best_config[BANK_ID_KEY] == best_sampled
+
+
+def tuner_bootstrap(bank, noise, n_trials, k, seed):
+    """Reference replay: one RandomSearch over a BankTrialRunner per trial,
+    drawing configs through bank_config_source (the loop the bootstrap
+    functions replace, kept verbatim as their oracle)."""
+    rngs = RngFactory(seed)
+    errors = np.empty(n_trials)
+    curves = np.full((n_trials, k), np.nan)
+    for t in range(n_trials):
+        fac = rngs.child(f"trial-{t}")
+        runner = BankTrialRunner(bank)
+        rs = RandomSearch(
+            SPACE,
+            runner,
+            noise,
+            n_configs=k,
+            total_budget=k * bank.max_rounds,
+            seed=fac.make("eval"),
+            config_source=bank_config_source(bank, fac.make("configs")),
+        )
+        result = rs.run()
+        errors[t] = result.final_full_error
+        for i, point in enumerate(result.curve[:k]):
+            curves[t, i] = point.full_error
+    return errors, curves
+
+
+def synthetic_bank(n_configs=5, n_clients=10, tied=False, seed=0):
+    """A bank straight from an error tensor (no training): ``tied`` rates
+    take values in {0, 0.5, 1}, so noisy errors tie across configs whose
+    full errors differ, which exercises first-strictly-best selection."""
+    rng = np.random.default_rng(seed)
+    shape = (n_configs, 3, n_clients)
+    errors = rng.integers(0, 3, size=shape) / 2.0 if tied else rng.uniform(0, 1, size=shape)
+    return ConfigBank(
+        dataset_name="synthetic",
+        configs=[{BANK_ID_KEY: i} for i in range(n_configs)],
+        checkpoints=[0, 3, 9],
+        errors=errors,
+        weights_weighted=rng.integers(1, 40, size=n_clients).astype(np.float64),
+        weights_uniform=np.ones(n_clients),
+    )
+
+
+N_CLIENTS = 10
+
+
+class TestBootstrapReplay:
+    """bootstrap_rs_final_errors / bootstrap_rs_curves are bit-identical to
+    the per-trial tuner loop (tuner_bootstrap) on every noise family."""
+
+    N_TRIALS = 12
+
+    def _check(self, bank, noise, k=16, seed=3):
+        ref_errors, ref_curves = tuner_bootstrap(bank, noise, self.N_TRIALS, k, seed)
+        errors = bootstrap_rs_final_errors(bank, noise, self.N_TRIALS, k=k, seed=seed)
+        curves = bootstrap_rs_curves(bank, noise, self.N_TRIALS, k=k, seed=seed)
+        assert np.array_equal(errors, ref_errors)
+        assert np.array_equal(curves, ref_curves)
+        assert errors.shape == (self.N_TRIALS,) and curves.shape == (self.N_TRIALS, k)
+
+    @pytest.mark.parametrize("scheme", ["weighted", "uniform"])
+    @pytest.mark.parametrize("count", [1, 3, N_CLIENTS - 1, None])
+    def test_uniform_subsampling(self, count, scheme):
+        self._check(synthetic_bank(), NoiseConfig(subsample=count, scheme=scheme))
+
+    @pytest.mark.parametrize("count", [1, None])
+    @pytest.mark.parametrize("b", [1.0, 1.5, 3.0])
+    def test_biased(self, b, count):
+        self._check(synthetic_bank(), NoiseConfig(subsample=count, bias_b=b))
+
+    @pytest.mark.parametrize("count", [1, None])
+    @pytest.mark.parametrize("epsilon", [0.1, 10.0])
+    def test_private(self, epsilon, count):
+        noise = NoiseConfig(subsample=count, epsilon=epsilon, scheme="uniform")
+        self._check(synthetic_bank(), noise)
+
+    @pytest.mark.parametrize("k", [1, 8, 16])
+    def test_k(self, k):
+        self._check(synthetic_bank(), NoiseConfig(subsample=2, bias_b=1.5), k=k)
+
+    @pytest.mark.parametrize("noise", [NoiseConfig(), NoiseConfig(subsample=1)])
+    def test_single_config_bank(self, noise):
+        self._check(synthetic_bank(n_configs=1), noise)
+
+    @pytest.mark.parametrize("b", [0.0, 3.0])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_tied_rates(self, count, b):
+        self._check(synthetic_bank(tied=True), NoiseConfig(subsample=count, bias_b=b))
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            NoiseConfig(subsample=2),
+            NoiseConfig(subsample=2, bias_b=3.0),
+            NoiseConfig(subsample=2, epsilon=1.0, scheme="uniform"),
+        ],
+    )
+    def test_trained_bank(self, small_bank, noise):
+        self._check(small_bank, noise, seed=0)
+
+    def test_rejects_empty_k(self):
+        with pytest.raises(ValueError):
+            bootstrap_rs_final_errors(synthetic_bank(), NoiseConfig(), 2, k=0)

@@ -6,8 +6,9 @@ StackedEvalEngine) must be *bit-identical* per trial to the serial
 per-copy logits per dgemm, integer-exact counts, and the diverged-model
 → 1.0 convention applied per copy. The chunk-plan cache must be invariant
 in the budget (same rates for any ``max_chunk_examples``), and
-``NoisyEvaluator.evaluate_repeated`` must reproduce the serial per-repeat
-loop draw for draw.
+``NoisyEvaluator.evaluate_many`` over one config's rates repeated R times
+(robust RS resampling) must reproduce the serial per-repeat loop draw for
+draw.
 """
 
 import numpy as np
@@ -333,6 +334,9 @@ class TestTunerBatchEquivalence:
 
 
 class TestEvaluateRepeated:
+    """Repeated releases of one rate vector: ``evaluate_many`` over
+    ``np.broadcast_to(rates, (R, n))``, as robust RS calls it."""
+
     WEIGHTS_SEED = 11
 
     def _rates_weights(self, n=40):
@@ -355,7 +359,7 @@ class TestEvaluateRepeated:
         batch_eval = NoisyEvaluator(weights, noise, rng=np.random.default_rng(5))
         n_repeats = 7
         serial = [serial_eval.evaluate(rates) for _ in range(n_repeats)]
-        batched = batch_eval.evaluate_repeated(rates, n_repeats)
+        batched = batch_eval.evaluate_many(np.broadcast_to(rates, (n_repeats, rates.size)))
         for a, b in zip(serial, batched):
             assert a.error == b.error
             assert a.exact_subsampled_error == b.exact_subsampled_error
@@ -400,9 +404,9 @@ class TestEvaluateRepeated:
         rates, weights = self._rates_weights()
         ev = NoisyEvaluator(weights, NoiseConfig(subsample=10), rng=0)
         with pytest.raises(ValueError):
-            ev.evaluate_repeated(rates, 0)
+            ev.evaluate_many(np.broadcast_to(rates, (0, rates.size)))
         with pytest.raises(ValueError):
-            ev.evaluate_repeated(rates[:-1], 2)
+            ev.evaluate_many(np.broadcast_to(rates[:-1], (2, rates.size - 1)))
 
 
 class TestBankReevaluate:

@@ -78,3 +78,17 @@ class TestRngFactory:
     def test_repeated_make_same_name_identical(self):
         f = RngFactory(0)
         assert f.make("a").integers(0, 1 << 30) == f.make("a").integers(0, 1 << 30)
+
+    @pytest.mark.parametrize(
+        "draw, expected",
+        [
+            (lambda: RngFactory(7).child("trial-3").make("eval"), 1683113141252488761),
+            (lambda: RngFactory(0).child("a").child("bc").make("d"), 1733115778860773275),
+            (lambda: RngFactory(0).make("configs"), 4509680980680449311),
+            (lambda: RngFactory(3, _path=("x", "yz")).make("w"), 2561335600478602548),
+        ],
+    )
+    def test_streams_pinned(self, draw, expected):
+        # Absolute values: every bootstrap record depends on these streams,
+        # so the path-key derivation must never change them.
+        assert draw().integers(0, 2**62) == expected
