@@ -1,4 +1,4 @@
-"""Backend/precision benchmark: float32 vs float64 slab rounds.
+"""Precision benchmark: float32 vs float64 slab rounds.
 
 Times one fused rung advance (8 same-architecture MLP trials, the
 ``test_bench_trialfuse`` shape but with a wide d=64/hidden-128 model so

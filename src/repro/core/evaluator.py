@@ -351,7 +351,7 @@ class FederatedTrialRunner(TrialRunner):
         cohort_dtype=None,
     ):
         from repro.fl.cohort import resolve_cohort_mode
-        from repro.nn.backend import resolve_dtype
+        from repro.nn.stacked import resolve_dtype
 
         super().__init__(max_rounds)
         self.dataset = dataset

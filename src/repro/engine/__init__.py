@@ -41,6 +41,7 @@ from repro.engine.bank_store import BANK_FORMAT_VERSION, BankStore
 from repro.engine.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointError,
+    CheckpointPrecisionError,
     CheckpointVersionError,
     RunCheckpointer,
     load_checkpoint,
@@ -53,6 +54,7 @@ __all__ = [
     "BankStore",
     "CHECKPOINT_FORMAT_VERSION",
     "CheckpointError",
+    "CheckpointPrecisionError",
     "CheckpointVersionError",
     "ProcessExecutor",
     "RunCheckpointer",

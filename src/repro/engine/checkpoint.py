@@ -46,20 +46,26 @@ class CheckpointVersionError(CheckpointError):
     """The checkpoint was written under an incompatible format version."""
 
 
+class CheckpointPrecisionError(CheckpointError):
+    """The checkpoint was written under a different slab precision."""
+
+
 def _active_precision(tuner) -> Dict:
-    """The (cohort_dtype, backend) pair the run is training under.
+    """The precision stamp of the run the tuner is training.
 
     Stamped into every checkpoint so a run saved under one precision is
     never silently resumed under another — a float32 run resumed in
-    float64 (or vice versa) would not replay bit-identically.
+    float64 (or vice versa) would not replay bit-identically. The
+    ``"backend"`` entry is a fixed literal kept so the stamp (and the
+    checkpoint bytes) match those of earlier builds.
     """
     import numpy as np
 
-    from repro.nn.backend import get_backend, resolve_dtype
+    from repro.nn.stacked import resolve_dtype
 
     dtype = getattr(tuner.runner, "cohort_dtype", None)
     dtype = np.dtype(dtype) if dtype is not None else resolve_dtype()
-    return {"cohort_dtype": dtype.name, "backend": get_backend().name}
+    return {"cohort_dtype": dtype.name, "backend": "numpy"}
 
 
 def capture_run_state(tuner) -> Dict:
@@ -89,16 +95,18 @@ def restore_run_state(tuner, state: Dict):
             f"checkpoint is for method {method!r}, not {tuner.method_name!r}"
         )
     # Precision is validated only when the checkpoint carries it:
-    # version-1 checkpoints written before the dtype/backend stamp are
-    # float64-on-NumPy by construction and stay loadable.
+    # version-1 checkpoints written before the precision stamp are
+    # float64 by construction and stay loadable.
     saved_precision = state.get("precision")
     if saved_precision is not None:
         active = _active_precision(tuner)
         if saved_precision != active:
-            raise CheckpointError(
+            raise CheckpointPrecisionError(
                 f"checkpoint was written under {saved_precision!r} but this "
                 f"run is configured for {active!r}; resuming across "
-                "precision/backend changes is not bit-reproducible"
+                "precision changes is not bit-reproducible — resume with "
+                f"cohort_dtype={saved_precision.get('cohort_dtype')!r} "
+                "(--cohort-dtype / $REPRO_DTYPE)"
             )
     # Runner first: trial payload rehydration inside the tuner's
     # load_state_dict must not consume the runner's trial-seed stream,

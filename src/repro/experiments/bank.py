@@ -220,7 +220,7 @@ class ConfigBank:
 
         ``cohort_dtype`` selects the slab compute dtype of the build
         (``None`` resolves from ``$REPRO_DTYPE``; see
-        :mod:`repro.nn.backend`) — global parameters, aggregation, and
+        :func:`repro.nn.stacked.resolve_dtype`) — global parameters, aggregation, and
         the recorded error tensor stay float64 regardless.
         """
         rng = as_rng(seed)

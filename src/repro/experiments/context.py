@@ -21,8 +21,7 @@ from repro.utils.rng import RngFactory
 # REPRO_BANK_CACHE — directory for the disk-backed bank store.
 # REPRO_WORKERS — worker-process count for parallel bank builds.
 # REPRO_COHORT_VECTOR — cohort mode, "serial" or "fused" (repro.fl.cohort).
-# REPRO_DTYPE — slab compute dtype ("float64"/"float32"; repro.nn.backend).
-# REPRO_BACKEND — array backend for slab kernels (repro.nn.backend).
+# REPRO_DTYPE — slab compute dtype ("float64"/"float32"; repro.nn.stacked.resolve_dtype).
 # REPRO_CHECKPOINT_DIR — directory for tuning-run checkpoints (repro.engine.checkpoint).
 # REPRO_FAULTS — fault-injection spec, e.g. "dropout=0.1,straggler=0.05,seed=3"
 #   (repro.engine.faults.FaultConfig.parse).
@@ -74,10 +73,10 @@ class ExperimentContext:
         lockstep padding can perturb results at float tolerance.
     cohort_dtype : slab compute dtype ("float64" or "float32") for every
         trainer this context builds (``$REPRO_DTYPE`` when unset; see
-        :mod:`repro.nn.backend`). float32 halves slab memory at
-        documented tolerance; float64 stays the bit-exact reference.
-        Non-default dtypes (and non-NumPy backends) join the bank-store
-        cache key so precision variants never alias.
+        :func:`repro.nn.stacked.resolve_dtype`). float32 halves slab
+        memory at documented tolerance; float64 stays the bit-exact
+        reference. Non-default dtypes join the bank-store cache key so
+        precision variants never alias.
     checkpoint_dir : directory for tuning-run checkpoints
         (:mod:`repro.engine.checkpoint`); online drivers save each run's
         state here and — with ``resume`` enabled — pick interrupted runs
@@ -115,7 +114,7 @@ class ExperimentContext:
         from repro.engine.executor import SerialExecutor, make_executor
         from repro.engine.faults import FaultConfig, FaultPlan
         from repro.fl.cohort import resolve_cohort_mode
-        from repro.nn.backend import resolve_dtype
+        from repro.nn.stacked import resolve_dtype
 
         self.preset = preset
         self.scale: DatasetScale = get_scale(preset)
@@ -199,24 +198,18 @@ class ExperimentContext:
         in-process fused build trains cross-config slabs, a fused build
         under a multi-worker executor trains one slab per worker trainer,
         and the two never share an entry. Serial builds carry no mode
-        field. The same conditional-field pattern stamps the slab dtype
-        and array backend: a float32 (or non-NumPy) build can never alias
-        a float64 cache entry.
+        field. The same conditional-field pattern stamps the slab dtype:
+        a float32 build can never alias a float64 cache entry.
         """
         from repro.engine.bank_store import BankStore
         from repro.experiments.bank import effective_build_mode
-        from repro.nn.backend import get_backend
 
         extra = {}
         mode = effective_build_mode(self.cohort_mode, self.executor)
         if mode != "serial":
             extra["cohort_mode"] = mode
-        dtype_name = self.cohort_dtype.name if hasattr(self.cohort_dtype, "name") else str(self.cohort_dtype)
-        if dtype_name != "float64":
-            extra["cohort_dtype"] = dtype_name
-        backend_name = get_backend().name
-        if backend_name != "numpy":
-            extra["backend"] = backend_name
+        if self.cohort_dtype.name != "float64":
+            extra["cohort_dtype"] = self.cohort_dtype.name
         return BankStore.key_fields(
             dataset=name,
             preset=self.preset,

@@ -116,7 +116,7 @@ def make_tuner(
     does not exist yet — the normal first launch — the run starts fresh.
     A corrupt checkpoint is quarantined (with a warning, see
     ``load_checkpoint``) and the run starts fresh rather than aborting the
-    sweep; version mismatches still raise.
+    sweep; version and precision mismatches still raise.
 
     ``faults`` (a :class:`repro.engine.faults.FaultPlan`) is attached to
     the whole run — trainers, runner, evaluator, executor — before any
@@ -157,15 +157,17 @@ def make_tuner(
         # this package (same cycle ExperimentContext breaks the same way).
         from repro.engine.checkpoint import (
             CheckpointError,
+            CheckpointPrecisionError,
             CheckpointVersionError,
             resume_checkpoint,
         )
 
         try:
             resume_checkpoint(tuner, resume)
-        except CheckpointVersionError:
-            # A valid checkpoint from another build: refusing loudly beats
-            # silently redoing (and then overwriting) someone's run.
+        except (CheckpointVersionError, CheckpointPrecisionError):
+            # A valid checkpoint from another build or precision: refusing
+            # loudly beats silently redoing (and then overwriting)
+            # someone's run.
             raise
         except CheckpointError as exc:
             warnings.warn(
@@ -203,9 +205,13 @@ def run_method_comparison(
     failure entry (``failed=True`` plus the exception text, no curve
     fields) and the remaining runs proceed; a summary warning names every
     failed run at the end. ``SystemExit``/``KeyboardInterrupt`` (e.g. the
-    SIGTERM checkpoint-and-exit path) still propagate — those mean "stop
-    the sweep", not "this run is bad".
+    SIGTERM checkpoint-and-exit path) and a refused resume (a checkpoint
+    from another format version or precision) still propagate — those
+    mean "stop the sweep", not "this run is bad", and the refused
+    checkpoint is left untouched.
     """
+    from repro.engine.checkpoint import CheckpointPrecisionError, CheckpointVersionError
+
     records: List[Record] = []
     failed_runs: List[str] = []
     budgets = [(i + 1) * ctx.total_budget // budget_points for i in range(budget_points)]
@@ -234,6 +240,8 @@ def run_method_comparison(
                             method, ctx, name, noise, seed, resume=resume_path
                         )
                         result = tuner.run(checkpoint=checkpoint)
+                    except (CheckpointVersionError, CheckpointPrecisionError):
+                        raise
                     except Exception as exc:
                         failed_runs.append(run_name)
                         warnings.warn(

@@ -57,8 +57,8 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.nn.backend import resolve_dtype
-from repro.nn.backend import xp as np
+import numpy as np
+
 from repro.datasets.base import ClientData, TaskSpec
 from repro.nn.module import Module
 from repro.nn.optim import fused_sgd_step
@@ -66,6 +66,7 @@ from repro.nn.stacked import (
     STACKED_LOSSES,
     StackedDropout,
     StackedModel,
+    resolve_dtype,
     supports_stacking,
 )
 
@@ -132,7 +133,7 @@ class SlabTrainer:
     :meth:`ensure_capacity`.
 
     ``dtype`` is the slab compute dtype
-    (:func:`repro.nn.backend.resolve_dtype`): float64 (default) is the
+    (:func:`repro.nn.stacked.resolve_dtype`): float64 (default) is the
     bit-exact serial reference; float32 halves slab memory and also pulls
     floating batch data down to float32 so no kernel silently upcasts
     mid-pipeline. RNG pre-draws (permutations, Dropout masks) always

@@ -32,8 +32,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.nn.backend import resolve_dtype
-from repro.nn.backend import xp as np
+import numpy as np
 
 from repro.datasets.base import (
     ClientData,
@@ -43,7 +42,7 @@ from repro.datasets.base import (
     next_token_error,
 )
 from repro.nn.module import Module, set_flat_params
-from repro.nn.stacked import StackedModel, eval_stack_signature
+from repro.nn.stacked import StackedModel, eval_stack_signature, resolve_dtype
 from repro.fl.client import evaluate_client
 from repro.utils.stats import weighted_mean
 
@@ -292,7 +291,7 @@ class StackedEvalEngine:
     intended granularity; slabs are reused across calls.
 
     ``dtype`` fixes the engine's slab compute dtype
-    (:func:`repro.nn.backend.resolve_dtype`); a borrowed slab is only
+    (:func:`repro.nn.stacked.resolve_dtype`); a borrowed slab is only
     accepted when its dtype matches, so a float32 training slab never
     silently changes the precision of a float64 evaluation (or vice
     versa).

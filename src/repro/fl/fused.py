@@ -35,11 +35,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.nn.backend import resolve_dtype
 from repro.fl.cohort import SlabTrainer
 from repro.fl.evaluation import StackedEvalEngine, fused_group_rates
 from repro.fl.trainer import FederatedTrainer, run_slab_round, trainer_names
-from repro.nn.stacked import STACKED_LOSSES, StackedModel, stack_signature
+from repro.nn.stacked import STACKED_LOSSES, StackedModel, resolve_dtype, stack_signature
 
 
 class FusedTrainerPool:
@@ -53,7 +52,7 @@ class FusedTrainerPool:
     rung cycle never unstacks and restacks parameters.
 
     ``dtype`` is the pool's default slab compute dtype
-    (:func:`repro.nn.backend.resolve_dtype`); each group's slab is built
+    (:func:`repro.nn.stacked.resolve_dtype`); each group's slab is built
     in its trainers' own ``cohort_dtype``, and the dtype name joins the
     grouping key so mixed-precision batches never share a slab.
     """

@@ -20,13 +20,12 @@ import numpy as np
 
 from repro.datasets.base import FederatedDataset
 from repro.fl.client import ClientTrainer
-from repro.nn.backend import resolve_dtype
 from repro.fl.cohort import SlabGroup, SlabTrainer, resolve_cohort_mode
 from repro.fl.evaluation import client_error_rates, evaluate_model
 from repro.fl.sampling import UniformSampler
 from repro.fl.server import ServerOptimizer
 from repro.nn.module import Module, get_flat_params, set_flat_params
-from repro.nn.stacked import collect_dropout_rngs
+from repro.nn.stacked import collect_dropout_rngs, resolve_dtype
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -83,7 +82,7 @@ class FederatedTrainer:
         automatically fall back to the serial path;
         ``cohort_mode_effective`` reports the path actually in use.
     cohort_dtype : slab compute dtype for the fused path
-        (:func:`repro.nn.backend.resolve_dtype`; ``None`` resolves
+        (:func:`repro.nn.stacked.resolve_dtype`; ``None`` resolves
         ``$REPRO_DTYPE``, default float64). float32 halves slab memory at
         a documented per-round tolerance vs the float64 reference. Global
         parameters, aggregation, the server optimizer, and the serial

@@ -14,25 +14,11 @@ Design notes
   parameter/pseudo-gradient vectors.
 - Serial layers are float64: the workloads are tiny and exact gradients make
   the library testable with numerical differentiation. The stacked slab
-  kernels route their array ops through :mod:`repro.nn.backend` — a thin
-  array-namespace shim with a capability probe — so an alternate backend
-  (CuPy, torch) or an opt-in float32 slab dtype (``$REPRO_DTYPE``) drops in
-  without touching kernel code; float64-on-NumPy stays the bit-exact
-  serial-equivalence reference.
+  kernels also default to float64, the bit-exact serial-equivalence
+  reference; an opt-in float32 slab dtype (``cohort_dtype`` or
+  ``$REPRO_DTYPE``, see :func:`resolve_dtype`) halves slab memory.
 """
 
-from repro.nn.backend import (
-    BACKEND_ENV,
-    DTYPE_ENV,
-    ArrayBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_dtype,
-    set_backend,
-    use_backend,
-    xp,
-)
 from repro.nn.module import (
     Module,
     Parameter,
@@ -66,7 +52,9 @@ from repro.nn.optim import (
     perturb_rows,
 )
 from repro.nn.stacked import (
+    DTYPE_ENV,
     STACKED_LOSSES,
+    SUPPORTED_DTYPES,
     StackedConv2D,
     StackedDropout,
     StackedEmbedding,
@@ -81,6 +69,7 @@ from repro.nn.stacked import (
     StackedTanh,
     collect_dropout_rngs,
     eval_stack_signature,
+    resolve_dtype,
     stack_signature,
     stacked_mse,
     stacked_sequence_cross_entropy,
@@ -92,16 +81,6 @@ from repro.nn.gradcheck import gradcheck_module, numerical_gradient
 from repro.nn.serialization import load_params, save_params
 
 __all__ = [
-    "BACKEND_ENV",
-    "DTYPE_ENV",
-    "ArrayBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "resolve_dtype",
-    "set_backend",
-    "use_backend",
-    "xp",
     "Module",
     "Parameter",
     "Sequential",
@@ -139,7 +118,9 @@ __all__ = [
     "copy_slab_rows",
     "fused_sgd_step",
     "perturb_rows",
+    "DTYPE_ENV",
     "STACKED_LOSSES",
+    "SUPPORTED_DTYPES",
     "StackedConv2D",
     "StackedDropout",
     "StackedEmbedding",
@@ -154,6 +135,7 @@ __all__ = [
     "StackedTanh",
     "collect_dropout_rngs",
     "eval_stack_signature",
+    "resolve_dtype",
     "stack_signature",
     "stacked_mse",
     "stacked_sequence_cross_entropy",

@@ -5,8 +5,7 @@ The paper's client optimizer is SGD with momentum and weight decay
 FedAdam update reuses its moment arithmetic (see :mod:`repro.fl.server`).
 
 The fused slab kernels (:func:`fused_sgd_step`, :class:`FlatSGD`,
-:func:`copy_slab_rows`, :func:`perturb_rows`) obtain their array ops
-through the :mod:`repro.nn.backend` shim and are dtype-polymorphic: the
+:func:`copy_slab_rows`, :func:`perturb_rows`) are dtype-polymorphic: the
 buffers they receive carry the slab's compute dtype, and scalar
 hyperparameters stay in that dtype under NumPy's weak scalar promotion.
 """
@@ -15,7 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Union
 
-from repro.nn.backend import xp as np
+import numpy as np
+
 from repro.nn.module import Module, Parameter
 
 #: A hyperparameter that is either one scalar for the whole buffer or a

@@ -45,18 +45,20 @@ counterparts trains on the slab. Integer-input (Embedding) and recurrent
 (LSTM) layers have stacked counterparts too, so the paper's text models
 train in lockstep.
 
-Array ops route through the :mod:`repro.nn.backend` shim (``xp``), and
-the slab dtype is a :class:`StackedModel` policy (float64 default, the
-bit-exact serial reference; opt-in float32 halves slab memory). Scratch
-buffers follow the input's dtype so float32 never silently upcasts.
+The slab dtype is a :class:`StackedModel` policy resolved by
+:func:`resolve_dtype` (float64 default, the bit-exact serial reference;
+opt-in float32 halves slab memory). Scratch buffers follow the input's
+dtype (``np.empty(..., dtype=<input>.dtype)``, ``out=`` ufunc forms) so
+float32 never silently upcasts.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
-from repro.nn.backend import resolve_dtype
-from repro.nn.backend import xp as np
+import numpy as np
+
 from repro.nn.functional import col2im, im2col, log_softmax, softmax
 from repro.nn.layers import (
     Conv2D,
@@ -72,6 +74,34 @@ from repro.nn.layers import (
 from repro.nn.losses import mse_loss, sequence_cross_entropy, softmax_cross_entropy
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.recurrent import LSTM, _sigmoid
+
+#: Environment variable selecting the slab compute dtype when no explicit
+#: ``dtype``/``cohort_dtype`` argument is given.
+DTYPE_ENV = "REPRO_DTYPE"
+
+#: Slab compute dtypes the engine supports.
+SUPPORTED_DTYPES = ("float64", "float32")
+
+
+def resolve_dtype(dtype=None) -> np.dtype:
+    """The slab compute dtype: explicit argument > ``$REPRO_DTYPE`` >
+    float64. Returns a ``numpy.dtype``; a value that is not a dtype, or
+    names one outside :data:`SUPPORTED_DTYPES`, raises ``ValueError``
+    naming where it came from."""
+    source = "cohort_dtype"
+    if dtype is None:
+        source = f"${DTYPE_ENV}"
+        dtype = os.environ.get(DTYPE_ENV) or "float64"
+    try:
+        dt = np.dtype(dtype)
+    except TypeError:
+        dt = None
+    if dt is None or dt.name not in SUPPORTED_DTYPES:
+        raise ValueError(
+            f"unsupported slab dtype {dtype!r} from {source}; "
+            f"supported: {SUPPORTED_DTYPES}"
+        )
+    return dt
 
 
 class StackedLinear(Module):
@@ -978,7 +1008,7 @@ class StackedModel(Module):
     Setting the slab therefore sets every layer, and a fused optimizer
     step on the slab updates every layer — no per-parameter
     gather/scatter. ``dtype`` is the slab compute dtype
-    (:func:`repro.nn.backend.resolve_dtype`: float64 default — the
+    (:func:`resolve_dtype`: float64 default — the
     bit-exact serial reference — or opt-in float32, which halves slab
     memory); since layer parameters alias the slab, it governs every
     kernel's compute precision.

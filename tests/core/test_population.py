@@ -122,7 +122,7 @@ class TestSlabEquivalence:
         """Bit-equivalence against the serial path needs the float64
         reference dtype; an ambient REPRO_DTYPE=float32 (the CI float32
         leg) must not narrow the slab side of the comparison."""
-        from repro.nn.backend import DTYPE_ENV
+        from repro.nn.stacked import DTYPE_ENV
 
         monkeypatch.delenv(DTYPE_ENV, raising=False)
 

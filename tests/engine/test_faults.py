@@ -338,7 +338,7 @@ class TestTrainingFaults:
         # serial mode always computes float64, so an ambient
         # REPRO_DTYPE=float32 (the CI float32 leg) must not narrow the
         # slab modes it is compared against.
-        from repro.nn.backend import DTYPE_ENV
+        from repro.nn.stacked import DTYPE_ENV
 
         monkeypatch.delenv(DTYPE_ENV, raising=False)
         plan = FaultPlan(FaultConfig(seed=6, dropout_rate=0.4, quorum=0.4))

@@ -31,7 +31,7 @@ from repro.fl import (
     resolve_cohort_mode,
 )
 from repro.nn import make_mlp, softmax_cross_entropy
-from repro.nn.backend import DTYPE_ENV
+from repro.nn.stacked import DTYPE_ENV
 
 RTOL, ATOL = 1e-8, 1e-11  # documented ragged-cohort tolerance (multi-round)
 

@@ -1,6 +1,6 @@
 """Opt-in float32 slab mode: self-consistency, tolerance, and memory.
 
-The precision contract (README "Backends & precision"):
+The precision contract (README "Precision"):
 
 - float64 is the bit-exact serial-equivalence reference, and the default
   everywhere — passing ``cohort_dtype="float64"`` explicitly changes
@@ -17,6 +17,9 @@ The precision contract (README "Backends & precision"):
   across dtypes.
 """
 
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
@@ -25,8 +28,7 @@ from repro.fl import FedAdam, FederatedTrainer, LocalTrainingConfig
 from repro.fl.cohort import SlabTrainer
 from repro.fl.fused import FusedTrainerPool
 from repro.nn import make_mlp, softmax_cross_entropy
-from repro.nn.backend import DTYPE_ENV
-from repro.nn.stacked import collect_dropout_rngs
+from repro.nn.stacked import DTYPE_ENV, collect_dropout_rngs
 
 F32_RTOL, F32_ATOL = 1e-3, 1e-5  # documented float32-vs-float64 tolerance
 
@@ -223,13 +225,35 @@ class TestBankKeys:
         k32 = ctx32.bank_key_fields("cifar10")
         assert k64 != k32
         assert k32["cohort_dtype"] == "float32"
-        # float64 keeps its historical key shape: no dtype/backend fields.
+        # float64 keeps its historical key shape: no dtype field.
         assert "cohort_dtype" not in k64
         assert "backend" not in k64
 
+    @pytest.mark.parametrize(
+        "kwargs, digest",
+        [
+            ({}, "c21cf47cd8f496ed586a"),
+            ({"cohort_dtype": "float32"}, "42936e303ee57588a51b"),
+            ({"cohort_mode": "fused"}, "8e842141ab21b0739c79"),
+        ],
+    )
+    def test_bank_key_digests_are_pinned(self, monkeypatch, kwargs, digest):
+        # Cache files are named by this digest: a change here orphans
+        # every bank already on disk.
+        from repro.engine.bank_store import BankStore
+        from repro.experiments.context import ExperimentContext
+
+        for name in [k for k in os.environ if k.startswith("REPRO_")]:
+            monkeypatch.delenv(name)
+        fields = ExperimentContext(preset="test", n_bank_configs=2, **kwargs).bank_key_fields(
+            "cifar10"
+        )
+        key = BankStore.canonical_key(fields).encode()
+        assert hashlib.sha256(key).hexdigest()[:20] == digest
+
     def test_checkpoint_refuses_cross_precision_resume(self):
         from repro.engine.checkpoint import (
-            CheckpointError,
+            CheckpointPrecisionError,
             capture_run_state,
             restore_run_state,
         )
@@ -248,8 +272,36 @@ class TestBankKeys:
         state = capture_run_state(t64)
         assert state["precision"] == {"cohort_dtype": "float64", "backend": "numpy"}
         restore_run_state(make_tuner("float64"), state)  # same precision: fine
-        with pytest.raises(CheckpointError, match="precision"):
+        with pytest.raises(CheckpointPrecisionError, match="precision"):
             restore_run_state(make_tuner("float32"), state)
+
+    def test_sweep_refuses_cross_precision_resume(self, tmp_path, monkeypatch):
+        # A float32 sweep re-launched with --resume but without its
+        # --cohort-dtype must stop, not restart fresh in float64 and
+        # overwrite the float32 checkpoints.
+        from repro.engine.checkpoint import CheckpointPrecisionError
+        from repro.experiments import ExperimentContext, run_method_comparison
+
+        monkeypatch.delenv(DTYPE_ENV, raising=False)
+
+        def sweep(resume, **kwargs):
+            ctx = ExperimentContext(
+                preset="test",
+                n_bank_configs=2,
+                cohort_mode="fused",
+                checkpoint_dir=str(tmp_path),
+                **kwargs,
+            )
+            return run_method_comparison(
+                ctx, methods=("rs",), n_trials=1, budget_points=4, resume=resume
+            )
+
+        sweep(resume=False, cohort_dtype="float32")
+        saved = {p.name: p.read_bytes() for p in tmp_path.glob("*.ckpt")}
+        assert saved
+        with pytest.raises(CheckpointPrecisionError, match="float32"):
+            sweep(resume=True)
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("*.ckpt")} == saved
 
     def test_legacy_checkpoint_without_precision_loads(self):
         from repro.engine.checkpoint import capture_run_state, restore_run_state

@@ -21,7 +21,7 @@ from repro.datasets.base import ClientData, FederatedDataset, TaskSpec, classifi
 from repro.engine import make_executor
 from repro.fl import FedAdam, FederatedTrainer, FusedTrainerPool, LocalTrainingConfig, SlabTrainer
 from repro.nn import Dropout, Linear, ReLU, Sequential, make_mlp, softmax_cross_entropy
-from repro.nn.backend import DTYPE_ENV
+from repro.nn.stacked import DTYPE_ENV
 
 RTOL, ATOL = 1e-8, 1e-11  # documented ragged-cohort tolerance (multi-round)
 

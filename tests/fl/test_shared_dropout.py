@@ -35,7 +35,7 @@ def _float64_reference(monkeypatch):
     """Stacked-vs-serial mask-stream equivalence is a float64-reference
     contract: an ambient REPRO_DTYPE=float32 (the CI float32 leg) must
     not move the slab off the serial path's float64."""
-    from repro.nn.backend import DTYPE_ENV
+    from repro.nn.stacked import DTYPE_ENV
 
     monkeypatch.delenv(DTYPE_ENV, raising=False)
 

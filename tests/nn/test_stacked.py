@@ -58,7 +58,7 @@ def _float64_reference(monkeypatch):
     reference dtype: an ambient REPRO_DTYPE=float32 (the CI float32 leg)
     would narrow the stacked kernels while the serial layers stay
     float64. float32 coverage lives in tests/fl/test_float32.py."""
-    from repro.nn.backend import DTYPE_ENV
+    from repro.nn.stacked import DTYPE_ENV
 
     monkeypatch.delenv(DTYPE_ENV, raising=False)
 
