@@ -60,10 +60,11 @@ def config_to_trainer(
 class Trial:
     """Handle to one configuration under training.
 
-    ``failures`` counts advance attempts that raised; at the runner's
-    ``max_trial_failures`` the trial is ``failed`` — quarantined: it burns
-    any budget still granted to it with frozen training state and reads
-    error 1.0 (the diverged-model convention), but never aborts the run.
+    ``failures`` counts advances hit by an injected trial fault; at the
+    runner's ``max_trial_failures`` the trial is ``failed`` — quarantined:
+    it burns any budget still granted to it with frozen training state and
+    reads error 1.0 (the diverged-model convention), but never aborts the
+    run.
     """
 
     trial_id: int
@@ -103,15 +104,16 @@ class TrialRunner:
         if plan is not None:
             self.max_trial_failures = plan.config.max_trial_failures
 
-    def _check_injected_fault(self, trial: Trial) -> None:
-        """Raise the deterministic injected crash for this advance, if the
-        attached plan schedules one (keyed by the trial id and its round
-        count at entry — order/worker/resume-independent)."""
+    def _injected_fault(self, trial: Trial):
+        """The deterministic injected crash for this advance, or ``None``
+        when the attached plan schedules none (keyed by the trial id and
+        its round count at entry — order/worker/resume-independent)."""
         plan = self.faults
-        if plan is not None and plan.trial_fails(trial.trial_id, trial.rounds):
-            from repro.engine.faults import InjectedTrialFault
+        if plan is None or not plan.trial_fails(trial.trial_id, trial.rounds):
+            return None
+        from repro.engine.faults import InjectedTrialFault
 
-            raise InjectedTrialFault(trial.trial_id, trial.rounds)
+        return InjectedTrialFault(trial.trial_id, trial.rounds)
 
     def _record_trial_failure(self, trial: Trial, exc: BaseException) -> None:
         """Count one failed advance; quarantine at the failure cap.
@@ -150,22 +152,22 @@ class TrialRunner:
         """Train ``trial`` for up to ``rounds`` more rounds (capped at
         ``max_rounds`` total). Returns rounds actually consumed.
 
-        An advance that raises does not propagate: the failure is counted
+        The one declared trial fault is the attached plan's injected crash
+        (:meth:`repro.engine.faults.FaultPlan.trial_fails`): it is counted
         (quarantining the trial at the cap) and the granted rounds are
         consumed with training state untouched, so the tuner continues.
+        Any exception raised by training itself propagates.
         """
         if rounds < 0:
             raise ValueError(f"rounds must be >= 0, got {rounds}")
         allowed = min(rounds, self.max_rounds - trial.rounds)
         if allowed > 0:
             if not trial.failed:
-                try:
-                    self._check_injected_fault(trial)
+                fault = self._injected_fault(trial)
+                if fault is not None:
+                    self._record_trial_failure(trial, fault)
+                else:
                     self._advance_trial(trial, allowed)
-                except NotImplementedError:
-                    raise
-                except Exception as exc:
-                    self._record_trial_failure(trial, exc)
             trial.rounds += allowed
             self.rounds_used += allowed
         return allowed
@@ -179,14 +181,20 @@ class TrialRunner:
         override this to fan the training work across workers; results
         must stay bit-identical to the serial loop. Each trial may appear
         at most once per batch (the calls would not be independent
-        otherwise).
+        otherwise). The whole batch is validated before any trial advances.
         """
+        self._check_batch(requests)
+        return [self.advance(trial, rounds) for trial, rounds in requests]
+
+    @staticmethod
+    def _check_batch(requests: Sequence[Tuple[Trial, int]]) -> None:
         seen = set()
-        for trial, _ in requests:
+        for trial, rounds in requests:
+            if rounds < 0:
+                raise ValueError(f"rounds must be >= 0, got {rounds}")
             if trial.trial_id in seen:
                 raise ValueError(f"trial {trial.trial_id} appears twice in one batch")
             seen.add(trial.trial_id)
-        return [self.advance(trial, rounds) for trial, rounds in requests]
 
     # -- measurement ----------------------------------------------------------
     def error_rates(self, trial: Trial) -> np.ndarray:
@@ -294,21 +302,11 @@ class TrialRunner:
         raise NotImplementedError
 
 
-#: Marker key of the error dict a worker ships back instead of a trainer
-#: state when the trial's training raised (exceptions are contained at the
-#: task level so one bad trial never takes down the whole map call).
-_TRIAL_FAILURE_KEY = "__trial_failure__"
-
-
 def _advance_trainer_task(payload, index: int) -> dict:
     """Worker task for parallel ``advance_many``: run the (fork-inherited)
-    trainer for its allotted rounds and ship back only its compact state
-    (or a failure marker when training raised)."""
+    trainer for its allotted rounds and ship back only its compact state."""
     trainer, rounds = payload[index]
-    try:
-        trainer.run(rounds)
-    except Exception as exc:
-        return {_TRIAL_FAILURE_KEY: repr(exc)}
+    trainer.run(rounds)
     return trainer.state_dict()
 
 
@@ -336,7 +334,9 @@ class FederatedTrialRunner(TrialRunner):
     mega-cohorts in this process. Workers are orthogonal to the mode:
     ``FederatedTrialRunner(..., executor=make_executor(n),
     cohort_mode="fused")`` fans the batch across processes and each
-    worker's trainer runs its own T=1 slab.
+    worker's trainer runs its own T=1 slab. On every path, only an
+    injected trial fault becomes a trial failure; an exception from
+    training (a slab, a worker task) propagates to the caller.
     """
 
     def __init__(
@@ -446,13 +446,7 @@ class FederatedTrialRunner(TrialRunner):
         pooled = executor is not None and getattr(executor, "n_workers", 1) > 1
         if not pooled and self.cohort_mode != "fused":
             return super().advance_many(requests)
-        seen = set()
-        for trial, rounds in requests:
-            if rounds < 0:
-                raise ValueError(f"rounds must be >= 0, got {rounds}")
-            if trial.trial_id in seen:
-                raise ValueError(f"trial {trial.trial_id} appears twice in one batch")
-            seen.add(trial.trial_id)
+        self._check_batch(requests)
         # The per-trial cap is pure arithmetic, so the whole batch can be
         # planned up front and only the training itself farmed out.
         planned = [(trial, min(rounds, self.max_rounds - trial.rounds)) for trial, rounds in requests]
@@ -463,10 +457,9 @@ class FederatedTrialRunner(TrialRunner):
         for trial, allowed in planned:
             if allowed <= 0 or trial.failed:
                 continue
-            try:
-                self._check_injected_fault(trial)
-            except Exception as exc:
-                self._record_trial_failure(trial, exc)
+            fault = self._injected_fault(trial)
+            if fault is not None:
+                self._record_trial_failure(trial, fault)
                 continue
             work.append((trial, allowed))
         if pooled:
@@ -475,40 +468,15 @@ class FederatedTrialRunner(TrialRunner):
             payload = [(trial.state, allowed) for trial, allowed in work]
             states = executor.map(_advance_trainer_task, range(len(work)), payload=payload)
             for (trial, _), state in zip(work, states):
-                if _TRIAL_FAILURE_KEY in state:
-                    self._record_trial_failure(
-                        trial, RuntimeError(state[_TRIAL_FAILURE_KEY])
-                    )
-                else:
-                    trial.state.load_state_dict(state)
+                trial.state.load_state_dict(state)
         else:
             if self._fused_pool is None:
                 from repro.fl.fused import FusedTrainerPool
 
                 self._fused_pool = FusedTrainerPool(dtype=self.cohort_dtype)
-            before = [trial.state.rounds_completed for trial, _ in work]
-            try:
-                self._fused_pool.advance(
-                    [trial.state for trial, _ in work], [allowed for _, allowed in work]
-                )
-            except Exception as exc:
-                # Last degradation step below the pool's own fused→serial
-                # fallbacks: finish each trial's remaining rounds on its
-                # own, quarantining only the trial that actually fails.
-                warnings.warn(
-                    f"fused batch advance failed ({exc!r}); finishing the "
-                    "batch with per-trial rounds",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                for (trial, allowed), done in zip(work, before):
-                    remaining = allowed - (trial.state.rounds_completed - done)
-                    if remaining <= 0:
-                        continue
-                    try:
-                        trial.state.run(remaining)
-                    except Exception as trial_exc:
-                        self._record_trial_failure(trial, trial_exc)
+            self._fused_pool.advance(
+                [trial.state for trial, _ in work], [allowed for _, allowed in work]
+            )
         for trial, allowed in planned:
             trial.rounds += allowed
             self.rounds_used += allowed

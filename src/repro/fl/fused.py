@@ -30,14 +30,13 @@ can drive it.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.fl.cohort import SlabTrainer
 from repro.fl.evaluation import StackedEvalEngine, fused_group_rates
-from repro.fl.trainer import FederatedTrainer, run_slab_round, trainer_names
+from repro.fl.trainer import FederatedTrainer, run_slab_round
 from repro.nn.stacked import STACKED_LOSSES, StackedModel, resolve_dtype, stack_signature
 
 
@@ -116,6 +115,9 @@ class FusedTrainerPool:
         and local step schedule; each bucket — of one trainer or many —
         trains as one pass over the pool's slab for that architecture.
         Trainers without stacked kernels run their own (serial) ``run``.
+        A diverged trial reruns its round serially (see
+        :func:`~repro.fl.trainer.run_slab_round`); any exception from
+        building or training a slab propagates.
         """
         if len(trainers) != len(rounds):
             raise ValueError(f"{len(trainers)} trainers but {len(rounds)} round counts")
@@ -143,27 +145,12 @@ class FusedTrainerPool:
     ) -> None:
         slab = self._slabs.get(key)
         if slab is None:
-            try:
-                slab = SlabTrainer(
-                    trainers[0].dataset.task,
-                    trainers[0].model,
-                    sum(t.clients_per_round for t in trainers),
-                    dtype=getattr(trainers[0], "cohort_dtype", self.dtype),
-                )
-            except Exception as exc:
-                # First degradation step: no pool slab, but each trainer
-                # still runs its own rounds. No training happened yet, so
-                # this is exact.
-                warnings.warn(
-                    f"fused slab unavailable for trials "
-                    f"[{trainer_names(trainers)}]: {exc!r}; degrading "
-                    "bucket to per-trainer rounds",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                for trainer, r in zip(trainers, rounds):
-                    trainer.run(r)
-                return
+            slab = SlabTrainer(
+                trainers[0].dataset.task,
+                trainers[0].model,
+                sum(t.clients_per_round for t in trainers),
+                dtype=getattr(trainers[0], "cohort_dtype", self.dtype),
+            )
             self._slabs[key] = slab
         remaining = list(rounds)
         while True:

@@ -12,7 +12,6 @@ need to continue promising configurations.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -399,15 +398,6 @@ class FederatedTrainer:
         )
 
 
-def trainer_names(trainers: Sequence[FederatedTrainer]) -> str:
-    """Human-readable trial names for degradation warnings (the fault key
-    is the trial id when a runner attached one)."""
-    return ", ".join(
-        str(t.fault_key) if t.fault_key is not None else f"#{i}"
-        for i, t in enumerate(trainers)
-    )
-
-
 def run_slab_round(trainers: Sequence[FederatedTrainer], slab: SlabTrainer) -> None:
     """One lockstep communication round across every given trainer.
 
@@ -416,6 +406,10 @@ def run_slab_round(trainers: Sequence[FederatedTrainer], slab: SlabTrainer) -> N
     A standalone trainer passes ``[self]`` and its own slab; a
     :class:`repro.fl.fused.FusedTrainerPool` passes every trainer of a
     schedule bucket and the pool's slab.
+
+    A trainer whose group ``train_groups`` flags as diverged (non-finite
+    client loss) reruns the round serially from its RNG snapshots; any
+    exception from the slab pass propagates.
     """
     cohorts = []
     snapshots = []
@@ -449,21 +443,7 @@ def run_slab_round(trainers: Sequence[FederatedTrainer], slab: SlabTrainer) -> N
                 dropout_rngs=drngs,
             )
         )
-    try:
-        succeeded = slab.train_groups(groups, [trainer._updates for trainer in trainers])
-    except Exception as exc:
-        # The slab pass itself blew up. Every trainer still holds its
-        # post-sample RNG snapshot, so marking the whole round as failed
-        # reruns it through the exact serial divergence-fallback path
-        # below — same results the slab would have produced, one warning
-        # naming the degraded trials.
-        warnings.warn(
-            f"slab round failed for trials [{trainer_names(trainers)}]: {exc!r}; "
-            "rerunning the round serially per trainer",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        succeeded = [False] * len(trainers)
+    succeeded = slab.train_groups(groups, [trainer._updates for trainer in trainers])
     for trainer, cohort, (rng_state, dropout_states), group, ok in zip(
         trainers, cohorts, snapshots, groups, succeeded
     ):

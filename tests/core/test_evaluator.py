@@ -62,6 +62,20 @@ class TestFederatedTrialRunner:
         with pytest.raises(ValueError):
             runner.advance(trial, -1)
 
+    @pytest.mark.parametrize("mode", ["serial", "fused"])
+    def test_invalid_batch_advances_nothing(self, cifar, mode):
+        """advance_many validates the whole batch before training any of
+        it: a bad request late in the batch leaves every trial and the
+        budget counter untouched, in both cohort modes."""
+        runner = FederatedTrialRunner(cifar, max_rounds=4, seed=0, cohort_mode=mode)
+        a, b = runner.create(sample_config(0)), runner.create(sample_config(1))
+        p0 = a.state.params.copy()
+        with pytest.raises(ValueError):
+            runner.advance_many([(a, 2), (b, -1)])
+        assert a.rounds == b.rounds == 0
+        assert runner.rounds_used == 0
+        assert np.array_equal(a.state.params, p0)
+
     def test_error_rates_cached_per_round_count(self, cifar):
         runner = FederatedTrialRunner(cifar, max_rounds=6, seed=0)
         trial = runner.create(sample_config())

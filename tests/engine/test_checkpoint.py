@@ -332,15 +332,17 @@ class TestCheckpointStore:
         path = str(tmp_path / "garbage.ckpt")
         with open(path, "wb") as fh:
             fh.write(b"not a pickle")
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+        with pytest.warns(RuntimeWarning, match="corrupt checkpoint"):
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
 
     def test_non_checkpoint_pickle_rejected(self, tmp_path):
         path = str(tmp_path / "foreign.ckpt")
         with open(path, "wb") as fh:
             pickle.dump({"something": "else"}, fh)
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+        with pytest.warns(RuntimeWarning, match="not a run checkpoint"):
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
 
     def test_write_is_atomic(self, tmp_path, dataset):
         """A save over an existing checkpoint never leaves temp debris,

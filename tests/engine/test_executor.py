@@ -108,16 +108,18 @@ class TestWorkerCrash:
 
     def test_sigkilled_worker_recovers_via_serial_retry(self):
         tasks = list(range(8))
-        out = ProcessExecutor(2).map(
-            _kill_worker_on_task, tasks, payload={"crash_task": 3}
-        )
+        with pytest.warns(RuntimeWarning, match=r"retry 1/1 .* serially in the parent"):
+            out = ProcessExecutor(2).map(
+                _kill_worker_on_task, tasks, payload={"crash_task": 3}
+            )
         assert out == [t * t for t in tasks]
 
     def test_unrecoverable_task_raises_naming_it(self):
-        with pytest.raises(WorkerCrashedError) as excinfo:
-            ProcessExecutor(2).map(
-                _always_crash, list(range(8)), payload={"crash_task": 5}
-            )
+        with pytest.warns(RuntimeWarning, match=r"retry 1/1 .* serially in the parent"):
+            with pytest.raises(WorkerCrashedError) as excinfo:
+                ProcessExecutor(2).map(
+                    _always_crash, list(range(8)), payload={"crash_task": 5}
+                )
         assert excinfo.value.task == 5
         assert "5" in str(excinfo.value)
         assert "boom" in str(excinfo.value)

@@ -549,10 +549,11 @@ class TestExecutorFaults:
         plan = FaultPlan(FaultConfig(seed=1, task_kill_rate=1.0))
         ex = ProcessExecutor(n_workers=2, max_retries=2, backoff_base=0.0, faults=plan)
         tasks = list(range(5))
-        with pytest.warns(RuntimeWarning, match=r"retry 1/2") as captured:
+        with pytest.warns(RuntimeWarning, match=r"retry [12]/2") as captured:
             assert ex.map(_double, tasks) == [t * 2 for t in tasks]
         messages = [str(w.message) for w in captured]
-        assert any("serially in the parent" in m for m in messages)
+        assert any("retry 1/2" in m and "in a fresh pool" in m for m in messages)
+        assert any("retry 2/2" in m and "serially in the parent" in m for m in messages)
 
     @needs_fork
     def test_partial_kill_rate_matches_serial(self):
@@ -856,7 +857,7 @@ class TestSweepContainment:
         METHODS["broken"] = Broken
         try:
             ctx = ExperimentContext(preset="test", seed=0, n_bank_configs=4)
-            with pytest.warns(RuntimeWarning, match="runs failed"):
+            with pytest.warns(RuntimeWarning, match="failed") as captured:
                 records = run_method_comparison(
                     ctx, methods=("rs", "broken"), n_trials=1, budget_points=4
                 )
@@ -865,6 +866,9 @@ class TestSweepContainment:
         failed = [r for r in records if r.get("failed")]
         ok = [r for r in records if not r.get("failed")]
         assert len(failed) == 2  # noiseless + noisy
+        messages = [str(w.message) for w in captured]
+        assert sum("continuing the sweep" in m for m in messages) == 2
+        assert any("runs failed" in m for m in messages)
         assert all(r.method == "broken" for r in failed)
         assert all("injected sweep failure" in r.error for r in failed)
         assert len(ok) == 2 and all(r.method == "rs" for r in ok)
@@ -886,10 +890,13 @@ class TestSweepContainment:
         path = str(tmp_path / "bad.ckpt")
         with open(path, "wb") as fh:
             fh.write(b"garbage")
-        with pytest.warns(RuntimeWarning, match="starting the run fresh"):
+        with pytest.warns(RuntimeWarning, match="the run fresh") as captured:
             tuner = make_fig_tuner(
                 "rs", ctx, "cifar10", PAPER_NOISELESS, seed=3, resume=path
             )
+        messages = [str(w.message) for w in captured]
+        assert any(m.startswith("corrupt checkpoint") for m in messages)
+        assert any("starting the run fresh" in m for m in messages)
         assert not tuner.observations  # fresh run, not a partial restore
         assert os.path.exists(path + ".corrupt")
 

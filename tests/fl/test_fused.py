@@ -10,9 +10,12 @@ must split into per-slab groups rather than fuse incorrectly, and trials
 with different local step schedules must never share a slab pass.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
+import repro.fl.cohort as cohort_module
 from repro.core import FederatedTrialRunner, GridSearch, Hyperband, NoiseConfig, RandomSearch
 from repro.core.hyperband import SuccessiveHalving
 from repro.core.search_space import paper_space
@@ -21,7 +24,7 @@ from repro.datasets.base import ClientData, FederatedDataset, TaskSpec, classifi
 from repro.engine import make_executor
 from repro.fl import FedAdam, FederatedTrainer, FusedTrainerPool, LocalTrainingConfig, SlabTrainer
 from repro.nn import Dropout, Linear, ReLU, Sequential, make_mlp, softmax_cross_entropy
-from repro.nn.stacked import DTYPE_ENV
+from repro.nn.stacked import DTYPE_ENV, StackedModel
 
 RTOL, ATOL = 1e-8, 1e-11  # documented ragged-cohort tolerance (multi-round)
 
@@ -448,16 +451,93 @@ class TestTunerFamilyEquivalence:
         self.assert_equivalent(*self.pair(ds, RandomSearch, n_configs=3, total_budget=18))
 
 
-@pytest.mark.slow
 class TestFusedBankBuild:
-    def test_bank_matches_serial_build(self):
+    @pytest.mark.parametrize("dataset", ["mlp", "cifar10"])
+    def test_bank_matches_serial_build(self, dataset):
         from repro.experiments.bank import ConfigBank
 
-        ds = mlp_dataset(seed=4)
-        kwargs = dict(n_configs=4, max_rounds=9, seed=0, store_params=True)
+        if dataset == "mlp":
+            ds, max_rounds = mlp_dataset(seed=4), 9
+        else:
+            ds, max_rounds = load_dataset("cifar10", "test", seed=0), 3
+        kwargs = dict(n_configs=4, max_rounds=max_rounds, seed=0, store_params=True)
         serial = ConfigBank.build(ds, SPACE, cohort_mode="serial", **kwargs)
         fused = ConfigBank.build(ds, SPACE, cohort_mode="fused", **kwargs)
         assert serial.checkpoints == fused.checkpoints
         assert serial.configs == fused.configs
         np.testing.assert_allclose(fused.errors, serial.errors, rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(fused.params, serial.params, rtol=RTOL, atol=1e-8)
+
+
+class _Sentinel(Exception):
+    """Raised by a mutated slab target; no layer may catch it."""
+
+
+def _raise_sentinel(*args, **kwargs):
+    raise _Sentinel()
+
+
+def _fused_runner_trials(ds, n=3):
+    runner = FederatedTrialRunner(ds, max_rounds=4, seed=1, cohort_mode="fused")
+    return runner, [runner.create(SPACE.sample(np.random.default_rng(s))) for s in range(n)]
+
+
+def _standalone_run(ds):
+    make_trainer(ds, "fused").run(2)
+
+
+def _pool_advance(ds):
+    FusedTrainerPool().advance([make_trainer(ds, "fused", seed=s) for s in (1, 2)], [2, 2])
+
+
+def _runner_advance_many(ds):
+    runner, trials = _fused_runner_trials(ds)
+    runner.advance_many([(t, 2) for t in trials])
+
+
+def _runner_error_rates_many(ds):
+    runner, trials = _fused_runner_trials(ds)
+    runner.error_rates_many(trials)
+
+
+def _bank_build(ds):
+    from repro.experiments.bank import ConfigBank
+
+    ConfigBank.build(ds, SPACE, n_configs=3, max_rounds=3, seed=0, cohort_mode="fused")
+
+
+#: Mutation target -> (owner, attribute). ``fused_sgd_step`` is patched in
+#: the module namespace ``SlabTrainer.train_groups`` resolves it from.
+_TARGETS = {
+    "train_groups": (SlabTrainer, "train_groups"),
+    "slab_init": (SlabTrainer, "__init__"),
+    "fused_sgd_step": (cohort_module, "fused_sgd_step"),
+    "forward_eval": (StackedModel, "forward_eval"),
+}
+_TRAINING_ENTRIES = [_standalone_run, _pool_advance, _runner_advance_many, _bank_build]
+_MUTATIONS = [
+    (target, entry)
+    for target in ("train_groups", "slab_init", "fused_sgd_step")
+    for entry in _TRAINING_ENTRIES
+] + [("forward_eval", _runner_error_rates_many), ("forward_eval", _bank_build)]
+
+
+class TestNoSilentFallback:
+    """A broken slab must fail loudly. Each target is forced to raise a
+    private sentinel; every fused entry point that reaches it must
+    propagate that exception, with no RuntimeWarning on the way — a
+    catch-all that reroutes through the serial oracle would make the
+    serial-vs-fused contracts compare the oracle with itself."""
+
+    @pytest.mark.parametrize(
+        "target, entry", _MUTATIONS, ids=[f"{t}-{e.__name__[1:]}" for t, e in _MUTATIONS]
+    )
+    def test_mutation_propagates(self, monkeypatch, target, entry):
+        ds = mlp_dataset(seed=9)
+        owner, name = _TARGETS[target]
+        monkeypatch.setattr(owner, name, _raise_sentinel)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(_Sentinel):
+                entry(ds)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -253,7 +253,7 @@ class TestCrossProcessConsistency:
         job_id = q1.submit(SPEC)
         with open(os.path.join(root, "queue.jsonl"), "a") as fh:
             fh.write('{"op": "done", "job_id": "j0001"')  # torn: no newline
-        q2 = JobQueue(root, clock=clock)
         with pytest.warns(RuntimeWarning, match="torn entry"):
+            q2 = JobQueue(root, clock=clock)
             job = q2.job(job_id)
         assert job["state"] == PENDING  # the torn DONE never committed
