@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for bank builds (default: $REPRO_WORKERS)",
+        help="worker processes for bank builds and sweep runs (default: $REPRO_WORKERS)",
     )
     parser.add_argument(
         "--cohort-mode",

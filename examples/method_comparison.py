@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for trial batches (default: $REPRO_WORKERS)",
+        help="worker processes, one tuning run each (default: $REPRO_WORKERS)",
     )
     parser.add_argument(
         "--cohort-mode",

@@ -46,12 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of validation clients each noisy evaluation sees",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for population steps (default: $REPRO_WORKERS)",
-    )
-    parser.add_argument(
         "--cohort-mode",
         choices=COHORT_MODES,
         default=None,
@@ -68,7 +62,6 @@ def main(argv=None) -> None:
     ctx = ExperimentContext(
         preset=args.preset,
         seed=args.seed,
-        n_workers=args.workers,
         cohort_mode=args.cohort_mode,
     )
     dataset = ctx.dataset(args.dataset)
@@ -80,7 +73,6 @@ def main(argv=None) -> None:
             max_rounds=ctx.max_rounds,
             clients_per_round=ctx.clients_per_round,
             seed=args.seed,
-            executor=ctx.executor,
             cohort_mode=ctx.cohort_mode,
         )
         tuner = cls(

@@ -17,10 +17,10 @@ The package is organised bottom-up:
   differential privacy).
 - :mod:`repro.experiments` — drivers that regenerate every table and figure
   in the paper's evaluation.
-- :mod:`repro.engine` — the parallel execution substrate: process-pool
-  executor, `advance_many` batch trial API, trial-fused cross-trial slab
-  training (whole tuner rungs in lockstep), and the disk-backed
-  configuration-bank store. Parallelism and caching never change results.
+- :mod:`repro.engine` — the execution substrate: a process-pool executor
+  that maps whole tuning runs and bank configs, checkpoint/resume, fault
+  injection, and the disk-backed configuration-bank store. Parallelism
+  and caching never change results.
 """
 
 __version__ = "1.0.0"

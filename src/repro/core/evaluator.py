@@ -99,7 +99,7 @@ class TrialRunner:
     def set_fault_plan(self, plan) -> None:
         """Attach a :class:`repro.engine.faults.FaultPlan`. The base runner
         uses it only for injected trial failures; subclasses wire it
-        deeper (trainers, executors). ``None`` detaches."""
+        deeper (trainers). ``None`` detaches."""
         self.faults = plan
         if plan is not None:
             self.max_trial_failures = plan.config.max_trial_failures
@@ -177,9 +177,9 @@ class TrialRunner:
 
         Returns the rounds consumed per request, exactly as a serial
         ``[self.advance(t, r) for t, r in requests]`` would — that serial
-        loop is the default implementation. Runners with an executor
-        override this to fan the training work across workers; results
-        must stay bit-identical to the serial loop. Each trial may appear
+        loop is the default implementation. Runners with a batched
+        training engine override this; results must stay bit-identical to
+        the serial loop. Each trial may appear
         at most once per batch (the calls would not be independent
         otherwise). The whole batch is validated before any trial advances.
         """
@@ -208,8 +208,7 @@ class TrialRunner:
         would (that serial loop is the default implementation — evaluation
         consumes no RNG, so ordering is free). Runners with batched
         evaluation engines override this to score whole tuner rungs in one
-        stacked sweep or across a process pool; results must stay
-        bit-identical per trial.
+        stacked sweep; results must stay bit-identical per trial.
         """
         return [self.error_rates(trial) for trial in trials]
 
@@ -302,41 +301,20 @@ class TrialRunner:
         raise NotImplementedError
 
 
-def _advance_trainer_task(payload, index: int) -> dict:
-    """Worker task for parallel ``advance_many``: run the (fork-inherited)
-    trainer for its allotted rounds and ship back only its compact state."""
-    trainer, rounds = payload[index]
-    trainer.run(rounds)
-    return trainer.state_dict()
-
-
-def _eval_rates_task(payload, index: int) -> np.ndarray:
-    """Worker task for pooled ``error_rates_many``: evaluate one
-    fork-inherited trainer on the full validation pool and ship back only
-    the rate vector (evaluation consumes no RNG and only scratch model
-    state, so nothing needs merging back into the parent)."""
-    return payload[index].eval_error_rates()
-
-
 class FederatedTrialRunner(TrialRunner):
     """Live runner: every trial is a real :class:`FederatedTrainer`.
 
     Per-trial seeds derive deterministically from the runner seed and the
-    trial id, so a tuning run is reproducible end-to-end. An ``executor``
-    (see :mod:`repro.engine.executor`) parallelises :meth:`advance_many`
-    across processes: each trainer carries its own RNG stream, so training
-    trials in workers and merging their state back is bit-identical to the
-    serial loop. With ``cohort_mode="fused"`` (and no multi-process
-    executor), :meth:`advance_many` instead hands the batch to a
+    trial id, so a tuning run is reproducible end-to-end. With
+    ``cohort_mode="fused"``, :meth:`advance_many` hands the batch to a
     :class:`repro.fl.fused.FusedTrainerPool`, which trains every
     same-architecture, same-schedule bucket of trials as one cross-trial
     parameter slab — whole Hyperband/SHA rungs train as a few lockstep
-    mega-cohorts in this process. Workers are orthogonal to the mode:
-    ``FederatedTrialRunner(..., executor=make_executor(n),
-    cohort_mode="fused")`` fans the batch across processes and each
-    worker's trainer runs its own T=1 slab. On every path, only an
-    injected trial fault becomes a trial failure; an exception from
-    training (a slab, a worker task) propagates to the caller.
+    mega-cohorts in this process. The runner is single-process: process
+    parallelism maps whole tuning runs
+    (:func:`repro.experiments.fig_methods.run_sweep`), one runner each. Only
+    an injected trial fault becomes a trial failure; an exception from
+    training propagates to the caller.
     """
 
     def __init__(
@@ -346,7 +324,6 @@ class FederatedTrialRunner(TrialRunner):
         clients_per_round: int = 10,
         scheme: str = "weighted",
         seed: SeedLike = 0,
-        executor=None,
         cohort_mode: Optional[str] = None,
         cohort_dtype=None,
     ):
@@ -357,7 +334,6 @@ class FederatedTrialRunner(TrialRunner):
         self.dataset = dataset
         self.clients_per_round = clients_per_round
         self.scheme = scheme
-        self.executor = executor
         self.cohort_mode = resolve_cohort_mode(cohort_mode)
         self.cohort_dtype = resolve_dtype(cohort_dtype)
         self._fused_pool = None
@@ -366,14 +342,6 @@ class FederatedTrialRunner(TrialRunner):
         self._rates_cache: Dict[int, tuple] = {}
         self._eval_weights_cache: Dict[str, np.ndarray] = {}
         self._quarantined_rates_memo: Optional[np.ndarray] = None
-
-    def set_fault_plan(self, plan) -> None:
-        """Attach the plan runner-wide: injected trial crashes here,
-        dropout/stragglers in every (current and future) trainer, worker
-        kills in the executor."""
-        super().set_fault_plan(plan)
-        if self.executor is not None and hasattr(self.executor, "faults"):
-            self.executor.faults = plan
 
     def _init_trial(self, trial: Trial) -> None:
         trial_seed = int(self._seed_rng.integers(0, 2**63 - 1))
@@ -442,17 +410,15 @@ class FederatedTrialRunner(TrialRunner):
         self._rates_cache.pop(trial.trial_id, None)
 
     def advance_many(self, requests: Sequence[Tuple[Trial, int]]) -> List[int]:
-        executor = self.executor
-        pooled = executor is not None and getattr(executor, "n_workers", 1) > 1
-        if not pooled and self.cohort_mode != "fused":
+        if self.cohort_mode != "fused":
             return super().advance_many(requests)
         self._check_batch(requests)
         # The per-trial cap is pure arithmetic, so the whole batch can be
-        # planned up front and only the training itself farmed out.
+        # planned up front and only the training itself handed to the slab.
         planned = [(trial, min(rounds, self.max_rounds - trial.rounds)) for trial, rounds in requests]
         # Quarantined trials burn their grant without training; trials whose
-        # injected crash fires this advance fail before dispatch (keyed by
-        # the entry round count, exactly as the serial path draws it).
+        # injected crash fires this advance fail before the slab pass (keyed
+        # by the entry round count, exactly as the serial path draws it).
         work = []
         for trial, allowed in planned:
             if allowed <= 0 or trial.failed:
@@ -462,21 +428,11 @@ class FederatedTrialRunner(TrialRunner):
                 self._record_trial_failure(trial, fault)
                 continue
             work.append((trial, allowed))
-        if pooled:
-            # Process-level parallelism wins over in-process fusion: each
-            # worker's trainer runs its own (T=1 slab or serial) rounds.
-            payload = [(trial.state, allowed) for trial, allowed in work]
-            states = executor.map(_advance_trainer_task, range(len(work)), payload=payload)
-            for (trial, _), state in zip(work, states):
-                trial.state.load_state_dict(state)
-        else:
-            if self._fused_pool is None:
-                from repro.fl.fused import FusedTrainerPool
+        if self._fused_pool is None:
+            from repro.fl.fused import FusedTrainerPool
 
-                self._fused_pool = FusedTrainerPool(dtype=self.cohort_dtype)
-            self._fused_pool.advance(
-                [trial.state for trial, _ in work], [allowed for _, allowed in work]
-            )
+            self._fused_pool = FusedTrainerPool(dtype=self.cohort_dtype)
+        self._fused_pool.advance([trial.state for trial, _ in work], [allowed for _, allowed in work])
         for trial, allowed in planned:
             trial.rounds += allowed
             self.rounds_used += allowed
@@ -512,9 +468,7 @@ class FederatedTrialRunner(TrialRunner):
         """Batch evaluation of a rung/batch of trials, bit-identical per
         trial to the serial :meth:`error_rates` loop.
 
-        Uncached trials are scored either across the process pool (when
-        the runner's executor has workers — each worker runs the plain
-        serial evaluation and ships back its rate vector) or through one
+        Uncached trials are scored through one
         :class:`~repro.fl.evaluation.StackedEvalEngine` inference slab per
         architecture group. A fused runner hands the engine the training
         slab its rung just used (no unstack/restack round trip); trials
@@ -534,23 +488,7 @@ class FederatedTrialRunner(TrialRunner):
                 results[trial.trial_id] = cached[1]
             else:
                 pending.append(trial)
-        executor = self.executor
-        pooled = executor is not None and getattr(executor, "n_workers", 1) > 1
-        if len(pending) > 1 and pooled:
-            # Build (or touch) the pool's chunk plan in the parent first:
-            # workers fork per map() call, so only a parent-cached plan is
-            # inherited copy-on-write — otherwise every worker would
-            # re-concatenate the validation pool on every rung.
-            from repro.fl.evaluation import eval_chunk_plan
-
-            eval_chunk_plan(self.dataset.eval_clients)
-            payload = [trial.state for trial in pending]
-            rates_list = executor.map(
-                _eval_rates_task, list(range(len(pending))), payload=payload
-            )
-            for trial, rates in zip(pending, rates_list):
-                results[trial.trial_id] = self._store_rates(trial, np.asarray(rates))
-        elif len(pending) > 1:
+        if len(pending) > 1:
             self._stacked_rates(pending, results)
         else:
             for trial in pending:

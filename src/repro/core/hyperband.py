@@ -160,10 +160,10 @@ class Hyperband(BaseTuner):
             n_active, target_rounds = rungs[rung_idx]
             active = bracket["trials"][:n_active]
             # A rung's trials are independent: grant their budget serially,
-            # train them as one advance_many batch (parallel runners fan it
-            # across workers), then evaluate them as one error_rates_many
-            # batch (stacked/pooled runners score the whole rung in a
-            # single fused sweep). Evaluation-noise draws and budget
+            # train them as one advance_many batch (fused runners train it
+            # as one slab), then evaluate them as one error_rates_many
+            # batch (stacked runners score the whole rung in a single
+            # fused sweep). Evaluation-noise draws and budget
             # snapshots land exactly as in a serial loop.
             planned, snapshots, truncated = self.train_trials(
                 (trial, target_rounds - trial.rounds) for trial in active

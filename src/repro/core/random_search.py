@@ -25,7 +25,7 @@ class RandomSearch(BaseTuner):
 
     Plain random-search proposals do not depend on earlier evaluations, so
     the run is phased: propose every config, train them all as one
-    ``advance_many`` batch (parallel runners fan it across workers), then
+    ``advance_many`` batch (fused runners train it as one slab), then
     evaluate in proposal order. Subclasses whose proposals *are* driven by
     earlier observations (TPE) set ``sequential_proposals = True`` to keep
     the strict propose→train→observe loop.

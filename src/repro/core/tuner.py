@@ -114,8 +114,8 @@ class BaseTuner:
     def attach_faults(self, plan) -> None:
         """Attach a :class:`repro.engine.faults.FaultPlan` (or a bare
         :class:`~repro.engine.faults.FaultConfig`) to the whole run: the
-        runner (injected trial crashes, trainer dropout/stragglers, worker
-        kills) and the evaluator (evaluation dropout) in one move. Call
+        runner (injected trial crashes, trainer dropout/stragglers) and
+        the evaluator (evaluation dropout) in one move. Call
         before :meth:`run`; the fault config is echoed into checkpoints
         and validated on resume, so a resumed run replays the identical
         fault sequence. ``None`` detaches."""
@@ -207,7 +207,7 @@ class BaseTuner:
         per-config-cap refunds and the exhaustion cutoff — is exactly what
         a trial-by-trial loop produces), and only then is the training
         itself issued as one :meth:`TrialRunner.advance_many` batch, which
-        parallel runners fan across workers.
+        fused runners train as cross-trial slabs.
 
         Returns ``(planned, snapshots, truncated)``: the ``(trial,
         consumed)`` pairs actually trained, the ledger value after each
@@ -321,8 +321,8 @@ class BaseTuner:
         """Batch :meth:`observe` over ``[(trial, budget_used), ...]``.
 
         Rate vectors for the whole batch are prefetched through
-        :meth:`TrialRunner.error_rates_many` — which stacked/pooled
-        runners score as one fused sweep — then each trial is observed in
+        :meth:`TrialRunner.error_rates_many` — which stacked runners
+        score as one fused sweep — then each trial is observed in
         order. Evaluation consumes no tuner RNG, so noise draws, incumbent
         updates, and curve points land exactly as in the serial loop.
         """

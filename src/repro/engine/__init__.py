@@ -8,13 +8,12 @@ The engine is the execution substrate underneath every online experiment:
   rides a fork-inherited payload and only small, picklable results cross
   process boundaries. :class:`SerialExecutor` is the drop-in fallback and
   the reference for bit-equivalence.
-  Pass one to :class:`repro.core.evaluator.FederatedTrialRunner`
-  (``executor=make_executor(n)``) and its ``advance_many`` /
-  ``error_rates_many`` batch API fans independent trials across workers
-  while preserving per-trial deterministic seeding; without one,
-  ``cohort_mode="fused"`` trains the batch in-process as cross-trial
-  parameter slabs (:mod:`repro.fl.fused`). Workers and cohort mode are
-  orthogonal: a worker's trainer runs whichever mode the runner was given.
+  The experiment drivers map whole tuning runs through it (every
+  fig8/15/16 cell and figfaults point is an independent, seeded run;
+  :func:`repro.experiments.fig_methods.run_sweep`), and
+  :meth:`repro.experiments.bank.ConfigBank.build` maps bank configs.
+  Inside a run, ``cohort_mode="fused"`` trains each ``advance_many``
+  batch in-process as cross-trial parameter slabs (:mod:`repro.fl.fused`).
 - :mod:`repro.engine.bank_store` — :class:`BankStore`, a disk-backed
   memo of built configuration banks keyed by the full build signature
   ``(dataset, preset, seed, n_configs, max_rounds, format_version, ...)``.

@@ -57,10 +57,9 @@ _PAYLOAD: Any = None
 _IN_WORKER = False
 
 # The fork-inherited payload slot above is process-global, so only one
-# pooled attempt may be in flight at a time. The tuning-service daemon
-# (repro.service) runs several jobs as threads over ONE shared executor;
-# this lock serializes their pooled attempts so a fork can never snapshot
-# another thread's payload. Single-threaded callers never contend.
+# pooled attempt may be in flight at a time. This lock serializes pooled
+# attempts from different threads so a fork can never snapshot another
+# thread's payload. Single-threaded callers never contend.
 _POOL_LOCK = threading.Lock()
 
 
@@ -164,21 +163,15 @@ class TrialExecutor:
         fn: Callable[[Any, Any], Any],
         tasks: Sequence[Any],
         payload: Any = None,
-        max_workers: Optional[int] = None,
     ) -> List[Any]:
-        """Return ``[fn(payload, task) for task in tasks]`` (order kept).
-
-        ``max_workers`` optionally caps the parallelism of this one call
-        below the executor's pool size (per-job resource caps in the
-        tuning service); results never depend on it.
-        """
+        """Return ``[fn(payload, task) for task in tasks]`` (order kept)."""
         raise NotImplementedError
 
 
 class SerialExecutor(TrialExecutor):
     """In-process reference implementation."""
 
-    def map(self, fn, tasks, payload=None, max_workers=None):
+    def map(self, fn, tasks, payload=None):
         return [fn(payload, task) for task in tasks]
 
 
@@ -240,17 +233,9 @@ class ProcessExecutor(TrialExecutor):
         # kills are result-invariant, only coverage-relevant.
         self._attempts = 0
 
-    def map(self, fn, tasks, payload=None, max_workers=None):
+    def map(self, fn, tasks, payload=None):
         tasks = list(tasks)
-        workers = self.n_workers
-        if max_workers is not None:
-            workers = min(workers, max(1, int(max_workers)))
-        if (
-            len(tasks) <= 1
-            or workers <= 1
-            or _IN_WORKER
-            or not fork_available()
-        ):
+        if len(tasks) <= 1 or self.n_workers <= 1 or _IN_WORKER or not fork_available():
             return SerialExecutor().map(fn, tasks, payload)
         results: List[Any] = [None] * len(tasks)
         pending = list(range(len(tasks)))
@@ -281,32 +266,28 @@ class ProcessExecutor(TrialExecutor):
                             tasks[i], detail=f"serial retry failed: {exc}"
                         ) from exc
                 return results
-            crashed, timed_out = self._run_pooled(
-                fn, payload, tasks, pending, results, workers
-            )
+            crashed, timed_out = self._run_pooled(fn, payload, tasks, pending, results)
             ever_timed_out.update(timed_out)
             pending = sorted(crashed + timed_out)
             if not pending:
                 return results
         raise AssertionError("unreachable: retry loop exits via return/raise")
 
-    def _run_pooled(self, fn, payload, tasks, indices, results, max_workers):
+    def _run_pooled(self, fn, payload, tasks, indices, results):
         """One pooled attempt over ``tasks[i] for i in indices``; fills
         ``results`` in place and returns ``(crashed, timed_out)`` index
         lists. A dying worker breaks every task queued behind it, so most
         crashed entries are innocent bystanders — the caller retries them.
 
         Holds :data:`_POOL_LOCK` end to end: the fork-inherited payload
-        slot is process-global, so concurrent ``map`` calls from service
-        job threads take turns at the pool (their results are unaffected —
+        slot is process-global, so concurrent ``map`` calls from different
+        threads take turns at the pool (their results are unaffected —
         ordering and randomness are bound into the tasks, not the pool).
         """
         with _POOL_LOCK:
-            return self._run_pooled_locked(
-                fn, payload, tasks, indices, results, max_workers
-            )
+            return self._run_pooled_locked(fn, payload, tasks, indices, results)
 
-    def _run_pooled_locked(self, fn, payload, tasks, indices, results, max_workers):
+    def _run_pooled_locked(self, fn, payload, tasks, indices, results):
         global _PAYLOAD
         self._attempts += 1
         _PAYLOAD = (fn, payload, self.faults, self._attempts)
@@ -314,7 +295,7 @@ class ProcessExecutor(TrialExecutor):
         timed_out: List[int] = []
         try:
             ctx = multiprocessing.get_context("fork")
-            workers = min(max_workers, len(indices))
+            workers = min(self.n_workers, len(indices))
             pool = _PoolExecutor(
                 max_workers=workers, mp_context=ctx, initializer=_mark_worker
             )
@@ -345,38 +326,18 @@ class ProcessExecutor(TrialExecutor):
                     pool.shutdown(wait=False, cancel_futures=True)
                 else:
                     pool.shutdown(wait=True)
+            except SystemExit:
+                # A task's checkpoint-and-exit preemption: every in-flight
+                # task was signalled too, so let each reach its own save
+                # before the exit propagates; queued tasks never start.
+                pool.shutdown(wait=True, cancel_futures=True)
+                raise
             except BaseException:
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
         finally:
             _PAYLOAD = None
         return crashed, timed_out
-
-
-class WorkerCapExecutor(TrialExecutor):
-    """A per-tenant view of a shared executor with a worker-count cap.
-
-    The tuning service schedules many jobs onto ONE executor pool; each
-    job gets a ``WorkerCapExecutor`` wrapping it so a single tenant can
-    never occupy more than its cap of the shared workers. Results are
-    identical to running on the shared executor directly (parallelism is
-    result-invariant by the executor contract); only throughput changes.
-    """
-
-    def __init__(self, base: TrialExecutor, max_workers: Optional[int] = None):
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.base = base
-        self.max_workers = max_workers
-        self.n_workers = (
-            base.n_workers if max_workers is None else min(base.n_workers, max_workers)
-        )
-
-    def map(self, fn, tasks, payload=None, max_workers=None):
-        cap = self.max_workers
-        if max_workers is not None:
-            cap = max_workers if cap is None else min(cap, max_workers)
-        return self.base.map(fn, tasks, payload, max_workers=cap)
 
 
 def make_executor(n_workers: Optional[int] = None, faults=None) -> TrialExecutor:

@@ -21,8 +21,9 @@ the engine survives gracefully:
 - **Trial failures** — a training step of one trial raises; the runner
   records the failure and, past a failure cap, quarantines the trial
   (error 1.0, like the diverged convention) instead of aborting the run.
-- **Worker kills** — a pool worker SIGKILLs itself mid-task, exercising
-  the executor's crash-retry path (:mod:`repro.engine.executor`).
+- **Worker kills** — a pool worker SIGKILLs itself as a task (a sweep
+  run, a bank config) starts, exercising the executor's crash-retry path
+  (:mod:`repro.engine.executor`); the task is retried whole.
 
 Determinism contract
 --------------------
@@ -224,8 +225,8 @@ class FaultPlan:
 
     The plan is *stateless*: every query recomputes its answer from the
     config seed and the caller's coordinates, so the same plan object can
-    be shared by a trainer, a runner, an evaluator, and an executor
-    without any cross-talk, and a rebuilt plan (after checkpoint/resume)
+    be shared by a trainer, a runner and an evaluator without any
+    cross-talk, and a rebuilt plan (after checkpoint/resume)
     answers identically.
     """
 

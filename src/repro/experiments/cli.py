@@ -143,7 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for bank builds (default: $REPRO_WORKERS, else serial)",
+        help=(
+            "worker processes: each builds bank configs or runs whole tuning "
+            "runs of a sweep (default: $REPRO_WORKERS, else serial)"
+        ),
     )
     parser.add_argument(
         "--methods",

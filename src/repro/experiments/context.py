@@ -19,7 +19,7 @@ from repro.utils.rng import RngFactory
 
 # Environment defaults for the execution engine (see repro.engine):
 # REPRO_BANK_CACHE — directory for the disk-backed bank store.
-# REPRO_WORKERS — worker-process count for parallel bank builds.
+# REPRO_WORKERS — worker-process count for bank builds and sweep runs.
 # REPRO_COHORT_VECTOR — cohort mode, "serial" or "fused" (repro.fl.cohort).
 # REPRO_DTYPE — slab compute dtype ("float64"/"float32"; repro.nn.stacked.resolve_dtype).
 # REPRO_CHECKPOINT_DIR — directory for tuning-run checkpoints (repro.engine.checkpoint).
@@ -63,8 +63,10 @@ class ExperimentContext:
         sessions. Defaults to ``$REPRO_BANK_CACHE`` (no disk cache when
         unset — parallelism and caching never change results, but opting
         in is explicit).
-    n_workers : worker processes for bank builds (``$REPRO_WORKERS`` when
-        unset; both unset means serial).
+    n_workers : worker processes (``$REPRO_WORKERS`` when unset; both
+        unset means serial). The context's executor maps bank configs in
+        :meth:`bank` builds and whole tuning runs in the sweep drivers
+        (:func:`repro.experiments.fig_methods.run_sweep`).
     cohort_mode : "serial" or "fused" cohort training for every trainer
         this context builds (``$REPRO_COHORT_VECTOR`` when unset, else
         serial; see :mod:`repro.fl.cohort`). "fused" trains tuner rungs
@@ -87,12 +89,6 @@ class ExperimentContext:
         :func:`repro.experiments.fig_methods.make_tuner`) and into the
         context's executor (worker kills). Defaults to ``$REPRO_FAULTS``
         parsed via :meth:`FaultConfig.parse` (no injection when unset).
-    executor : a pre-built :class:`repro.engine.executor.TrialExecutor`
-        to use instead of constructing one — the tuning service
-        (:mod:`repro.service`) injects its one shared pool (optionally
-        wrapped in a per-job :class:`~repro.engine.executor.WorkerCapExecutor`)
-        into every job's context so all tenants share the same workers.
-        Overrides ``n_workers``; the caller owns fault wiring.
     """
 
     def __init__(
@@ -108,7 +104,6 @@ class ExperimentContext:
         cohort_dtype=None,
         checkpoint_dir: Optional[str] = None,
         faults=None,
-        executor=None,
     ):
         from repro.engine.bank_store import BankStore
         from repro.engine.executor import SerialExecutor, make_executor
@@ -143,12 +138,7 @@ class ExperimentContext:
         if isinstance(faults, FaultConfig):
             faults = FaultPlan(faults)
         self.faults = faults
-        if executor is not None:
-            # Injected shared executor (the tuning service schedules many
-            # concurrent jobs onto one pool); the caller owns its fault
-            # wiring and worker caps.
-            self.executor = executor
-        elif n_workers is None and not os.environ.get(WORKERS_ENV_VAR):
+        if n_workers is None and not os.environ.get(WORKERS_ENV_VAR):
             self.executor = SerialExecutor()
         else:
             self.executor = make_executor(n_workers, faults=self.faults)

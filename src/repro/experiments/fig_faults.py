@@ -16,14 +16,13 @@ reproducible while no two runs share a fault stream.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from repro.core.noise import NoiseConfig
 from repro.engine.faults import FaultConfig, FaultPlan
 from repro.experiments.context import ExperimentContext
-from repro.experiments.fig_methods import PAPER_NOISY, make_tuner, run_seed
+from repro.experiments.fig_methods import PAPER_NOISY, RunSpec, run_seed, run_sweep
 from repro.utils.records import Record
 
 #: Default dropout-severity grid: none, mild, heavy, extreme.
@@ -74,14 +73,13 @@ def run_fault_sweep(
     and the straggler rate with half of it. The default base sets a 50%
     quorum — the regime where heavy dropout starts losing whole rounds.
 
-    A run that raises is recorded as a failure entry and the sweep
-    continues (same containment contract as
-    :func:`repro.experiments.fig_methods.run_method_comparison`).
+    The runs are independent and ``ctx.executor`` maps them across
+    workers; a run that raises is recorded as a failure entry and the
+    sweep continues (:func:`repro.experiments.fig_methods.run_sweep`).
     """
     if base_faults is None:
         base_faults = FaultConfig(quorum=0.5)
-    records: List[Record] = []
-    failed_runs: List[str] = []
+    specs = []
     for name in dataset_names:
         for method in methods:
             for rate in dropout_rates:
@@ -94,54 +92,32 @@ def run_fault_sweep(
                         eval_dropout_rate=rate,
                         straggler_rate=rate / 2.0,
                     ).reseeded(name, method, rate, trial)
-                    seed = run_seed(ctx.seed, "figfaults", name, method, rate, trial)
-                    run_name = f"{name}/{method}/drop={rate}/t{trial}"
-                    try:
-                        tuner = make_tuner(
-                            method, ctx, name, noise, seed, faults=FaultPlan(config)
+                    specs.append(
+                        RunSpec(
+                            name=f"{name}/{method}/drop={rate}/t{trial}",
+                            method=method,
+                            dataset=name,
+                            noise=noise,
+                            seed=run_seed(ctx.seed, "figfaults", name, method, rate, trial),
+                            fields=dict(
+                                figure="figfaults", dataset=name, method=method,
+                                dropout_rate=rate, trial=trial,
+                            ),
+                            faults=FaultPlan(config),
                         )
-                        result = tuner.run()
-                    except Exception as exc:
-                        failed_runs.append(run_name)
-                        warnings.warn(
-                            f"fault-sweep run {run_name} failed: {exc!r}; "
-                            "continuing the sweep",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                        records.append(
-                            Record(
-                                figure="figfaults",
-                                dataset=name,
-                                method=method,
-                                dropout_rate=rate,
-                                trial=trial,
-                                failed=True,
-                                error=repr(exc),
-                            )
-                        )
-                        continue
-                    eval_log = tuner.evaluator.participation
-                    record = Record(
-                        figure="figfaults",
-                        dataset=name,
-                        method=method,
-                        dropout_rate=rate,
-                        trial=trial,
-                        fault_seed=config.seed,
-                        final_full_error=result.final_full_error,
-                        n_evaluations=len(result.observations),
-                        eval_drop_fraction=(
-                            eval_log.drop_fraction() if eval_log is not None else 0.0
-                        ),
                     )
-                    record.update(_train_fault_stats(tuner))
-                    records.append(record)
-    if failed_runs:
-        warnings.warn(
-            f"{len(failed_runs)} of the fault sweep's runs failed and were "
-            f"recorded as failure entries: {', '.join(failed_runs)}",
-            RuntimeWarning,
-            stacklevel=2,
+
+    def summarize(tuner, result) -> Record:
+        eval_log = tuner.evaluator.participation
+        record = Record(
+            fault_seed=tuner.runner.faults.config.seed,
+            final_full_error=result.final_full_error,
+            n_evaluations=len(result.observations),
+            eval_drop_fraction=eval_log.drop_fraction() if eval_log is not None else 0.0,
         )
-    return records
+        record.update(_train_fault_stats(tuner))
+        return record
+
+    return run_sweep(
+        ctx, specs, summarize, run_label="fault-sweep run", sweep_label="fault sweep"
+    )

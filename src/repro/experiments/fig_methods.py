@@ -13,10 +13,15 @@ plus the noise-immune one-shot proxy RS bar.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import multiprocessing
 import os
+import signal
+import threading
 import warnings
-from typing import Dict, List, Optional, Sequence, Type
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Type
 
 import numpy as np
 
@@ -119,8 +124,8 @@ def make_tuner(
     sweep; version and precision mismatches still raise.
 
     ``faults`` (a :class:`repro.engine.faults.FaultPlan`) is attached to
-    the whole run — trainers, runner, evaluator, executor — before any
-    resume, so the checkpointed fault-config echo validates. Defaults to
+    the whole run — trainers, runner, evaluator — before any resume, so
+    the checkpointed fault-config echo validates. Defaults to
     ``ctx.faults`` (the ``$REPRO_FAULTS`` / ``--faults`` plan).
     """
     if method not in METHODS:
@@ -133,10 +138,6 @@ def make_tuner(
         clients_per_round=ctx.clients_per_round,
         scheme=noise.scheme,
         seed=seed,
-        # The context's executor (REPRO_WORKERS / --workers) fans each
-        # advance_many batch — tuner rungs, population steps — across
-        # workers; parallel execution is bit-identical to serial.
-        executor=ctx.executor,
         cohort_mode=ctx.cohort_mode,
         cohort_dtype=ctx.cohort_dtype,
     )
@@ -178,6 +179,160 @@ def make_tuner(
     return tuner
 
 
+@dataclass
+class RunSpec:
+    """One independent tuning run of a sweep, as :func:`run_sweep` maps it.
+
+    ``fields`` are the run's coordinates; they lead every record the run
+    yields, success or failure. ``faults`` overrides ``ctx.faults`` for
+    this run, and ``checkpoint`` names its own checkpoint file.
+    """
+
+    name: str
+    method: str
+    dataset: str
+    noise: NoiseConfig
+    seed: int
+    fields: Dict
+    faults: object = None
+    checkpoint: Optional[str] = None
+
+
+# Signal number a checkpointed sweep was preempted with: set by the
+# handler _preemptible installs in the parent, which forked workers
+# inherit. A run that has not started yet then exits instead of starting.
+_PREEMPT_SIGNUM: Optional[int] = None
+
+
+@contextlib.contextmanager
+def _preemptible(active: bool):
+    """Make SIGTERM/SIGINT stop a checkpointed sweep at run boundaries.
+
+    The handler records the signal and forwards it to every worker. A run
+    in flight traps it itself, saves at its next safe boundary and exits
+    via ``SystemExit(128 + signum)``; a run not yet started exits the same
+    way in :func:`_run_task`. Inactive without a checkpoint dir or off the
+    main thread: the signals keep their default effect.
+    """
+    global _PREEMPT_SIGNUM
+    if not active or threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def handler(signum, frame):
+        global _PREEMPT_SIGNUM
+        _PREEMPT_SIGNUM = signum
+        for child in multiprocessing.active_children():
+            os.kill(child.pid, signum)
+
+    _PREEMPT_SIGNUM = None
+    previous = {s: signal.signal(s, handler) for s in (signal.SIGTERM, signal.SIGINT)}
+    try:
+        yield
+        received = _PREEMPT_SIGNUM
+    finally:
+        for signum, prev in previous.items():
+            signal.signal(signum, prev)
+        _PREEMPT_SIGNUM = None
+    if received is not None:
+        raise SystemExit(128 + received)
+
+
+def _file_stamp(path: str):
+    """Identity of the file at ``path`` (``None`` when absent): an atomic
+    checkpoint write replaces the inode, so any save changes it."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return (st.st_ino, st.st_mtime_ns)
+
+
+def _run_task(payload, index: int) -> Record:
+    """Executor task: one whole run of a sweep, returned as a plain Record.
+
+    A run that raises becomes a ``failed=True`` record carrying
+    ``repr(exc)`` — the parent warns about it. A refused resume
+    (checkpoint version or precision) and ``SystemExit``/
+    ``KeyboardInterrupt`` propagate out of the map and stop the sweep.
+    """
+    from repro.engine.checkpoint import CheckpointPrecisionError, CheckpointVersionError, RunCheckpointer
+
+    ctx, specs, summarize, stale = payload
+    spec = specs[index]
+    resume_path = None
+    if spec.checkpoint and _file_stamp(spec.checkpoint) != stale[index]:
+        resume_path = spec.checkpoint
+    try:
+        tuner = make_tuner(
+            spec.method, ctx, spec.dataset, spec.noise, spec.seed,
+            resume=resume_path, faults=spec.faults,
+        )
+        if _PREEMPT_SIGNUM is not None:
+            raise SystemExit(128 + _PREEMPT_SIGNUM)
+        checkpoint = RunCheckpointer(spec.checkpoint) if spec.checkpoint else None
+        result = tuner.run(checkpoint=checkpoint)
+        return Record(**spec.fields, **summarize(tuner, result))
+    except (CheckpointVersionError, CheckpointPrecisionError):
+        raise
+    except Exception as exc:
+        return Record(**spec.fields, failed=True, error=repr(exc))
+
+
+def run_sweep(
+    ctx: ExperimentContext,
+    specs: Sequence[RunSpec],
+    summarize: Callable[[BaseTuner, object], Dict],
+    resume: bool = False,
+    run_label: str = "run",
+    sweep_label: str = "sweep",
+) -> List[Record]:
+    """Run every spec through ``ctx.executor``, one whole run per task.
+
+    Each run owns its seed, fault plan and checkpoint file, so the records
+    are identical for any worker count and order. ``summarize(tuner,
+    result)`` gives a finished run's fields after its coordinates.
+    Datasets load here, before the map, so forked workers inherit them.
+
+    A run that raises does not abort the sweep: its record is a failure
+    entry, and this process warns once per failed run and once in summary,
+    in spec order. ``resume=True`` restores every run whose checkpoint
+    exists. On a checkpointed sweep, SIGTERM/SIGINT saves every in-flight
+    run at its next boundary and exits ``128 + signum``.
+    """
+    for spec in specs:
+        with contextlib.suppress(ValueError):  # an unknown name fails its own runs
+            ctx.dataset(spec.dataset)
+    # Without resume, a checkpoint older than the sweep is not resumed.
+    # Any other one was saved by an earlier attempt of its run in this
+    # sweep (a retry after its worker died), which continues from it.
+    stale = [
+        None if resume or not spec.checkpoint else _file_stamp(spec.checkpoint)
+        for spec in specs
+    ]
+    with _preemptible(any(spec.checkpoint for spec in specs)):
+        records = ctx.executor.map(
+            _run_task, range(len(specs)), payload=(ctx, specs, summarize, stale)
+        )
+    failed = []
+    for spec, record in zip(specs, records):
+        if record.get("failed"):
+            failed.append(spec.name)
+            warnings.warn(
+                f"{run_label} {spec.name} failed: {record.error}; continuing the sweep",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    if failed:
+        warnings.warn(
+            f"{len(failed)} of the {sweep_label}'s runs failed and were recorded "
+            f"as failure entries: {', '.join(failed)}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return records
+
+
 def run_method_comparison(
     ctx: ExperimentContext,
     dataset_names: Sequence[str] = ("cifar10",),
@@ -193,6 +348,8 @@ def run_method_comparison(
 
     Returns trial-level records with the incumbent full-error curve sampled
     at ``budget_points`` evenly spaced budgets (multiples of max-rounds).
+    ``ctx.executor`` maps the independent runs across workers
+    (:func:`run_sweep`); the records are those of a serial sweep.
 
     With a ``checkpoint_dir`` (defaulting to ``ctx.checkpoint_dir``), each
     run periodically saves its state to a per-run checkpoint file there;
@@ -201,88 +358,50 @@ def run_method_comparison(
     replays finished runs from their final snapshots and continues
     interrupted ones bit-identically.
 
-    A run that raises does not abort the sweep: it is recorded as a
-    failure entry (``failed=True`` plus the exception text, no curve
-    fields) and the remaining runs proceed; a summary warning names every
-    failed run at the end. ``SystemExit``/``KeyboardInterrupt`` (e.g. the
-    SIGTERM checkpoint-and-exit path) and a refused resume (a checkpoint
-    from another format version or precision) still propagate — those
-    mean "stop the sweep", not "this run is bad", and the refused
-    checkpoint is left untouched.
+    A run that raises is recorded as a failure entry (``failed=True`` plus
+    the exception text, no curve fields) and the sweep continues. A
+    refused resume (a checkpoint from another format version or
+    precision) and ``SystemExit``/``KeyboardInterrupt`` (the SIGTERM
+    checkpoint-and-exit path) stop it instead, leaving the refused
+    checkpoint untouched.
     """
-    from repro.engine.checkpoint import CheckpointPrecisionError, CheckpointVersionError
-
-    records: List[Record] = []
-    failed_runs: List[str] = []
     budgets = [(i + 1) * ctx.total_budget // budget_points for i in range(budget_points)]
     if checkpoint_dir is None:
         checkpoint_dir = ctx.checkpoint_dir
+    specs = []
     for name in dataset_names:
         for setting, noise in (("noiseless", noiseless), ("noisy", noisy)):
             for method in methods:
                 for trial in range(n_trials):
-                    seed = run_seed(ctx.seed, name, setting, method, trial)
                     checkpoint = None
-                    resume_path = None
                     if checkpoint_dir:
-                        from repro.engine.checkpoint import RunCheckpointer
-
-                        path = os.path.join(
-                            checkpoint_dir,
-                            f"fig8-{name}-{setting}-{method}-t{trial}.ckpt",
+                        checkpoint = os.path.join(
+                            checkpoint_dir, f"fig8-{name}-{setting}-{method}-t{trial}.ckpt"
                         )
-                        checkpoint = RunCheckpointer(path)
-                        if resume:
-                            resume_path = path
-                    run_name = f"{name}/{setting}/{method}/t{trial}"
-                    try:
-                        tuner = make_tuner(
-                            method, ctx, name, noise, seed, resume=resume_path
-                        )
-                        result = tuner.run(checkpoint=checkpoint)
-                    except (CheckpointVersionError, CheckpointPrecisionError):
-                        raise
-                    except Exception as exc:
-                        failed_runs.append(run_name)
-                        warnings.warn(
-                            f"run {run_name} failed: {exc!r}; continuing the sweep",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                        records.append(
-                            Record(
-                                figure="fig8",
-                                dataset=name,
-                                method=method,
-                                setting=setting,
-                                trial=trial,
-                                failed=True,
-                                error=repr(exc),
-                            )
-                        )
-                        continue
-                    curve = [result.full_error_at_budget(b) for b in budgets]
-                    records.append(
-                        Record(
-                            figure="fig8",
-                            dataset=name,
+                    specs.append(
+                        RunSpec(
+                            name=f"{name}/{setting}/{method}/t{trial}",
                             method=method,
-                            setting=setting,
-                            trial=trial,
-                            budgets=budgets,
-                            full_errors=curve,
-                            final_full_error=result.final_full_error,
-                            n_evaluations=len(result.observations),
+                            dataset=name,
+                            noise=noise,
+                            seed=run_seed(ctx.seed, name, setting, method, trial),
+                            fields=dict(
+                                figure="fig8", dataset=name, method=method,
+                                setting=setting, trial=trial,
+                            ),
+                            checkpoint=checkpoint,
                         )
                     )
-    if failed_runs:
-        warnings.warn(
-            f"{len(failed_runs)} of the sweep's runs failed and were recorded "
-            f"as failure entries: {', '.join(failed_runs)}",
-            RuntimeWarning,
-            stacklevel=2,
+
+    def summarize(tuner, result) -> Dict:
+        return dict(
+            budgets=budgets,
+            full_errors=[result.full_error_at_budget(b) for b in budgets],
+            final_full_error=result.final_full_error,
+            n_evaluations=len(result.observations),
         )
-    return records
+
+    return run_sweep(ctx, specs, summarize, resume=resume)
 
 
 def curve_medians(

@@ -14,9 +14,9 @@ The evaluation-side hot path mirrors the training-side slab architecture:
   built once per pool and cached (:func:`eval_chunk_plan`, a small LRU
   keyed by the identity of the client objects; entries hold strong
   references to their clients, which pins the ids the key is built from).
-  Every evaluation path — the serial/chunked :func:`client_error_rates`,
-  the stacked :func:`stacked_client_error_rates`, and the trial runners'
-  pooled workers — reuses the same plan, so the per-call concatenation
+  Both evaluation paths — the serial/chunked :func:`client_error_rates`
+  and the stacked :func:`stacked_client_error_rates` — reuse the same
+  plan, so the per-call concatenation
   cost of the old code is paid once per pool instead of once per model.
 - **Stacked evaluation.** :class:`StackedEvalEngine` pushes the whole
   validation pool through one :class:`~repro.nn.stacked.StackedModel`

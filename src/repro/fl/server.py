@@ -20,8 +20,7 @@ class ServerOptimizer:
     # Mutable attributes that fully determine future updates; subclasses
     # extend this to cover their moment buffers. state_dict()/
     # load_state_dict() round-trip exactly these, which is what lets a
-    # trainer advanced in a worker process resume bit-identically in the
-    # parent (see repro.engine).
+    # checkpointed trainer resume bit-identically (see repro.engine).
     _STATE_ATTRS = ("_t",)
 
     def __init__(self, lr: float, lr_decay: float = 1.0):

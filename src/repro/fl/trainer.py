@@ -327,11 +327,10 @@ class FederatedTrainer:
         Everything a resumed :meth:`run` depends on flows from these
         pieces (the model itself is a pure function of ``params``), so
         loading them into an identically-constructed trainer continues
-        training bit-identically — the contract the parallel engine's
-        worker round-trip relies on. ``dropout_rngs`` carries the model's
-        per-layer Dropout generator states: those streams advance during
-        training, and a worker round-trip that dropped them would leave
-        the parent's Dropout draws stale for the next batch.
+        training bit-identically — the contract checkpoint/resume relies
+        on. ``dropout_rngs`` carries the model's per-layer Dropout
+        generator states: those streams advance during training, and a
+        snapshot that dropped them would resume with stale Dropout draws.
         """
         state = {
             "params": self.params.copy(),
@@ -343,9 +342,9 @@ class FederatedTrainer:
             ],
         }
         if self.participation is not None:
-            # Realized-participation counters ride the same round trip as
-            # the RNG streams, so worker advances and checkpoint resumes
-            # keep the fault bookkeeping exact.
+            # Realized-participation counters ride along with the RNG
+            # streams, so checkpoint resumes keep the fault bookkeeping
+            # exact.
             state["participation"] = self.participation.state_dict()
         return state
 

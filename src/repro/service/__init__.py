@@ -1,7 +1,7 @@
 """Durable tuning-as-a-service layer over the repro engine.
 
 ``repro.service`` turns the single-run engine (checkpointed tuners,
-deterministic fault injection, the fused slab executor) into a long-lived
+deterministic fault injection, fused slab training) into a long-lived
 multi-tenant service:
 
 - :mod:`repro.service.store` — a persistent experiment store: append-only,
@@ -16,9 +16,8 @@ multi-tenant service:
 - :mod:`repro.service.worker` — job specs and the execution path that
   resumes each job bit-identically from its last checkpoint.
 - :mod:`repro.service.daemon` — the multi-tenant runner daemon: N
-  concurrent jobs fair-scheduled round-robin over tenants onto one shared
-  executor pool, with per-job worker caps and a graceful-drain
-  SIGTERM/SIGINT path.
+  concurrent job slots fair-scheduled round-robin over tenants, one
+  shared bank store, and a graceful-drain SIGTERM/SIGINT path.
 - :mod:`repro.service.http` — the stdlib-only REST front end
   (``http.server.ThreadingHTTPServer``, JSON bodies).
 - :mod:`repro.service.cli` — the ``repro-serve`` entrypoint.

@@ -2,7 +2,7 @@
 
 Usage::
 
-    repro-serve run    --root /var/repro --slots 4 --workers 8
+    repro-serve run    --root /var/repro --slots 4
     repro-serve run    --root /var/repro --once          # drain the queue, exit
     repro-serve submit --root /var/repro --dataset cifar10 --method tpe
     repro-serve status --root /var/repro [JOB_ID]
@@ -37,8 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute queued jobs (the daemon)")
     run.add_argument("--root", required=True, help="service state directory")
     run.add_argument("--slots", type=int, default=2, help="concurrent jobs")
-    run.add_argument("--workers", type=int, default=None,
-                     help="shared executor worker processes (default serial)")
     run.add_argument("--lease", type=float, default=30.0,
                      help="lease duration in seconds")
     run.add_argument("--max-failures", type=int, default=3,
@@ -63,8 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="total rounds (default: preset budget)")
     submit.add_argument("--faults", default=None,
                         help='fault spec, e.g. "dropout=0.1,seed=3"')
-    submit.add_argument("--max-workers", type=int, default=None,
-                        help="per-job cap on the shared worker pool")
     submit.add_argument("--checkpoint-every", type=int, default=1)
     submit.add_argument("--tenant", default="default")
     submit.add_argument("--job-id", default=None,
@@ -100,7 +96,6 @@ def _dispatch(args) -> int:
         service = TuningService(
             args.root,
             n_slots=args.slots,
-            n_workers=args.workers,
             lease_duration=args.lease,
             max_job_failures=args.max_failures,
             heartbeat_interval=args.heartbeat,
@@ -121,7 +116,6 @@ def _dispatch(args) -> int:
             n_bank_configs=args.bank_configs,
             total_budget=args.budget,
             faults=args.faults,
-            max_workers=args.max_workers,
             checkpoint_every=args.checkpoint_every,
         )
         import os

@@ -2,11 +2,9 @@
 
 One :class:`TuningService` process executes up to ``n_slots`` jobs
 concurrently, each in its own thread, all fair-scheduled (round-robin over
-tenants, via :meth:`repro.service.queue.JobQueue.lease`) onto **one**
-shared trial executor and one shared bank store — so tenants share the
-worker pool and never rebuild each other's config banks. Per-job worker
-caps come from the job spec (a :class:`WorkerCapExecutor` wrapper around
-the shared pool).
+tenants, via :meth:`repro.service.queue.JobQueue.lease`). A job is one
+tuning run — a single-process runner that never builds a bank — and the
+slots share one bank store under the service root.
 
 Liveness and crash-safety split cleanly:
 
@@ -60,10 +58,6 @@ class TuningService:
     root : service root directory; holds ``queue/``, ``store/``,
         ``jobs/`` (checkpoints), ``results/``, and ``banks/``.
     n_slots : concurrent jobs this daemon executes.
-    executor : a pre-built shared :class:`TrialExecutor`; default builds
-        one from ``n_workers`` (serial when unset).
-    n_workers : worker processes for the shared pool (ignored when
-        ``executor`` is passed).
     lease_duration / max_job_failures : queue parameters (see
         :class:`~repro.service.queue.JobQueue`).
     heartbeat_interval : seconds between lease renewals; default a third
@@ -75,16 +69,12 @@ class TuningService:
         self,
         root: str,
         n_slots: int = 2,
-        executor=None,
-        n_workers: Optional[int] = None,
         lease_duration: float = 30.0,
         max_job_failures: int = 3,
         heartbeat_interval: Optional[float] = None,
         poll_interval: float = 0.05,
         clock=time.time,
     ):
-        from repro.engine.executor import SerialExecutor, make_executor
-
         self.root = str(root)
         os.makedirs(self.root, exist_ok=True)
         if n_slots < 1:
@@ -97,12 +87,6 @@ class TuningService:
             clock=clock,
         )
         self.store = ExperimentStore(os.path.join(self.root, "store"))
-        if executor is None:
-            if n_workers is None:
-                executor = SerialExecutor()
-            else:
-                executor = make_executor(n_workers)
-        self.executor = executor
         self.heartbeat_interval = (
             float(heartbeat_interval)
             if heartbeat_interval is not None
@@ -147,10 +131,7 @@ class TuningService:
         job_id = job["job_id"]
         try:
             self.queue.mark_running(job_id, self.worker_id)
-            execute_job(
-                job, self.root, executor=self.executor, store=self.store,
-                handle=handle,
-            )
+            execute_job(job, self.root, store=self.store, handle=handle)
             self.queue.complete(job_id, self.worker_id)
         except StaleLeaseError:
             # The lease moved on (expiry + re-lease); abandon quietly —

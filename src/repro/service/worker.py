@@ -47,7 +47,6 @@ class JobSpec:
     total_budget: Optional[int] = None  # rounds; None = preset default
     noise: Optional[Dict] = None    # NoiseConfig field overrides
     faults: Optional[str] = None    # FaultConfig.parse spec, e.g. "dropout=0.1,seed=3"
-    max_workers: Optional[int] = None   # per-job cap on the shared pool
     checkpoint_every: int = 1       # observations between checkpoint saves
     extra: Dict = field(default_factory=dict)  # forward-compatible passthrough
 
@@ -89,8 +88,6 @@ class JobSpec:
             raise ValueError(
                 f"unknown setting {self.setting!r}; choose 'noisy' or 'noiseless'"
             )
-        if self.max_workers is not None and int(self.max_workers) < 1:
-            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
         if int(self.checkpoint_every) < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
@@ -188,7 +185,6 @@ def result_record(job_id: str, spec: JobSpec, result) -> Dict:
 def execute_job(
     job: Dict,
     root: str,
-    executor=None,
     store=None,
     handle: Optional[Dict] = None,
 ) -> str:
@@ -198,9 +194,6 @@ def execute_job(
     ----------
     job : the queue's job snapshot (``job_id`` + ``spec``).
     root : the service root directory (checkpoints, results, banks).
-    executor : the daemon's shared :class:`TrialExecutor`; wrapped in a
-        per-job :class:`~repro.engine.executor.WorkerCapExecutor` when the
-        spec caps workers. ``None`` builds the context's default.
     store : an :class:`~repro.service.store.ExperimentStore` to stream
         curve points into and record the run under (optional).
     handle : a dict the caller can watch; ``handle["tuner"]`` is set as
@@ -213,7 +206,6 @@ def execute_job(
     preemption path) also propagates; the checkpoint it just wrote is the
     resume point.
     """
-    from repro.engine.executor import WorkerCapExecutor
     from repro.engine.faults import FaultConfig
     from repro.experiments.context import ExperimentContext
     from repro.experiments.fig_methods import make_tuner, run_seed
@@ -221,8 +213,6 @@ def execute_job(
     job_id = job["job_id"]
     spec = JobSpec.from_dict(job.get("spec")).validate()
 
-    if executor is not None and spec.max_workers is not None:
-        executor = WorkerCapExecutor(executor, max_workers=int(spec.max_workers))
     faults = FaultConfig.parse(spec.faults) if spec.faults else None
     ctx = ExperimentContext(
         preset=spec.preset,
@@ -230,7 +220,6 @@ def execute_job(
         n_bank_configs=int(spec.n_bank_configs),
         cache_dir=os.path.join(str(root), "banks"),
         faults=faults,
-        executor=executor,
     )
 
     seed = run_seed(int(spec.seed), spec.dataset, spec.setting, spec.method,

@@ -6,12 +6,17 @@ observations, curves, DP release counts — and the same tuner/trainer RNG
 end states as the uninterrupted run. Asserted here for every method in
 the registry (plus the non-registry tuners: SHA, grid, robust RS
 variants), under plain / DP / biased evaluation noise, across the serial
-and fused cohort modes (in-process pool slabs and per-worker T=1 slabs),
-and at every kill point.
+and fused cohort modes, and at every kill point. At the sweep level, a
+``--workers 2`` figure run preempted by SIGTERM or killed with SIGKILL
+resumes to the uninterrupted output.
 """
 
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -94,17 +99,15 @@ def dataset():
     return mlp_dataset()
 
 
-def make_runner(dataset, mode="serial", scheme="weighted", executor=None):
+def make_runner(dataset, mode="serial", scheme="weighted"):
     kw = dict(max_rounds=MAX_ROUNDS, clients_per_round=3, scheme=scheme, seed=3)
-    if executor is not None:
-        kw["executor"] = executor
     return FederatedTrialRunner(dataset, cohort_mode=mode, **kw)
 
 
-def build_tuner(method, dataset, noise, mode="serial", seed=5, executor=None):
+def build_tuner(method, dataset, noise, mode="serial", seed=5):
     """One identically-constructed tuner per call — the resume contract
     requires rebuilding the exact run before loading its state."""
-    runner = make_runner(dataset, mode=mode, scheme=noise.scheme, executor=executor)
+    runner = make_runner(dataset, mode=mode, scheme=noise.scheme)
     kw = dict(total_budget=BUDGET, seed=seed)
     if method == "rs":
         return RandomSearch(SPACE, runner, noise, n_configs=4, **kw)
@@ -205,22 +208,20 @@ def assert_identical_outcome(resumed, reference, resumed_tuner, ref_tuner):
         assert_tree_equal(a.state.state_dict(), b.state.state_dict(), "incumbent")
 
 
-def kill_resume_roundtrip(
-    tmp_path, dataset, method, noise, mode="serial", kill_after=2, executor=None
-):
+def kill_resume_roundtrip(tmp_path, dataset, method, noise, mode="serial", kill_after=2):
     path = str(tmp_path / f"{method}.ckpt")
-    reference = build_tuner(method, dataset, noise, mode=mode, executor=executor)
+    reference = build_tuner(method, dataset, noise, mode=mode)
     ref_result = reference.run()
     if kill_after >= len(ref_result.observations):
         pytest.skip(
             f"{method} run makes only {len(ref_result.observations)} observations"
         )
 
-    killed = build_tuner(method, dataset, noise, mode=mode, executor=executor)
+    killed = build_tuner(method, dataset, noise, mode=mode)
     run_until_killed(killed, RunCheckpointer(path), kill_after)
     assert os.path.exists(path)
 
-    resumed = build_tuner(method, dataset, noise, mode=mode, executor=executor)
+    resumed = build_tuner(method, dataset, noise, mode=mode)
     resume_checkpoint(resumed, path)
     result = resumed.run(checkpoint=RunCheckpointer(path))
     assert_identical_outcome(result, ref_result, resumed, reference)
@@ -254,23 +255,6 @@ class TestKillResumeBitIdentity:
             tmp_path, dataset, method, NOISES["dp"], kill_after=kill_after
         )
 
-    @pytest.mark.slow
-    @pytest.mark.parametrize("method", ("hb", "rs"))
-    @pytest.mark.parametrize("mode", ("serial", "fused"))
-    def test_multiworker_executor(self, tmp_path, dataset, method, mode):
-        """The contract holds with advance_many batches fanned across
-        worker processes (the REPRO_WORKERS regime): a resumed run under
-        a pooled executor matches the uninterrupted pooled run — with
-        serial workers and with each worker's trainer on its own T=1
-        slab."""
-        from repro.engine.executor import ProcessExecutor, fork_available
-
-        if not fork_available():
-            pytest.skip("needs fork")
-        kill_resume_roundtrip(
-            tmp_path, dataset, method, NOISES["dp"], mode=mode, executor=ProcessExecutor(2)
-        )
-
     def test_kill_before_first_boundary(self, tmp_path, dataset):
         """run() saves an initial checkpoint, so a preemption before the
         first method-declared boundary still leaves a resumable file."""
@@ -291,6 +275,74 @@ class TestKillResumeBitIdentity:
         result = replay.run()
         assert replay.rng.bit_generator.state == pickle.loads(rng_before)
         assert_identical_outcome(result, ref, replay, first)
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+FIG8 = [
+    sys.executable, "-m", "repro.experiments.cli", "--artifact", "fig8", "--preset", "test",
+    "--trials", "10", "--methods", "rs,hb", "--cohort-mode", "fused",
+]
+
+
+def run_cli(args, **kwargs):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.path.join(REPO, "src")
+    return subprocess.Popen(
+        FIG8 + args, cwd=REPO, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True, **kwargs,
+    )
+
+
+@pytest.mark.slow
+class TestSweepKillResume:
+    """A fig8 sweep whose runs are mapped across two worker processes,
+    interrupted and relaunched with ``--resume``, writes the same bytes as
+    the uninterrupted single-process sweep."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("ref") / "fig8.json")
+        proc = run_cli(["--workers", "1", "--out", out])
+        assert proc.wait(timeout=600) == 0, proc.stderr.read()
+        with open(out, "rb") as fh:
+            return fh.read()
+
+    @pytest.mark.parametrize("sig_name", ["SIGTERM", "SIGKILL"])
+    def test_interrupted_sweep_resumes_bit_identically(self, tmp_path, reference, sig_name):
+        ckdir = str(tmp_path / "ckpt")
+        victim = run_cli(
+            ["--workers", "2", "--checkpoint-dir", ckdir, "--out", str(tmp_path / "x.json")],
+            start_new_session=True,
+        )
+        deadline = time.monotonic() + 300
+        while not (os.path.isdir(ckdir) and any(n.endswith(".ckpt") for n in os.listdir(ckdir))):
+            assert victim.poll() is None, victim.stderr.read()
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        if sig_name == "SIGTERM":
+            # A polite preemption reaches the sweep's parent only: every
+            # in-flight run must save at its next boundary, and the sweep
+            # must exit 143 only after all of its workers have.
+            os.kill(victim.pid, signal.SIGTERM)
+            assert victim.wait(timeout=300) == 143, victim.stderr.read()
+            with pytest.raises(ProcessLookupError):
+                os.killpg(victim.pid, 0)
+        else:
+            # kill -9 of the whole process group, as a preempted node dies.
+            os.killpg(victim.pid, signal.SIGKILL)
+            assert victim.wait(timeout=60) == -signal.SIGKILL
+        assert not os.path.exists(tmp_path / "x.json")
+        # The sweep (2 settings x 2 methods) stopped early: some run never
+        # started or was saved mid-way.
+        names = [n for n in os.listdir(ckdir) if n.endswith(".ckpt")]
+        states = [load_checkpoint(os.path.join(ckdir, n)) for n in names]
+        assert len(states) < 4 or not all(state["tuner"]["finished"] for state in states)
+
+        out = str(tmp_path / "resumed.json")
+        resumed = run_cli(["--workers", "2", "--checkpoint-dir", ckdir, "--resume", "--out", out])
+        assert resumed.wait(timeout=600) == 0, resumed.stderr.read()
+        with open(out, "rb") as fh:
+            assert fh.read() == reference
 
 
 class TestCheckpointStore:

@@ -4,7 +4,7 @@ The contract under test (see ``repro.engine.faults``):
 
 - under ANY fault mix, runs complete and return a valid ``TuningResult``;
 - trajectories are bit-reproducible per fault seed — including through a
-  kill/resume and across worker counts;
+  kill/resume (across worker counts: tests/engine/test_parallel_equivalence.py);
 - the fault-free path (no plan, or a plan with zero rates) is
   bit-identical to an unfaulted run, across all three cohort modes;
 - stragglers alone never change trajectories, only simulated time.
@@ -79,15 +79,13 @@ def dataset():
     return mlp_dataset()
 
 
-def make_runner(dataset, mode="serial", executor=None):
+def make_runner(dataset, mode="serial"):
     kw = dict(max_rounds=MAX_ROUNDS, clients_per_round=3, scheme="weighted", seed=3)
-    if executor is not None:
-        kw["executor"] = executor
     return FederatedTrialRunner(dataset, cohort_mode=mode, **kw)
 
 
-def make_tuner(dataset, method="rs", mode="serial", executor=None, seed=5, faults=None):
-    runner = make_runner(dataset, mode=mode, executor=executor)
+def make_tuner(dataset, method="rs", mode="serial", seed=5, faults=None):
+    runner = make_runner(dataset, mode=mode)
     noise = NoiseConfig()
     if method == "rs":
         tuner = RandomSearch(SPACE, runner, noise, n_configs=4, total_budget=BUDGET, seed=seed)
@@ -581,27 +579,6 @@ class TestExecutorFaults:
 
 
 # ---------------------------------------------------------------------------
-# Faults under a multi-worker executor
-# ---------------------------------------------------------------------------
-@needs_fork
-class TestWorkerDeterminism:
-    @pytest.mark.parametrize("method", ("rs", "hb"))
-    def test_faulted_runs_match_across_worker_counts(self, dataset, method):
-        config = FaultConfig(
-            seed=5, dropout_rate=0.3, straggler_rate=0.3, quorum=0.3,
-            eval_dropout_rate=0.2,
-        )
-        serial = run_result(dataset, method=method, faults=FaultPlan(config))
-        pooled = run_result(
-            dataset,
-            method=method,
-            faults=FaultPlan(config),
-            executor=ProcessExecutor(n_workers=2, backoff_base=0.0),
-        )
-        assert_same_result(pooled, serial)
-
-
-# ---------------------------------------------------------------------------
 # Checkpoint/resume under faults
 # ---------------------------------------------------------------------------
 class Killed(Exception):
@@ -856,7 +833,9 @@ class TestSweepContainment:
 
         METHODS["broken"] = Broken
         try:
-            ctx = ExperimentContext(preset="test", seed=0, n_bank_configs=4)
+            # The runs are mapped across two workers; containment and its
+            # warnings happen in this process either way.
+            ctx = ExperimentContext(preset="test", seed=0, n_bank_configs=4, n_workers=2)
             with pytest.warns(RuntimeWarning, match="failed") as captured:
                 records = run_method_comparison(
                     ctx, methods=("rs", "broken"), n_trials=1, budget_points=4
@@ -880,6 +859,17 @@ class TestSweepContainment:
         assert {r.method for r in bars} == {"rs"}
         with pytest.raises(ValueError):
             curve_medians(records, "cifar10", "broken", "noisy")
+
+    def test_unknown_dataset_fails_its_runs_only(self):
+        from repro.experiments import ExperimentContext, run_method_comparison
+
+        ctx = ExperimentContext(preset="test", seed=0, n_bank_configs=4)
+        with pytest.warns(RuntimeWarning, match="imagenet"):
+            records = run_method_comparison(
+                ctx, dataset_names=("imagenet",), methods=("rs",), n_trials=1
+            )
+        assert [(r.setting, r.failed) for r in records] == [("noiseless", True), ("noisy", True)]
+        assert all("unknown dataset" in r.error for r in records)
 
     def test_make_tuner_survives_a_corrupt_resume(self, tmp_path):
         from repro.experiments import ExperimentContext

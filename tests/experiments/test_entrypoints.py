@@ -141,7 +141,6 @@ class TestExampleParsers:
         assert args.population == 6
         assert args.rounds_per_step == 3
         assert args.cohort_mode == "fused"
-        assert args.workers is None  # defers to $REPRO_WORKERS
 
     def test_full_reproduction_flags(self):
         mod = load_example("full_reproduction")

@@ -3,7 +3,15 @@
 import pytest
 
 from repro.engine.faults import FaultConfig
+from repro.experiments import ExperimentContext
 from repro.experiments.fig_faults import DROPOUT_GRID, run_fault_sweep
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    """A sweep of several runs maps them across two worker processes; the
+    records equal a serial sweep's (tests/engine/test_parallel_equivalence.py)."""
+    return ExperimentContext(preset="test", seed=0, n_workers=2)
 
 
 def run_tiny_sweep(ctx, **overrides):

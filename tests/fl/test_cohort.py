@@ -294,35 +294,6 @@ class TestAggregationBuffers:
 SPACE = paper_space(batch_sizes=(4, 8, 16))
 
 
-class TestEngineComposition:
-    def test_workers_times_vectorization_bit_identical(self, cifar):
-        """In-process lockstep composes with process-level parallelism:
-        a standalone (T=1 slab) trainer round-trips workers
-        bit-identically."""
-        from repro.engine import make_executor
-        from repro.engine.executor import fork_available
-
-        if not fork_available():
-            pytest.skip("needs fork start method")
-        rng = np.random.default_rng(5)
-        cfgs = [SPACE.sample(rng) for _ in range(3)]
-
-        def make_runner(executor=None):
-            return FederatedTrialRunner(
-                cifar, max_rounds=9, seed=2, executor=executor, cohort_mode="fused"
-            )
-
-        in_process = make_runner()
-        standalone = [in_process.create(c) for c in cfgs]
-        for trial in standalone:
-            in_process.advance(trial, 5)  # one trainer.run on its own slab each
-        pooled_runner = make_runner(make_executor(2))
-        pooled = [pooled_runner.create(c) for c in cfgs]
-        pooled_runner.advance_many([(t, 5) for t in pooled])
-        for a, b in zip(standalone, pooled):
-            assert np.array_equal(a.state.params, b.state.params)
-
-
 @pytest.mark.slow
 class TestTunerFamilyEquivalence:
     """Serial vs slab cohort training under each tuner family. Tuner

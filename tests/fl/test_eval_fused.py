@@ -23,7 +23,6 @@ from repro.core.noise import NoisyEvaluator
 from repro.core.search_space import paper_space
 from repro.datasets import load_dataset
 from repro.datasets.base import ClientData, FederatedDataset, TaskSpec, classification_error
-from repro.engine import make_executor
 from repro.fl import FusedTrainerPool
 from repro.fl.evaluation import (
     client_error_rates,
@@ -158,19 +157,6 @@ class TestStackedVsSerial:
             assert np.array_equal(ref, got)
         # Actually went through the stacked engine (no borrowable slab here).
         assert runner._eval_engine is not None and len(runner._eval_engine._models) == 1
-
-    def test_pooled_workers_bit_identical(self):
-        from repro.engine.executor import fork_available
-
-        if not fork_available():
-            pytest.skip("needs fork start method")
-        ds = mlp_dataset()
-        serial = FederatedTrialRunner(ds, max_rounds=10, seed=3)
-        pooled = FederatedTrialRunner(ds, max_rounds=10, seed=3, executor=make_executor(2))
-        ts = trained_trials(serial, 3)
-        tp = trained_trials(pooled, 3)
-        for a, b in zip(serial.error_rates_many(ts), pooled.error_rates_many(tp)):
-            assert np.array_equal(a, b)
 
 
 def _slab_overflow():

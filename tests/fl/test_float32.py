@@ -204,10 +204,9 @@ class TestPlumbing:
     def test_runner_layers_forward_cohort_dtype(self):
         from repro.core.evaluator import FederatedTrialRunner
         from repro.core.search_space import paper_space
-        from repro.engine import make_executor
 
         ds = mlp_dataset()
-        for kwargs in ({}, {"executor": make_executor(2)}, {"cohort_mode": "fused"}):
+        for kwargs in ({}, {"cohort_mode": "fused"}):
             runner = FederatedTrialRunner(ds, max_rounds=2, cohort_dtype="float32", **kwargs)
             assert runner.cohort_dtype == np.dtype(np.float32), kwargs
             trial = runner.create(paper_space(batch_sizes=(8,)).sample(np.random.default_rng(0)))

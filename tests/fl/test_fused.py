@@ -21,7 +21,6 @@ from repro.core.hyperband import SuccessiveHalving
 from repro.core.search_space import paper_space
 from repro.datasets import load_dataset
 from repro.datasets.base import ClientData, FederatedDataset, TaskSpec, classification_error
-from repro.engine import make_executor
 from repro.fl import FedAdam, FederatedTrainer, FusedTrainerPool, LocalTrainingConfig, SlabTrainer
 from repro.nn import Dropout, Linear, ReLU, Sequential, make_mlp, softmax_cross_entropy
 from repro.nn.stacked import DTYPE_ENV, StackedModel
@@ -210,28 +209,6 @@ class TestFusedTrainerPool:
         a.run(2)
         b.run(2)
         assert np.array_equal(a.params, b.params)
-
-    def test_dropout_parallel_advance_many_matches_serial(self):
-        """Regression: the worker round-trip must ship Dropout streams
-        back, or the second advance_many batch diverges from serial."""
-        from repro.engine.executor import fork_available
-
-        if not fork_available():
-            pytest.skip("needs fork start method")
-        ds = dropout_mlp_dataset()
-        rng = np.random.default_rng(9)
-        cfgs = [SPACE.sample(rng) for _ in range(3)]
-
-        def run(runner):
-            trials = [runner.create(c) for c in cfgs]
-            runner.advance_many([(t, 2) for t in trials])
-            runner.advance_many([(t, 2) for t in trials])
-            return [t.state.params for t in trials]
-
-        serial = run(FederatedTrialRunner(ds, max_rounds=9, seed=4))
-        pooled = run(FederatedTrialRunner(ds, max_rounds=9, seed=4, executor=make_executor(2)))
-        for a, b in zip(serial, pooled):
-            assert np.array_equal(a, b)
 
     def test_mixed_architectures_split_into_groups(self):
         """One advance over MLP + CNN + text trainers must group by

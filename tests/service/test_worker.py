@@ -49,7 +49,6 @@ class TestJobSpec:
             ("dataset", "imagenet", "unknown dataset"),
             ("method", "sgd", "unknown method"),
             ("setting", "loud", "unknown setting"),
-            ("max_workers", 0, "max_workers"),
             ("checkpoint_every", 0, "checkpoint_every"),
         ],
     )
@@ -134,22 +133,3 @@ class TestExecuteJob:
         path_a = execute_job(tiny_job(**spec), str(tmp_path / "a"))
         path_b = execute_job(tiny_job(**spec), str(tmp_path / "b"))
         assert open(path_a, "rb").read() == open(path_b, "rb").read()
-
-    def test_per_job_worker_cap_wraps_shared_executor(self, tmp_path):
-        from repro.engine.executor import SerialExecutor
-
-        calls = []
-
-        class Recording(SerialExecutor):
-            # Claims a pool so the runner takes the executor path; the
-            # actual work still runs serially (bit-identical by contract).
-            n_workers = 4
-
-            def map(self, fn, tasks, payload=None, max_workers=None):
-                calls.append(max_workers)
-                return super().map(fn, tasks, payload)
-
-        execute_job(tiny_job(max_workers=2), str(tmp_path),
-                    executor=Recording())
-        # Every map call arrived through the per-job cap wrapper.
-        assert calls and all(c == 2 for c in calls)

@@ -30,9 +30,7 @@ ALLOWED = {
         "corrupt store record: quarantined, treated as a miss",
     ("service/daemon.py", "TuningService._run_job"):
         "job-level poison handling: the failure is journaled against the job",
-    ("experiments/fig_methods.py", "run_method_comparison"):
-        "sweep containment: a visible failed record, the sweep continues",
-    ("experiments/fig_faults.py", "run_fault_sweep"):
+    ("experiments/fig_methods.py", "_run_task"):
         "sweep containment: a visible failed record, the sweep continues",
 }
 

@@ -10,6 +10,8 @@ the fast tier; this file turns that into a loud failure.
 import os
 import subprocess
 import sys
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -35,10 +37,17 @@ SLOW_ONLY = [
 ]
 
 
-def collect_count(path, marker_expr):
-    """Number of tests pytest would run for ``path`` under ``-m expr``."""
+AUDITED = [path for path, _ in FAST_TIER_FLOORS] + SLOW_ONLY
+
+
+@lru_cache(maxsize=None)
+def collected(marker_expr):
+    """Tests per audited file that pytest would run under ``-m expr``:
+    one ``--collect-only`` pass over every audited file that exists,
+    counted from the node ids."""
+    present = [path for path in AUDITED if os.path.exists(os.path.join(REPO, path))]
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", path, "--collect-only", "-q",
+        [sys.executable, "-m", "pytest", *present, "--collect-only", "-q",
          "-m", marker_expr, "-p", "no:cacheprovider",
          "--override-ini", "addopts="],
         cwd=REPO,
@@ -48,19 +57,14 @@ def collect_count(path, marker_expr):
     )
     # 5 = no tests collected (a legal answer here), 0 = collected fine.
     assert proc.returncode in (0, 5), proc.stderr
-    last = [line for line in proc.stdout.splitlines() if line.strip()][-1]
-    if "no tests" in last:
-        return 0
-    # "N tests collected ..." / "N/M tests collected ..."
-    head = last.split()[0]
-    return int(head.split("/")[0])
+    return Counter(line.split("::")[0] for line in proc.stdout.splitlines() if "::" in line)
 
 
 @pytest.mark.parametrize("path, floor", FAST_TIER_FLOORS,
                          ids=[p for p, _ in FAST_TIER_FLOORS])
 def test_fast_tier_collects_smoke_suite(path, floor):
     assert os.path.exists(os.path.join(REPO, path)), f"{path} was removed"
-    count = collect_count(path, "not slow")
+    count = collected("not slow")[path]
     assert count >= floor, (
         f"fast tier collects only {count} tests from {path} "
         f"(floor {floor}) — did a smoke test grow a slow marker?"
@@ -70,11 +74,11 @@ def test_fast_tier_collects_smoke_suite(path, floor):
 @pytest.mark.parametrize("path", SLOW_ONLY)
 def test_slow_suites_stay_out_of_the_fast_tier(path):
     assert os.path.exists(os.path.join(REPO, path)), f"{path} was removed"
-    assert collect_count(path, "not slow") == 0, (
+    assert collected("not slow")[path] == 0, (
         f"{path} leaked into the fast tier — it runs subprocess daemons "
         "and belongs to the nightly service-recovery job"
     )
-    assert collect_count(path, "slow") >= 4, (
+    assert collected("slow")[path] >= 4, (
         f"the slow tier lost {path}'s recovery coverage"
     )
 
