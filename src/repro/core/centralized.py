@@ -75,7 +75,6 @@ class CentralizedTrialRunner(TrialRunner):
         batch = int(trial.config["batch_size"])
         n = len(state.x)
         task = self.dataset.task
-        state.model.train()
         # Divergence is caught by the finite-loss check; overflow warnings
         # in the forward pass are expected on that path.
         with np.errstate(over="ignore", invalid="ignore"):

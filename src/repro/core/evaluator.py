@@ -383,9 +383,9 @@ class FederatedTrialRunner(TrialRunner):
         # Rebuild the trainer shell from the trial's config — the model is
         # a pure function of its flat params, so the construction seed is
         # irrelevant — then restore the exact snapshot: params, server-opt
-        # state, trainer + Dropout RNG streams. The trial-seed stream is
-        # NOT consumed here (that would desync trials created after the
-        # resume); it is restored separately via load_state_dict.
+        # state, trainer RNG stream. The trial-seed stream is NOT consumed
+        # here (that would desync trials created after the resume); it is
+        # restored separately via load_state_dict.
         trainer = config_to_trainer(
             trial.config,
             self.dataset,

@@ -343,14 +343,14 @@ class ConfigBank:
         per config to the serial loop it replaces).
         """
         from repro.fl.evaluation import StackedEvalEngine
-        from repro.nn.stacked import eval_stack_signature
+        from repro.nn.stacked import stack_signature
 
         if self.params is None:
             raise ValueError("bank was built without store_params=True")
         clients = eval_clients if eval_clients is not None else dataset.eval_clients
         model = dataset.task.build_model(0)
         errors = np.empty((self.n_configs, len(self.checkpoints), len(clients)))
-        signature = eval_stack_signature(model)
+        signature = stack_signature(model)
         if signature is not None and self.n_configs > 1:
             engine = StackedEvalEngine()
             for c in range(len(self.checkpoints)):

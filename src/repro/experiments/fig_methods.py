@@ -21,7 +21,7 @@ import signal
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Type
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -248,12 +248,16 @@ def _file_stamp(path: str):
     return (st.st_ino, st.st_mtime_ns)
 
 
-def _run_task(payload, index: int) -> Record:
-    """Executor task: one whole run of a sweep, returned as a plain Record.
+def _run_task(payload, index: int) -> Tuple[Record, List[tuple]]:
+    """Executor task: one whole run of a sweep, as plain data.
 
-    A run that raises becomes a ``failed=True`` record carrying
-    ``repr(exc)`` — the parent warns about it. A refused resume
-    (checkpoint version or precision) and ``SystemExit``/
+    Returns ``(record, caught)``. ``caught`` lists the warnings the run
+    emitted as ``(category, message, filename, lineno)``; the parent
+    re-emits them, so a pool worker's warnings are not lost. They are
+    recorded under the inherited filters, so an ``error`` filter still
+    raises inside the run. A run that raises becomes a ``failed=True``
+    record carrying ``repr(exc)`` — the parent warns about it. A refused
+    resume (checkpoint version or precision) and ``SystemExit``/
     ``KeyboardInterrupt`` propagate out of the map and stop the sweep.
     """
     from repro.engine.checkpoint import CheckpointPrecisionError, CheckpointVersionError, RunCheckpointer
@@ -263,20 +267,22 @@ def _run_task(payload, index: int) -> Record:
     resume_path = None
     if spec.checkpoint and _file_stamp(spec.checkpoint) != stale[index]:
         resume_path = spec.checkpoint
-    try:
-        tuner = make_tuner(
-            spec.method, ctx, spec.dataset, spec.noise, spec.seed,
-            resume=resume_path, faults=spec.faults,
-        )
-        if _PREEMPT_SIGNUM is not None:
-            raise SystemExit(128 + _PREEMPT_SIGNUM)
-        checkpoint = RunCheckpointer(spec.checkpoint) if spec.checkpoint else None
-        result = tuner.run(checkpoint=checkpoint)
-        return Record(**spec.fields, **summarize(tuner, result))
-    except (CheckpointVersionError, CheckpointPrecisionError):
-        raise
-    except Exception as exc:
-        return Record(**spec.fields, failed=True, error=repr(exc))
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            tuner = make_tuner(
+                spec.method, ctx, spec.dataset, spec.noise, spec.seed,
+                resume=resume_path, faults=spec.faults,
+            )
+            if _PREEMPT_SIGNUM is not None:
+                raise SystemExit(128 + _PREEMPT_SIGNUM)
+            checkpoint = RunCheckpointer(spec.checkpoint) if spec.checkpoint else None
+            result = tuner.run(checkpoint=checkpoint)
+            record = Record(**spec.fields, **summarize(tuner, result))
+        except (CheckpointVersionError, CheckpointPrecisionError):
+            raise
+        except Exception as exc:
+            record = Record(**spec.fields, failed=True, error=repr(exc))
+    return record, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
 
 
 def run_sweep(
@@ -295,10 +301,12 @@ def run_sweep(
     Datasets load here, before the map, so forked workers inherit them.
 
     A run that raises does not abort the sweep: its record is a failure
-    entry, and this process warns once per failed run and once in summary,
-    in spec order. ``resume=True`` restores every run whose checkpoint
-    exists. On a checkpointed sweep, SIGTERM/SIGINT saves every in-flight
-    run at its next boundary and exits ``128 + signum``.
+    entry. This process first re-emits every run's own warnings, then
+    warns once per failed run and once in summary, all in spec order, so
+    a serial and a pooled sweep warn alike. ``resume=True`` restores
+    every run whose checkpoint exists. On a checkpointed sweep,
+    SIGTERM/SIGINT saves every in-flight run at its next boundary and
+    exits ``128 + signum``.
     """
     for spec in specs:
         with contextlib.suppress(ValueError):  # an unknown name fails its own runs
@@ -311,9 +319,14 @@ def run_sweep(
         for spec in specs
     ]
     with _preemptible(any(spec.checkpoint for spec in specs)):
-        records = ctx.executor.map(
+        results = ctx.executor.map(
             _run_task, range(len(specs)), payload=(ctx, specs, summarize, stale)
         )
+    records = []
+    for record, caught in results:
+        for category, message, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+        records.append(record)
     failed = []
     for spec, record in zip(specs, records):
         if record.get("failed"):

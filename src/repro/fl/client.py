@@ -62,7 +62,6 @@ class ClientTrainer:
         """
         rng = as_rng(rng)
         set_flat_params(model, global_params)
-        model.train()
         opt = SGD(
             model.parameters(),
             lr=self.lr,
@@ -102,7 +101,6 @@ def evaluate_client(
     model: Module, client: ClientData, task: TaskSpec
 ) -> Tuple[int, int]:
     """Error counts ``(n_wrong, n_total)`` of ``model`` on one client's data."""
-    model.eval()
     with np.errstate(over="ignore", invalid="ignore"):
         logits = model(client.x)
     if not np.all(np.isfinite(logits)):

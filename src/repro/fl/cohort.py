@@ -24,13 +24,9 @@ Equivalence contract (asserted in ``tests/fl/test_cohort.py`` and
 
 - **RNG stream.** Batch permutations are pre-drawn from the shared trainer
   RNG in exactly the order the serial loop draws them (client by client,
-  epoch by epoch), and Dropout masks are pre-drawn from each layer's own
-  generator in serial visit order (:class:`~repro.nn.stacked.StackedDropout`).
-  When a model's Dropout layers share one generator object, the whole
-  round's masks are instead drawn eagerly in the serial *interleaved*
-  order — client, step, layer in forward order — and installed per layer
-  (:meth:`SlabTrainer._predraw_interleaved`). Either way every
-  generator's end state is identical to the serial path's.
+  epoch by epoch), so the generator's end state is identical to the
+  serial path's. No layer draws random numbers, so this is the round's
+  only stream.
 - **Trajectories.** Per-step, per-client math matches the serial
   :class:`~repro.fl.client.ClientTrainer` kernel for kernel. When every
   active row's batch at a lockstep step has equal size (no padding),
@@ -42,7 +38,7 @@ Equivalence contract (asserted in ``tests/fl/test_cohort.py`` and
   group only*: the group's rows keep occupying the slab (row math is
   independent, so neighbours are unaffected bit-for-bit) but its results
   are discarded, and the caller reruns that trainer's round serially after
-  restoring its RNG snapshots — reproducing serial semantics exactly
+  restoring its RNG snapshot — reproducing serial semantics exactly
   (including the diverged client's early stop and its effect on later
   draws). When *every* group has failed the attempt aborts early.
 
@@ -54,7 +50,7 @@ cohorts never pay masked no-op steps.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,7 +60,6 @@ from repro.nn.module import Module
 from repro.nn.optim import fused_sgd_step
 from repro.nn.stacked import (
     STACKED_LOSSES,
-    StackedDropout,
     StackedModel,
     resolve_dtype,
     supports_stacking,
@@ -106,10 +101,7 @@ class SlabGroup:
     initializes from it, and FedProx anchors to it). ``perms`` are the
     pre-drawn batch permutations, ``perms[i][e]`` for client ``i`` epoch
     ``e``, drawn by the caller from the owning trainer's RNG in serial
-    order. ``dropout_rngs`` are the owning *template model's* active
-    Dropout generators (see :func:`repro.nn.stacked.collect_dropout_rngs`),
-    one per active Dropout layer, so fused groups draw their masks from
-    their own trainers' streams.
+    order.
     """
 
     start: np.ndarray
@@ -121,7 +113,6 @@ class SlabGroup:
     prox_mu: float = 0.0
     batch_size: int = 32
     epochs: int = 1
-    dropout_rngs: Sequence[np.random.Generator] = field(default_factory=tuple)
 
 
 class SlabTrainer:
@@ -136,9 +127,9 @@ class SlabTrainer:
     (:func:`repro.nn.stacked.resolve_dtype`): float64 (default) is the
     bit-exact serial reference; float32 halves slab memory and also pulls
     floating batch data down to float32 so no kernel silently upcasts
-    mid-pipeline. RNG pre-draws (permutations, Dropout masks) always
-    consume the generators' native float64 stream regardless, preserving
-    serial RNG-state equivalence in every dtype.
+    mid-pipeline. The permutation pre-draw consumes the trainer
+    generator identically in every dtype, preserving serial RNG-state
+    equivalence.
     """
 
     @staticmethod
@@ -163,7 +154,6 @@ class SlabTrainer:
         self._loss = stacked_loss
         self.capacity = 0
         self._stacked: Optional[StackedModel] = None
-        self._dropouts: List[StackedDropout] = []
         self._velocity: Optional[np.ndarray] = None
         self._anchors: Optional[np.ndarray] = None
         self._work: Optional[np.ndarray] = None
@@ -191,11 +181,6 @@ class SlabTrainer:
         if rows <= self.capacity:
             return
         self._stacked = StackedModel(self.template, rows, dtype=self.dtype)
-        self._dropouts = [
-            layer
-            for layer in self._stacked.layers
-            if isinstance(layer, StackedDropout) and layer.rate > 0
-        ]
         self.capacity = rows
         self._work = np.empty_like(self._stacked.slab)
         self._velocity = None
@@ -231,62 +216,6 @@ class SlabTrainer:
             self._ybuf = np.empty((self.capacity, width) + y0.shape[1:], dtype=ydt)
             self._mbuf = np.empty((self.capacity, width), dtype=self.dtype)
 
-    def _probe_dropout_shapes(self, client: ClientData) -> List[tuple]:
-        """Feature shape each active Dropout layer sees, learned from a
-        one-example forward with every layer's shape probe armed
-        (:meth:`~repro.nn.stacked.StackedDropout.begin_shape_probe`) — no
-        masks drawn, no generator consumed, no gradients touched (the
-        probe never runs backward), and every forward cache is overwritten
-        by the round's first real step."""
-        for layer in self._dropouts:
-            layer.begin_shape_probe()
-        self._stacked.forward(client.x[:1][None])
-        shapes = []
-        for layer in self._dropouts:
-            if layer.probe_shape is None:
-                raise RuntimeError("shape probe did not reach a Dropout layer")
-            shapes.append(layer.probe_shape)
-        return shapes
-
-    def _predraw_interleaved(
-        self, groups, clients_flat, schedule, pos_of_row, row_base, n_rows
-    ) -> None:
-        """Eagerly draw the round's Dropout masks in the serial
-        *interleaved* order — client (group by group, cohort order
-        within), local step, layer in forward order — and install each
-        layer's finished stream (:meth:`StackedDropout.install_masks`).
-
-        This is the shared-generator mode: when several layers draw from
-        one generator object, the serial loop's consumption of that
-        stream alternates between layers within every step, which the
-        per-layer lazy plans cannot reproduce. Drawing here in exactly
-        the serial order keeps both mask values and the generator's end
-        state bit-identical to the serial path — also for groups whose
-        generators are disjoint, since restricting the interleaved order
-        to a single stream yields that stream's per-layer order.
-        """
-        feat_shapes = self._probe_dropout_shapes(clients_flat[0])
-        keeps = [1.0 - layer.rate for layer in self._dropouts]
-        n_layers = len(self._dropouts)
-        all_masks: List[List[Optional[List[np.ndarray]]]] = [
-            [None] * n_rows for _ in range(n_layers)
-        ]
-        for gi, group in enumerate(groups):
-            for ci in range(len(group.clients)):
-                pos = int(pos_of_row[row_base[gi] + ci])
-                per_layer: List[List[np.ndarray]] = [[] for _ in range(n_layers)]
-                for _, _, b in schedule[pos]:
-                    for d_idx in range(n_layers):
-                        rng = group.dropout_rngs[d_idx]
-                        per_layer[d_idx].append(
-                            (rng.random((b,) + feat_shapes[d_idx]) < keeps[d_idx])
-                            / keeps[d_idx]
-                        )
-                for d_idx in range(n_layers):
-                    all_masks[d_idx][pos] = per_layer[d_idx]
-        for d_idx, layer in enumerate(self._dropouts):
-            layer.install_masks(all_masks[d_idx])
-
     def train_groups(self, groups: Sequence[SlabGroup], outs: Sequence[np.ndarray]) -> List[bool]:
         """Run every group's local training in one lockstep slab.
 
@@ -294,10 +223,9 @@ class SlabTrainer:
         ``outs`` entry (shape ``(len(group.clients), P)``, cohort order)
         and returns per-group success flags. A failed group (some client's
         loss went non-finite) leaves its ``outs`` entry unspecified; the
-        caller must restore that trainer's RNG snapshots and rerun its
+        caller must restore that trainer's RNG snapshot and rerun its
         round serially. Generator state of *successful* groups is final —
-        permutations were pre-drawn by the caller and dropout masks are
-        consumed here in serial order.
+        the caller pre-drew their permutations, and nothing here draws.
         """
         n_groups = len(groups)
         if n_groups == 0:
@@ -311,11 +239,6 @@ class SlabTrainer:
                 raise ValueError(
                     f"outs[{gi}] must be {(len(group.clients), self.n_params)}, "
                     f"got {outs[gi].shape}"
-                )
-            if self._dropouts and len(group.dropout_rngs) != len(self._dropouts):
-                raise ValueError(
-                    f"group {gi} supplies {len(group.dropout_rngs)} dropout generators, "
-                    f"model has {len(self._dropouts)} active Dropout layers"
                 )
         # Flat row tables: row r is client `clients_flat[r]` of group
         # `group_of_row[r]` (groups are contiguous blocks of rows). Plain
@@ -382,14 +305,14 @@ class SlabTrainer:
                 for e, perm in enumerate(perms_flat[r]):
                     stacked_x[pos, e * n_ex : (e + 1) * n_ex] = client.x[perm]
                     stacked_y[pos, e * n_ex : (e + 1) * n_ex] = client.y[perm]
-            # One schedule shared by every row; the generic plumbing below
-            # (dropout plans, step sizes) reads schedule[pos] as before.
-            shared_schedule = [
-                (e, s, min(u_bsz, n_ex - s))
-                for e in range(u_epochs)
-                for s in range(0, n_ex, u_bsz)
+            # Every row follows one schedule, stored once as schedule[0].
+            schedule = [
+                [
+                    (e, s, min(u_bsz, n_ex - s))
+                    for e in range(u_epochs)
+                    for s in range(0, n_ex, u_bsz)
+                ]
             ]
-            schedule = [shared_schedule] * n_rows
         else:
             # Per sorted position: permuted data per epoch, and the (epoch,
             # start, size) schedule per lockstep step.
@@ -436,7 +359,6 @@ class SlabTrainer:
         prox_rows = prox_raw[:, None] if isinstance(prox_raw, np.ndarray) else prox_raw
 
         model = self._stacked
-        model.train()
         slab, gslab = model.slab, model.grad_slab
         if n_groups == 1:
             slab[:n_rows] = np.asarray(groups[0].start, dtype=slab.dtype)
@@ -459,31 +381,6 @@ class SlabTrainer:
             first = clients_flat[0]
             self._ensure_batch_buffers(first.x, first.y, max_width)
         xbuf, ybuf, mbuf = self._xbuf, self._ybuf, self._mbuf
-
-        # Dropout mask pre-draw plans: per stacked layer, entries in serial
-        # visit order (group by group, cohort order within) pointing at the
-        # row's sorted slab position. Masks are drawn lazily at the round's
-        # first forward (see StackedDropout) — unless any group's layers
-        # share one generator object, where the serial stream interleaves
-        # across layers and the whole round must be drawn eagerly here.
-        if self._dropouts:
-            shared_rng = any(
-                len({id(r) for r in g.dropout_rngs}) < len(g.dropout_rngs)
-                for g in groups
-            )
-            if shared_rng:
-                self._predraw_interleaved(
-                    groups, clients_flat, schedule, pos_of_row, row_base, n_rows
-                )
-            else:
-                for d_idx, layer in enumerate(self._dropouts):
-                    plan = []
-                    for gi, group in enumerate(groups):
-                        rng = group.dropout_rngs[d_idx]
-                        for ci in range(len(group.clients)):
-                            pos = int(pos_of_row[row_base[gi] + ci])
-                            plan.append((rng, [b for _, _, b in schedule[pos]], pos))
-                    layer.begin_round(plan)
 
         failed = [False] * n_groups
         n_failed = 0
@@ -529,8 +426,6 @@ class SlabTrainer:
                     # per-client loss arithmetic bit-identical to the
                     # serial batch mean.
                     mask = mbuf[:k, :width] if ragged else None
-                for layer in self._dropouts:
-                    layer.set_step(t)
                 gslab[:k].fill(0.0)
                 logits = model.forward(xb)
                 losses, dlogits = self._loss(logits, yb, mask)

@@ -42,7 +42,7 @@ from repro.datasets.base import (
     next_token_error,
 )
 from repro.nn.module import Module, set_flat_params
-from repro.nn.stacked import StackedModel, eval_stack_signature, resolve_dtype
+from repro.nn.stacked import StackedModel, resolve_dtype, stack_signature
 from repro.fl.client import evaluate_client
 from repro.utils.stats import weighted_mean
 
@@ -166,7 +166,6 @@ def client_error_rates(
     diverged-model convention of :func:`repro.fl.client.evaluate_client`)
     are still applied per client.
     """
-    model.eval()
     if plan is None:
         plan = eval_chunk_plan(clients, max_chunk_examples)
     rates = np.empty(plan.n_clients)
@@ -344,7 +343,7 @@ class StackedEvalEngine:
         rows = len(params_rows)
         if rows == 0:
             return np.empty((0, len(clients)))
-        sig = signature if signature is not None else eval_stack_signature(template)
+        sig = signature if signature is not None else stack_signature(template)
         if sig is None:
             raise ValueError(
                 f"model {type(template).__name__} has no stacked inference kernels"
@@ -370,8 +369,8 @@ def fused_group_rates(
 
     The shared grouping core of both fused-evaluation entry points
     (``FusedTrainerPool.evaluate`` and the trial runners'
-    ``error_rates_many``): models group by :func:`eval_stack_signature`,
-    each multi-member group evaluates through ``engine`` as one inference
+    ``error_rates_many``): models group by :func:`stack_signature`, each
+    multi-member group evaluates through ``engine`` as one inference
     slab — borrowed from ``pool`` (anything with the
     ``FusedTrainerPool.stacked_model(key, rows)`` interface) when its
     training slab for the architecture can hold the group — and every
@@ -379,12 +378,10 @@ def fused_group_rates(
     need the caller's serial path (unstackable models, singleton groups)
     are returned as ``None``.
     """
-    from repro.nn.stacked import stack_signature
-
     results: List[Optional[np.ndarray]] = [None] * len(models)
     groups: Dict[tuple, List[int]] = {}
     for i, model in enumerate(models):
-        signature = eval_stack_signature(model)
+        signature = stack_signature(model)
         if signature is not None:
             groups.setdefault(signature, []).append(i)
     for signature, members in groups.items():
@@ -393,9 +390,7 @@ def fused_group_rates(
         template = models[members[0]]
         borrowed = None
         if pool is not None:
-            borrowed = pool.stacked_model(
-                (stack_signature(template), task.loss_fn), len(members)
-            )
+            borrowed = pool.stacked_model((signature, task.loss_fn), len(members))
         rates = engine.error_rates_many(
             template,
             [params_rows[i] for i in members],

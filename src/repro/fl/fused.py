@@ -77,8 +77,7 @@ class FusedTrainerPool:
         """Per-validation-client error rates for every trainer, fused.
 
         Same-architecture trainers (grouped by
-        :func:`~repro.nn.stacked.eval_stack_signature`, which ignores
-        training-only concerns such as Dropout RNG wiring) evaluate as one
+        :func:`~repro.nn.stacked.stack_signature`) evaluate as one
         stacked inference sweep over the pool's cached chunk plan;
         singleton groups and unstackable models use the serial
         :meth:`~repro.fl.trainer.FederatedTrainer.eval_error_rates`.

@@ -24,7 +24,7 @@ from repro.fl.evaluation import client_error_rates, evaluate_model
 from repro.fl.sampling import UniformSampler
 from repro.fl.server import ServerOptimizer
 from repro.nn.module import Module, get_flat_params, set_flat_params
-from repro.nn.stacked import collect_dropout_rngs, resolve_dtype
+from repro.nn.stacked import resolve_dtype
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -328,18 +328,14 @@ class FederatedTrainer:
         pieces (the model itself is a pure function of ``params``), so
         loading them into an identically-constructed trainer continues
         training bit-identically — the contract checkpoint/resume relies
-        on. ``dropout_rngs`` carries the model's per-layer Dropout
-        generator states: those streams advance during training, and a
-        snapshot that dropped them would resume with stale Dropout draws.
+        on. :meth:`load_state_dict` ignores keys it does not read, so a
+        state written by an older version with extra entries still loads.
         """
         state = {
             "params": self.params.copy(),
             "rng_state": self._rng.bit_generator.state,
             "server_opt": self.server_opt.state_dict(),
             "rounds_completed": self.rounds_completed,
-            "dropout_rngs": [
-                r.bit_generator.state for r in collect_dropout_rngs(self.model)
-            ],
         }
         if self.participation is not None:
             # Realized-participation counters ride along with the RNG
@@ -354,10 +350,6 @@ class FederatedTrainer:
         self._rng.bit_generator.state = state["rng_state"]
         self.server_opt.load_state_dict(state["server_opt"])
         self.rounds_completed = int(state["rounds_completed"])
-        dropout_states = state.get("dropout_rngs")
-        if dropout_states is not None:
-            for rng, rng_state in zip(collect_dropout_rngs(self.model), dropout_states):
-                rng.bit_generator.state = rng_state
         participation = state.get("participation")
         if participation is not None:
             if self.participation is None:
@@ -407,7 +399,7 @@ def run_slab_round(trainers: Sequence[FederatedTrainer], slab: SlabTrainer) -> N
     schedule bucket and the pool's slab.
 
     A trainer whose group ``train_groups`` flags as diverged (non-finite
-    client loss) reruns the round serially from its RNG snapshots; any
+    client loss) reruns the round serially from its RNG snapshot; any
     exception from the slab pass propagates.
     """
     cohorts = []
@@ -418,10 +410,7 @@ def run_slab_round(trainers: Sequence[FederatedTrainer], slab: SlabTrainer) -> N
         # Snapshot after the cohort draw (a serial rerun reuses the
         # cohort) but before the permutation pre-draw, which the rerun
         # repeats client by client.
-        drngs = collect_dropout_rngs(trainer.model)
-        snapshots.append(
-            (trainer._rng.bit_generator.state, [r.bit_generator.state for r in drngs])
-        )
+        snapshots.append(trainer._rng.bit_generator.state)
         clients = [trainer.dataset.train_clients[k] for k in cohort]
         local = trainer.local
         # Pre-draw batch permutations in the serial loop's exact RNG order:
@@ -439,19 +428,14 @@ def run_slab_round(trainers: Sequence[FederatedTrainer], slab: SlabTrainer) -> N
                 prox_mu=local.prox_mu,
                 batch_size=local.batch_size,
                 epochs=local.epochs,
-                dropout_rngs=drngs,
             )
         )
     succeeded = slab.train_groups(groups, [trainer._updates for trainer in trainers])
-    for trainer, cohort, (rng_state, dropout_states), group, ok in zip(
-        trainers, cohorts, snapshots, groups, succeeded
-    ):
+    for trainer, cohort, rng_state, ok in zip(trainers, cohorts, snapshots, succeeded):
         if not ok:
             # Exact serial fallback for the diverged trainer only: rewind
-            # its generators to the post-sample state and replay the round
+            # its generator to the post-sample state and replay the round
             # through the serial per-client path.
             trainer._rng.bit_generator.state = rng_state
-            for r, state in zip(group.dropout_rngs, dropout_states):
-                r.bit_generator.state = state
             trainer._train_cohort_serial(cohort, trainer._updates)
         trainer._finish_round(cohort, trainer._updates)

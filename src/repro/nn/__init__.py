@@ -31,7 +31,6 @@ from repro.nn.initializers import glorot_uniform, he_normal, normal_init, zeros_
 from repro.nn.functional import im2col, col2im, log_softmax, one_hot, softmax
 from repro.nn.layers import (
     Conv2D,
-    Dropout,
     Embedding,
     Flatten,
     Linear,
@@ -44,7 +43,6 @@ from repro.nn.recurrent import LSTM, LSTMCell
 from repro.nn.losses import mse_loss, softmax_cross_entropy, sequence_cross_entropy
 from repro.nn.optim import (
     SGD,
-    Adam,
     FlatSGD,
     Optimizer,
     copy_slab_rows,
@@ -56,7 +54,6 @@ from repro.nn.stacked import (
     STACKED_LOSSES,
     SUPPORTED_DTYPES,
     StackedConv2D,
-    StackedDropout,
     StackedEmbedding,
     StackedFlatten,
     StackedLSTM,
@@ -67,8 +64,6 @@ from repro.nn.stacked import (
     StackedReLU,
     StackedSigmoid,
     StackedTanh,
-    collect_dropout_rngs,
-    eval_stack_signature,
     resolve_dtype,
     stack_signature,
     stacked_mse,
@@ -78,7 +73,6 @@ from repro.nn.stacked import (
 )
 from repro.nn.models import make_cnn, make_lstm_lm, make_mlp, LanguageModel
 from repro.nn.gradcheck import gradcheck_module, numerical_gradient
-from repro.nn.serialization import load_params, save_params
 
 __all__ = [
     "Module",
@@ -98,7 +92,6 @@ __all__ = [
     "one_hot",
     "softmax",
     "Conv2D",
-    "Dropout",
     "Embedding",
     "Flatten",
     "Linear",
@@ -112,7 +105,6 @@ __all__ = [
     "softmax_cross_entropy",
     "sequence_cross_entropy",
     "SGD",
-    "Adam",
     "FlatSGD",
     "Optimizer",
     "copy_slab_rows",
@@ -122,7 +114,6 @@ __all__ = [
     "STACKED_LOSSES",
     "SUPPORTED_DTYPES",
     "StackedConv2D",
-    "StackedDropout",
     "StackedEmbedding",
     "StackedFlatten",
     "StackedLSTM",
@@ -133,8 +124,6 @@ __all__ = [
     "StackedReLU",
     "StackedSigmoid",
     "StackedTanh",
-    "collect_dropout_rngs",
-    "eval_stack_signature",
     "resolve_dtype",
     "stack_signature",
     "stacked_mse",
@@ -147,6 +136,4 @@ __all__ = [
     "LanguageModel",
     "gradcheck_module",
     "numerical_gradient",
-    "load_params",
-    "save_params",
 ]

@@ -201,34 +201,6 @@ class Sigmoid(Module):
         return dy * self._y * (1.0 - self._y)
 
 
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode.
-
-    Requires an explicit generator so training remains reproducible.
-    """
-
-    def __init__(self, rate: float, rng: SeedLike = None):
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self.rng = as_rng(rng)
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return dy
-        return dy * self._mask
-
-
 class Embedding(Module):
     """Token-id lookup table: ``(N, T)`` int ids -> ``(N, T, dim)``."""
 

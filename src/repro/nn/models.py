@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.nn.layers import Conv2D, Dropout, Embedding, Flatten, Linear, MaxPool2D, ReLU
+from repro.nn.layers import Conv2D, Embedding, Flatten, Linear, MaxPool2D, ReLU
 from repro.nn.module import Sequential
 from repro.nn.recurrent import LSTM
 from repro.utils.rng import SeedLike, as_rng
@@ -22,23 +22,14 @@ def make_mlp(
     num_classes: int,
     hidden: Sequence[int] = (32,),
     rng: SeedLike = None,
-    dropout: float = 0.0,
 ) -> Sequential:
-    """Multi-layer perceptron for flat feature vectors.
-
-    ``dropout`` > 0 inserts an inverted-dropout layer after every hidden
-    ReLU. All dropout layers share the factory's generator (the common
-    single-``rng`` idiom), which the stacked engine trains via its
-    shared-generator mask pre-draw — no serial fallback.
-    """
+    """Multi-layer perceptron for flat feature vectors."""
     rng = as_rng(rng)
     layers = []
     prev = in_features
     for width in hidden:
         layers.append(Linear(prev, width, rng))
         layers.append(ReLU())
-        if dropout > 0.0:
-            layers.append(Dropout(dropout, rng))
         prev = width
     layers.append(Linear(prev, num_classes, rng))
     return Sequential(*layers)
@@ -90,19 +81,13 @@ class LanguageModel(Sequential):
         hidden: int,
         num_layers: int,
         rng: SeedLike = None,
-        dropout: float = 0.0,
     ):
         rng = as_rng(rng)
-        layers = [
+        super().__init__(
             Embedding(vocab_size, embed_dim, rng),
             LSTM(embed_dim, hidden, num_layers=num_layers, rng=rng),
-        ]
-        if dropout > 0.0:
-            # Shares the factory generator with any other dropout layers,
-            # matching the shared-generator pre-draw path of the slab.
-            layers.append(Dropout(dropout, rng))
-        layers.append(Linear(hidden, vocab_size, rng))
-        super().__init__(*layers)
+            Linear(hidden, vocab_size, rng),
+        )
         self.vocab_size = vocab_size
         self.embed_dim = embed_dim
         self.hidden = hidden
@@ -115,9 +100,7 @@ def make_lstm_lm(
     hidden: int = 16,
     num_layers: int = 2,
     rng: SeedLike = None,
-    dropout: float = 0.0,
 ) -> LanguageModel:
     """The paper's 2-layer LSTM language model (embedding size == hidden size
-    in the paper; configurable here). ``dropout`` > 0 regularizes the LSTM
-    output before the head."""
-    return LanguageModel(vocab_size, embed_dim, hidden, num_layers, rng, dropout=dropout)
+    in the paper; configurable here)."""
+    return LanguageModel(vocab_size, embed_dim, hidden, num_layers, rng)

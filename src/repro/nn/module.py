@@ -47,13 +47,10 @@ class Module:
       gradient w.r.t. the input.
     - ``parameters()`` yields every :class:`Parameter` in the subtree.
 
-    ``train`` toggles training-time behaviour (dropout). Layers must be
-    usable for repeated forward/backward cycles without re-allocation of
+    Layers behave the same in training and inference, and must be usable
+    for repeated forward/backward cycles without re-allocation of
     parameters, since federated clients reuse one model object across rounds.
     """
-
-    def __init__(self) -> None:
-        self.training: bool = True
 
     # -- interface ---------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -85,22 +82,6 @@ class Module:
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()
-
-    def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (affects e.g. Dropout)."""
-        self.training = mode
-        for attr in vars(self).values():
-            if isinstance(attr, Module):
-                attr.train(mode)
-            elif isinstance(attr, (list, tuple)):
-                for item in attr:
-                    if isinstance(item, Module):
-                        item.train(mode)
-        return self
-
-    def eval(self) -> "Module":
-        """Set inference mode recursively."""
-        return self.train(False)
 
     def num_parameters(self) -> int:
         """Total number of scalar parameters."""

@@ -1,8 +1,8 @@
 """First-order optimizers operating on a module's parameters.
 
 The paper's client optimizer is SGD with momentum and weight decay
-(Appendix B); Adam is included both for completeness and because the server
-FedAdam update reuses its moment arithmetic (see :mod:`repro.fl.server`).
+(Appendix B). The server-side FedAdam update works on flat vectors and
+lives in :mod:`repro.fl.server`.
 
 The fused slab kernels (:func:`fused_sgd_step`, :class:`FlatSGD`,
 :func:`copy_slab_rows`, :func:`perturb_rows`) are dtype-polymorphic: the
@@ -287,45 +287,3 @@ class FlatSGD:
             velocity=velocity,
         )
 
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba) with bias correction."""
-
-    def __init__(
-        self,
-        params: List[Parameter],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params, lr)
-        if not 0.0 <= beta1 < 1.0:
-            raise ValueError(f"beta1 must be in [0, 1), got {beta1}")
-        if not 0.0 <= beta2 < 1.0:
-            raise ValueError(f"beta2 must be in [0, 1), got {beta2}")
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
-        self._m: Dict[int, np.ndarray] = {}
-        self._v: Dict[int, np.ndarray] = {}
-        self._t = 0
-
-    def step(self) -> None:
-        self._t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1**self._t
-        bias2 = 1.0 - b2**self._t
-        for p in self.params:
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            m = self._m.get(id(p))
-            v = self._v.get(id(p))
-            if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-            m = b1 * m + (1 - b1) * grad
-            v = b2 * v + (1 - b2) * grad**2
-            self._m[id(p)], self._v[id(p)] = m, v
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)

@@ -30,18 +30,11 @@ parameter copies only (views, no copy). The cohort trainer uses this to
 retire clients that have exhausted their local steps without re-building
 the stack.
 
-RNG-consuming layers (Dropout) keep their serial stream through a
-*pre-draw*: :class:`StackedDropout` receives each copy's generator and
-per-step real batch sizes up front and draws every mask of the round in
-the exact order the serial loop would, so the generators' end states are
-identical (the same trick the cohort trainer uses for batch
-permutations). Models whose Dropout layers *share* one generator object
-use the shared-generator mode instead: the trainer pre-draws the whole
-round's masks eagerly in the serial interleaved order (client → step →
-layer in forward order) and installs the finished streams via
-:meth:`StackedDropout.install_masks`, so :func:`supports_stacking` is a
-purely structural check — every model built from layers with stacked
-counterparts trains on the slab. Integer-input (Embedding) and recurrent
+Every leaf layer type the model factories build has a stacked
+counterpart, so :func:`supports_stacking` is a purely structural check.
+No stacked layer draws random numbers: the only RNG the slab round
+consumes is the trainer's batch-permutation stream, pre-drawn by the
+cohort trainer in serial order. Integer-input (Embedding) and recurrent
 (LSTM) layers have stacked counterparts too, so the paper's text models
 train in lockstep.
 
@@ -62,7 +55,6 @@ import numpy as np
 from repro.nn.functional import col2im, im2col, log_softmax, softmax
 from repro.nn.layers import (
     Conv2D,
-    Dropout,
     Embedding,
     Flatten,
     Linear,
@@ -344,140 +336,6 @@ class StackedSigmoid(Sigmoid):
 
     def eval_forward(self, x: np.ndarray, k: int, shared: bool) -> Tuple[np.ndarray, bool]:
         return _sigmoid_eval(x), shared
-
-
-class StackedDropout(Module):
-    """Inverted dropout over ``(k, B, ...)`` with per-copy RNG streams.
-
-    The serial :class:`~repro.nn.layers.Dropout` draws one keep mask per
-    batch from the *layer's own* generator, so a cohort's serial loop
-    consumes that stream client by client, step by step. Lockstep compute
-    visits steps in a different order, so masks are **pre-drawn**: before
-    a round the trainer calls :meth:`begin_round` with, per copy, the
-    generator that copy's serial pass would draw from and the real
-    (unpadded) batch size of each of its local steps, listed in serial
-    visit order. The draws themselves happen lazily at the round's first
-    forward (when the feature shape is known) but in exactly the serial
-    order, so every generator's end state is bit-identical to the serial
-    path's. Padded tail rows of a ragged step multiply by 1.0 (identity);
-    the loss mask removes them from gradients.
-
-    Shared-generator mode: when several Dropout layers draw from one
-    generator object, the serial draw order interleaves *across layers*
-    (client → step → layer in forward order), which per-layer lazy
-    pre-draw cannot reproduce. The trainer then draws every mask of the
-    round itself, in that interleaved order (using
-    :meth:`begin_shape_probe` to learn each layer's feature shape
-    without consuming RNG), and installs each layer's finished stream via
-    :meth:`install_masks` — forward consumes the installed masks exactly
-    as it would its own lazy draws.
-    """
-
-    def __init__(self, rate: float):
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        # Plan entries, serial draw order: (rng, step_sizes, slot) — slot
-        # is the copy's row position in the (sorted) slab.
-        self._plan: Optional[List[tuple]] = None
-        self._masks: Optional[List[List[np.ndarray]]] = None
-        self._step = 0
-        self._mult: Optional[np.ndarray] = None
-        self._mult_buf: Optional[np.ndarray] = None  # grow-only scratch
-        self._probe = False
-        #: Feature shape observed by the last shape probe (see
-        #: :meth:`begin_shape_probe`).
-        self.probe_shape: Optional[tuple] = None
-
-    def begin_round(self, plan: Sequence[tuple]) -> None:
-        """Install the round's draw plan (see class docstring) and drop
-        any masks from the previous round."""
-        self._plan = list(plan)
-        self._masks = None
-        self._step = 0
-
-    def begin_shape_probe(self) -> None:
-        """Arm a one-shot shape probe: the next training forward records
-        ``x.shape[2:]`` into :attr:`probe_shape` and passes ``x`` through
-        untouched — no masks drawn, no generator consumed. The trainer
-        uses this to learn per-layer feature shapes before an eager
-        shared-generator pre-draw."""
-        self._probe = True
-        self.probe_shape = None
-
-    def install_masks(self, masks: Sequence[Optional[List[np.ndarray]]]) -> None:
-        """Install externally pre-drawn masks (shared-generator mode).
-
-        ``masks[slot][t]`` is the keep mask of copy ``slot`` at its local
-        step ``t``, already scaled by ``1/keep`` — exactly what
-        :meth:`_draw_masks` would have produced, but drawn by the trainer
-        in the serial interleaved order across all layers sharing a
-        generator."""
-        self._plan = []
-        self._masks = list(masks)
-        self._step = 0
-
-    def set_step(self, t: int) -> None:
-        """Select which lockstep step the next forward serves."""
-        self._step = t
-
-    def _draw_masks(self, feat_shape: tuple) -> None:
-        keep = 1.0 - self.rate
-        masks: List[Optional[List[np.ndarray]]] = [None] * len(self._plan)
-        for rng, sizes, slot in self._plan:
-            masks[slot] = [(rng.random((b,) + feat_shape) < keep) / keep for b in sizes]
-        self._masks = masks
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if self._probe:
-            # One-shot shape probe: record the feature shape, touch nothing.
-            self.probe_shape = x.shape[2:]
-            self._probe = False
-            self._mult = None
-            return x
-        if not self.training or self.rate == 0.0:
-            self._mult = None
-            return x
-        if self._plan is None and self._masks is None:
-            raise RuntimeError("StackedDropout.forward before begin_round")
-        if self._masks is None:
-            self._draw_masks(x.shape[2:])
-        k, width = x.shape[:2]
-        t = self._step
-        # Grow-only scratch (the per-step loop is otherwise
-        # allocation-free): mask rows are written in full, and only the
-        # padded tail of a ragged step is set to 1.0 (identity).
-        buf = self._mult_buf
-        if (
-            buf is None
-            or buf.dtype != x.dtype
-            or buf.shape[2:] != x.shape[2:]
-            or buf.shape[0] < k
-            or buf.shape[1] < width
-        ):
-            grow = (max(k, buf.shape[0] if buf is not None else 0),
-                    max(width, buf.shape[1] if buf is not None else 0))
-            buf = self._mult_buf = np.empty(grow + x.shape[2:], dtype=x.dtype)
-        mult = buf[:k, :width]
-        for pos in range(k):
-            m = self._masks[pos][t]
-            mult[pos, : m.shape[0]] = m
-            if m.shape[0] < width:
-                mult[pos, m.shape[0] :] = 1.0
-        self._mult = mult
-        return x * mult
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._mult is None:
-            return dy
-        return dy * self._mult
-
-    def eval_forward(self, x: np.ndarray, k: int, shared: bool) -> Tuple[np.ndarray, bool]:
-        # Inference dropout is the identity (as in the serial layer's eval
-        # mode); no mask plan or generator state is touched, so evaluating
-        # from a training slab never perturbs its pre-drawn streams.
-        return x, shared
 
 
 class StackedEmbedding(Module):
@@ -891,7 +749,6 @@ STACK_FACTORIES: Dict[Type[Module], Callable[[Module, int], Module]] = {
     ReLU: lambda layer, n: StackedReLU(),
     Tanh: lambda layer, n: StackedTanh(),
     Sigmoid: lambda layer, n: StackedSigmoid(),
-    Dropout: lambda layer, n: StackedDropout(layer.rate),
     Embedding: _stack_embedding,
     LSTM: _stack_lstm,
 }
@@ -901,7 +758,6 @@ STACK_FACTORIES: Dict[Type[Module], Callable[[Module, int], Module]] = {
 _SIGNATURE_EXTRAS: Dict[Type[Module], Callable[[Module], tuple]] = {
     Conv2D: lambda l: (l.stride, l.pad),
     MaxPool2D: lambda l: (l.pool_size,),
-    Dropout: lambda l: (l.rate,),
     LSTM: lambda l: (l.input_size, l.hidden_size, l.num_layers),
     Linear: lambda l: (l.bias is not None,),
 }
@@ -928,29 +784,9 @@ def _stackable_leaves(module: Module) -> Optional[List[Module]]:
 
 
 def supports_stacking(module: Module) -> bool:
-    """True iff every leaf layer of ``module`` has a stacked counterpart.
-
-    A purely structural check. Models whose active Dropout layers share
-    one generator object stack too: the cohort trainer detects the
-    sharing and switches to the eager interleaved mask pre-draw
-    (:meth:`StackedDropout.install_masks`), which reproduces the serial
-    loop's cross-layer draw order from the single stream exactly.
-    """
+    """True iff every leaf layer of ``module`` has a stacked counterpart
+    (a purely structural check)."""
     return _stackable_leaves(module) is not None
-
-
-def collect_dropout_rngs(module: Module) -> List[np.random.Generator]:
-    """Generators of the module's *active* Dropout leaves, in leaf order.
-
-    The cohort trainer snapshots these around a lockstep attempt (mask
-    pre-draw consumes them) and hands them to the stacked model's
-    :class:`StackedDropout` layers — index-aligned with the stacked
-    counterpart's active (rate > 0) Dropout layers in leaf order, the
-    same filter applied here.
-    """
-    return [
-        leaf.rng for leaf in _iter_leaves(module) if isinstance(leaf, Dropout) and leaf.rate > 0
-    ]
 
 
 def _signature_parts(leaves: Sequence[Module]) -> tuple:
@@ -972,26 +808,12 @@ def stack_signature(module: Module) -> Optional[tuple]:
 
     Two models with equal signatures run the identical stacked compute
     graph, so their trials can share one cross-trial parameter slab (the
-    fused runner groups ``advance_many`` batches by this key). The key
-    captures leaf types, parameter shapes, and the structural attributes
-    in ``_SIGNATURE_EXTRAS`` — everything that shapes the forward/backward
-    kernels — but not parameter *values*, which live in the slab rows.
-    """
-    if not supports_stacking(module):
-        return None
-    return _signature_parts(list(_iter_leaves(module)))
-
-
-def eval_stack_signature(module: Module) -> Optional[tuple]:
-    """Architecture key for *inference* stacking, or ``None``.
-
-    Equal to :func:`stack_signature` for every stackable model (the two
-    checks are both structural now that shared-generator Dropout trains
-    on the slab); kept as a separate seam because inference stacking has
-    strictly weaker requirements — a future training-side refusal must
-    not cost models their fused evaluation. The fused evaluation engine
-    groups same-signature models onto one
-    :meth:`StackedModel.forward_eval` inference slab.
+    fused runner groups ``advance_many`` batches by this key) and one
+    :meth:`StackedModel.forward_eval` inference slab (the fused evaluation
+    engine groups by it too). The key captures leaf types, parameter
+    shapes, and the structural attributes in ``_SIGNATURE_EXTRAS`` —
+    everything that shapes the forward/backward kernels — but not
+    parameter *values*, which live in the slab rows.
     """
     leaves = _stackable_leaves(module)
     if leaves is None:
@@ -1018,9 +840,6 @@ class StackedModel(Module):
         super().__init__()
         if n_copies < 1:
             raise ValueError(f"n_copies must be >= 1, got {n_copies}")
-        # Structural coverage only: generators are supplied per round via
-        # begin_round/install_masks, so Dropout stream handling is the
-        # trainers' job, not the model's.
         if _stackable_leaves(template) is None:
             raise ValueError(
                 f"model {type(template).__name__} contains layers without stacked kernels"
@@ -1107,9 +926,8 @@ class StackedModel(Module):
         once; the first parameterised layer fans out to ``(k, B, ...)``
         via a broadcast matmul/gather, after which stacked per-copy
         kernels take over. Nothing is cached (no backward, no memory
-        bloat) and training state (Dropout plans/streams) is untouched,
-        so a *training* slab can be borrowed for evaluation between
-        rounds. Per copy the result is the serial model's forward on
+        bloat), so a *training* slab can be borrowed for evaluation
+        between rounds. Per copy the result is the serial model's forward on
         ``x`` — same dgemm shapes, same elementwise ops — which is what
         makes fused evaluation bit-identical to ``client_error_rates``
         on the unstacked models.

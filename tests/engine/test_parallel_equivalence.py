@@ -10,6 +10,7 @@ trainer states.
 import json
 import os
 import pickle
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -142,6 +143,17 @@ class BrokenRun:
         raise RuntimeError("injected run failure")
 
 
+class WarningRun(BrokenRun):
+    """A tuner whose run warns, then raises."""
+
+    def __init__(self, space, runner, noise, **kwargs):
+        self.tag = f"{runner.dataset.name}/{'noisy' if noise.private else 'noiseless'}"
+
+    def run(self, checkpoint=None):
+        warnings.warn(f"injected warning from {self.tag}", UserWarning)
+        super().run(checkpoint)
+
+
 @needs_fork
 class TestSweepEquivalence:
     @pytest.mark.parametrize("mode", MODES)
@@ -192,6 +204,29 @@ class TestSweepEquivalence:
         )
         assert messages[-1].startswith("2 of the sweep's runs failed")
 
+    def test_run_warnings_reach_the_parent(self, monkeypatch):
+        """Warnings a run emits inside a pool worker are re-emitted by the
+        parent, in spec order and before the sweep's own warnings, so the
+        pooled sweep warns exactly like the serial one."""
+        monkeypatch.setitem(METHODS, "warning", WarningRun)
+        sequences = []
+        for n_workers in (1, 2):
+            ctx = sweep_ctx("serial", n_workers)
+            with warnings.catch_warnings(record=True) as captured:
+                warnings.simplefilter("always")
+                run_method_comparison(ctx, methods=("warning",), n_trials=1)
+            sequences.append([(w.category, str(w.message)) for w in captured])
+        assert sequences[0] == sequences[1]
+        run_failed = "RuntimeError('injected run failure'); continuing the sweep"
+        assert sequences[0] == [
+            (UserWarning, "injected warning from cifar10/noiseless"),
+            (UserWarning, "injected warning from cifar10/noisy"),
+            (RuntimeWarning, f"run cifar10/noiseless/warning/t0 failed: {run_failed}"),
+            (RuntimeWarning, f"run cifar10/noisy/warning/t0 failed: {run_failed}"),
+            (RuntimeWarning, "2 of the sweep's runs failed and were recorded as failure "
+                             "entries: cifar10/noiseless/warning/t0, cifar10/noisy/warning/t0"),
+        ]
+
     def test_refused_resume_in_a_worker_propagates(self, tmp_path):
         ckdir = tmp_path / "ckpt"
         ckdir.mkdir()
@@ -221,7 +256,7 @@ class TestSweepEquivalence:
         )
         ctx = sweep_ctx("serial", 1)
         # The file predates the sweep: the run starts fresh.
-        record = _run_task((ctx, [spec], None, [_file_stamp(str(path))]), 0)
+        record, _ = _run_task((ctx, [spec], None, [_file_stamp(str(path))]), 0)
         assert record == {"failed": True, "error": "RuntimeError('injected run failure')"}
         # The file was written after the sweep started: the run resumes it.
         with pytest.raises(CheckpointVersionError):

@@ -110,10 +110,3 @@ class TestEvaluateClient:
         client = separable_client(rng, n=10)
         n_err, n_tot = evaluate_client(model, client, task)
         assert (n_err, n_tot) == (10, 10)
-
-    def test_sets_eval_mode(self, rng):
-        task = mlp_task()
-        model = task.build_model(0)
-        model.train()
-        evaluate_client(model, separable_client(rng), task)
-        assert not model.training

@@ -217,21 +217,6 @@ class TestFallbacks:
         np.testing.assert_allclose(b.params, a.params, rtol=RTOL, atol=ATOL)
         assert a._rng.bit_generator.state == b._rng.bit_generator.state
 
-    def test_shared_dropout_rng_trains_on_the_slab(self):
-        """Two active Dropout layers sharing one generator pre-draw their
-        masks eagerly in serial visit order (client -> step -> layer), so
-        the model trains on the slab instead of falling back to serial."""
-        from repro.nn import Sequential
-        from repro.nn.layers import Dropout, Linear
-
-        shared = np.random.default_rng(0)
-        model = Sequential(
-            Linear(6, 8, rng=1), Dropout(0.2, rng=shared), Linear(8, 3, rng=2), Dropout(0.1, rng=shared)
-        )
-        ds = mlp_dataset()
-        assert SlabTrainer.supports(ds.task, model)
-        SlabTrainer(ds.task, model, 5)  # builds without raising
-
     def test_supports_accepts_text_and_image_models(self, cifar):
         ds = load_dataset("reddit", "test", seed=0)
         assert SlabTrainer.supports(ds.task, ds.task.build_model(0))

@@ -30,14 +30,10 @@ from repro.fl.evaluation import (
     stacked_client_error_rates,
 )
 from repro.nn import (
-    Dropout,
-    Linear,
-    ReLU,
-    Sequential,
-    eval_stack_signature,
     make_mlp,
     resolve_dtype,
     softmax_cross_entropy,
+    stack_signature,
     supports_stacking,
 )
 from repro.nn.module import get_flat_params
@@ -65,31 +61,6 @@ def mlp_dataset(n_train=12, n_eval=9, d=6, classes=3, n_lo=10, n_hi=24, seed=0, 
     return FederatedDataset(
         "synth-mlp", task, [client() for _ in range(n_train)], [client() for _ in range(n_eval)]
     )
-
-
-def shared_dropout_dataset(seed=0, d=6, classes=3):
-    """Model whose two active Dropout layers share one generator: training
-    refuses to stack, but inference dropout is the identity, so fused
-    *evaluation* must still engage."""
-    base = mlp_dataset(seed=seed, d=d, classes=classes)
-
-    def build_model(s):
-        rng = np.random.default_rng(s)
-        return Sequential(
-            Linear(d, 8, rng),
-            Dropout(0.3, rng),
-            ReLU(),
-            Dropout(0.2, rng),
-            Linear(8, classes, rng),
-        )
-
-    task = TaskSpec(
-        kind="classification",
-        build_model=build_model,
-        loss_fn=softmax_cross_entropy,
-        error_fn=classification_error,
-    )
-    return FederatedDataset("synth-shared-dropout", task, base.train_clients, base.eval_clients)
 
 
 def sample_configs(n, seed=7):
@@ -145,11 +116,13 @@ class TestStackedVsSerial:
         assert runner._eval_engine is not None
         assert len(runner._eval_engine._models) == 0  # borrowed, not allocated
 
-    def test_shared_dropout_model_fuses_for_eval(self):
-        ds = shared_dropout_dataset()
+    def test_serial_runner_evaluates_on_its_own_slab(self):
+        """A serial rung has no training slab to lend, so the eval engine
+        stacks the trials on a slab of its own."""
+        ds = mlp_dataset()
         model = ds.task.build_model(0)
-        assert supports_stacking(model)  # trains on the slab too, now
-        assert eval_stack_signature(model) is not None
+        assert supports_stacking(model)
+        assert stack_signature(model) is not None
         runner = FederatedTrialRunner(ds, max_rounds=10, seed=3)
         trials = trained_trials(runner, 3)
         reference = [t.state.eval_error_rates().copy() for t in trials]

@@ -21,9 +21,10 @@ from repro.core.hyperband import SuccessiveHalving
 from repro.core.search_space import paper_space
 from repro.datasets import load_dataset
 from repro.datasets.base import ClientData, FederatedDataset, TaskSpec, classification_error
+from repro.datasets.registry import DATASET_NAMES
 from repro.fl import FedAdam, FederatedTrainer, FusedTrainerPool, LocalTrainingConfig, SlabTrainer
-from repro.nn import Dropout, Linear, ReLU, Sequential, make_mlp, softmax_cross_entropy
-from repro.nn.stacked import DTYPE_ENV, StackedModel
+from repro.nn import make_mlp, softmax_cross_entropy
+from repro.nn.stacked import DTYPE_ENV, StackedModel, supports_stacking
 
 RTOL, ATOL = 1e-8, 1e-11  # documented ragged-cohort tolerance (multi-round)
 
@@ -56,26 +57,6 @@ def mlp_dataset(n_train=16, n_eval=4, d=6, classes=3, n_lo=10, n_hi=24, seed=0, 
     return FederatedDataset(
         "synth-mlp", task, [client() for _ in range(n_train)], [client() for _ in range(n_eval)]
     )
-
-
-def dropout_mlp_dataset(seed=0, d=6, classes=3):
-    """Same synthetic task, but the model carries an active Dropout layer
-    (rng derived from the model seed, as a real task factory would)."""
-    base = mlp_dataset(seed=seed, d=d, classes=classes)
-
-    def build_model(s):
-        rng = np.random.default_rng(s)
-        return Sequential(
-            Linear(d, 8, rng), Dropout(0.3, rng), ReLU(), Linear(8, classes, rng)
-        )
-
-    task = TaskSpec(
-        kind="classification",
-        build_model=build_model,
-        loss_fn=softmax_cross_entropy,
-        error_fn=classification_error,
-    )
-    return FederatedDataset("synth-dropout", task, base.train_clients, base.eval_clients)
 
 
 def make_trainer(ds, mode, seed=7, lr=0.1, momentum=0.9, batch_size=8, epochs=1, prox_mu=0.0):
@@ -171,24 +152,6 @@ class TestFusedTrainerPool:
         assert np.array_equal(serial[1].params, fused[1].params)
         assert_pairs_equal(serial, fused, exact=False)
 
-    def test_dropout_models_fuse_with_exact_streams(self):
-        """Dropout masks pre-draw per copy from each trainer's own layer
-        generators: fused training must leave every generator in the
-        serial end state and match serial trajectories."""
-        from repro.nn import collect_dropout_rngs
-
-        ds = dropout_mlp_dataset()
-        hps = [dict(lr=0.1, momentum=0.9), dict(lr=0.05, momentum=0.4)]
-        serial = [make_trainer(ds, "serial", seed=50 + i, **h) for i, h in enumerate(hps)]
-        fused = [make_trainer(ds, "fused", seed=50 + i, **h) for i, h in enumerate(hps)]
-        for t in serial:
-            t.run(3)
-        FusedTrainerPool().advance(fused, [3, 3])
-        assert_pairs_equal(serial, fused, exact=False)
-        for a, b in zip(serial, fused):
-            for ra, rb in zip(collect_dropout_rngs(a.model), collect_dropout_rngs(b.model)):
-                assert ra.bit_generator.state == rb.bit_generator.state
-
     def test_text_models_fuse(self):
         ds = load_dataset("stackoverflow", "test", seed=0)
         serial = [make_trainer(ds, "serial", seed=60 + i, batch_size=4, lr=0.5) for i in range(2)]
@@ -198,17 +161,23 @@ class TestFusedTrainerPool:
         FusedTrainerPool().advance(fused, [1, 1])
         assert_pairs_equal(serial, fused, exact=False)
 
-    def test_dropout_state_dict_round_trip(self):
-        """state_dict must carry the model's Dropout generator states:
-        a restored trainer's future draws must match the original's."""
-        ds = dropout_mlp_dataset()
-        a = make_trainer(ds, "serial", seed=55)
+    def test_state_with_retired_dropout_key_resumes(self):
+        """Checkpoints written before layer Dropout was removed carry a
+        ``"dropout_rngs": []`` trainer entry. Such a state still loads,
+        and the restored trainer continues bit-identically."""
+        ds = mlp_dataset()
+        a = make_trainer(ds, "fused", seed=55)
         a.run(2)
-        b = make_trainer(ds, "serial", seed=55)
-        b.load_state_dict(a.state_dict())
+        state = a.state_dict()
+        assert "dropout_rngs" not in state
+        state["dropout_rngs"] = []
+        b = make_trainer(ds, "fused", seed=55)
+        b.load_state_dict(state)
         a.run(2)
         b.run(2)
         assert np.array_equal(a.params, b.params)
+        assert a._rng.bit_generator.state == b._rng.bit_generator.state
+        assert a.rounds_completed == b.rounds_completed == 4
 
     def test_mixed_architectures_split_into_groups(self):
         """One advance over MLP + CNN + text trainers must group by
@@ -518,3 +487,26 @@ class TestNoSilentFallback:
             with pytest.raises(_Sentinel):
                 entry(ds)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestEveryRegisteredModelStacks:
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_supports_stacking(self, name):
+        """No registered model falls back to serial under fused mode."""
+        ds = load_dataset(name, "test", seed=0)
+        assert supports_stacking(ds.task.build_model(0)), name
+
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_effective_mode_is_vectorized(self, name):
+        """Every registered model takes the vectorized (lockstep slab)
+        path under ``cohort_mode="fused"`` — none reports "serial"."""
+        ds = load_dataset(name, "test", seed=0)
+        t = FederatedTrainer(
+            ds,
+            FedAdam(lr=3e-2, beta1=0.9, beta2=0.99),
+            LocalTrainingConfig(lr=0.1, momentum=0.9, batch_size=4, epochs=1),
+            clients_per_round=3,
+            seed=1,
+            cohort_mode="fused",
+        )
+        assert t.cohort_mode_effective == "fused", name

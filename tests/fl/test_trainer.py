@@ -197,7 +197,6 @@ class TestEvaluationHelpers:
     def test_client_error_rates_match_manual(self, cifar):
         model = cifar.task.build_model(0)
         rates = client_error_rates(model, cifar.eval_clients[:3], cifar.task)
-        model.eval()
         for k in range(3):
             c = cifar.eval_clients[k]
             preds = model(c.x).argmax(axis=-1)

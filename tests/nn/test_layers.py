@@ -5,7 +5,6 @@ import pytest
 
 from repro.nn import (
     Conv2D,
-    Dropout,
     Embedding,
     Flatten,
     Linear,
@@ -150,41 +149,6 @@ class TestFlatten:
         y = layer(x)
         assert y.shape == (2, 60)
         assert layer.backward(y).shape == x.shape
-
-
-class TestDropout:
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-        with pytest.raises(ValueError):
-            Dropout(-0.1)
-
-    def test_eval_mode_is_identity(self, rng):
-        layer = Dropout(0.5, rng)
-        layer.eval()
-        x = rng.normal(size=(4, 4))
-        assert np.array_equal(layer(x), x)
-
-    def test_training_scales_kept_units(self, rng):
-        layer = Dropout(0.5, rng)
-        x = np.ones((1000,))
-        y = layer(x)
-        kept = y[y != 0]
-        assert np.allclose(kept, 2.0)
-        # Keep-rate should be near 0.5.
-        assert 0.4 < (kept.size / 1000) < 0.6
-
-    def test_backward_applies_same_mask(self, rng):
-        layer = Dropout(0.5, rng)
-        x = np.ones((100,))
-        y = layer(x)
-        dx = layer.backward(np.ones(100))
-        assert np.array_equal(dx != 0, y != 0)
-
-    def test_zero_rate_identity_in_training(self, rng):
-        layer = Dropout(0.0, rng)
-        x = rng.normal(size=(5, 5))
-        assert np.array_equal(layer(x), x)
 
 
 class TestEmbedding:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    Dropout,
     Linear,
     ReLU,
     Sequential,
@@ -58,13 +57,6 @@ class TestSequential:
         assert len(model) == 2
         assert model[1] is layers[1]
         assert list(model) == layers
-
-    def test_train_eval_recurses(self, rng):
-        model = Sequential(Linear(4, 4, rng), Dropout(0.5, rng))
-        model.eval()
-        assert not model.layers[1].training
-        model.train()
-        assert model.layers[1].training
 
     def test_num_parameters(self, rng):
         model = Sequential(Linear(4, 8, rng), Linear(8, 2, rng))

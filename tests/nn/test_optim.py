@@ -1,11 +1,10 @@
-"""Tests for SGD and Adam."""
+"""Tests for SGD and the fused slab optimizer kernels."""
 
 import numpy as np
 import pytest
 
 from repro.nn import (
     SGD,
-    Adam,
     FlatSGD,
     Linear,
     Sequential,
@@ -78,39 +77,6 @@ class TestSGD:
         model = Sequential(Linear(3, 4, rng), Linear(4, 2, rng))
         opt = SGD.for_module(model, lr=0.1)
         assert len(opt.params) == 4
-
-
-class TestAdam:
-    def test_rejects_bad_betas(self):
-        p = quadratic_param()
-        with pytest.raises(ValueError):
-            Adam([p], lr=0.1, beta1=1.0)
-        with pytest.raises(ValueError):
-            Adam([p], lr=0.1, beta2=-0.1)
-
-    def test_first_step_size_is_lr(self):
-        # With bias correction the first Adam step is ~lr * sign(grad).
-        p = quadratic_param(0.0)
-        opt = Adam([p], lr=0.01)
-        p.grad[:] = 123.0
-        opt.step()
-        assert p.data[0] == pytest.approx(-0.01, rel=1e-5)
-
-    def test_converges_on_quadratic(self):
-        p = quadratic_param(3.0)
-        opt = Adam([p], lr=0.1)
-        for _ in range(500):
-            p.zero_grad()
-            p.grad[:] = 2.0 * p.data
-            opt.step()
-        assert abs(p.data[0]) < 1e-2
-
-    def test_weight_decay(self):
-        p = quadratic_param(10.0)
-        opt = Adam([p], lr=0.1, weight_decay=1.0)
-        p.grad[:] = 0.0
-        opt.step()
-        assert p.data[0] < 10.0
 
 
 class TestFlatSGD:

@@ -11,15 +11,14 @@ import pytest
 from repro.nn import (
     LSTM,
     Conv2D,
-    Dropout,
     Embedding,
     Flatten,
     Linear,
+    Module,
     ReLU,
     Sequential,
     Sigmoid,
     StackedConv2D,
-    StackedDropout,
     StackedEmbedding,
     StackedFlatten,
     StackedLSTM,
@@ -281,23 +280,8 @@ class TestStackedModel:
         assert supports_stacking(make_mlp(5, 3, rng=rng))
         assert supports_stacking(make_cnn(4, 1, 3, channels=(2, 3), rng=rng))
         assert supports_stacking(Sequential(Linear(4, 4, rng), Tanh(), Sigmoid(), Flatten()))
-        # Text kernels landed with the fused runner: LSTM LMs and Dropout
-        # models stack now.
         assert supports_stacking(make_lstm_lm(10, 4, 4, 1, rng=rng))
-        assert supports_stacking(Sequential(Linear(4, 4, rng), Dropout(0.5, rng)))
         assert not supports_stacking(Linear(4, 4, rng))  # bare layer, no Sequential
-
-    def test_shared_dropout_rng_stackable(self, rng):
-        """One generator shared by two active Dropout layers is handled by
-        the trainer's interleaved mask pre-draw (serial visit order), so
-        the model stacks; stackability is purely structural."""
-        shared = np.random.default_rng(0)
-        assert supports_stacking(
-            Sequential(Linear(4, 4, rng), Dropout(0.3, shared), Dropout(0.2, shared))
-        )
-        assert supports_stacking(
-            Sequential(Linear(4, 4, rng), Dropout(0.0, shared), Dropout(0.2, shared))
-        )
 
     def test_unstackable_model_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -431,79 +415,6 @@ class TestStackedTextKernels:
             assert np.array_equal(model.grad_slab[c], get_flat_grads(template))
 
 
-class TestStackedDropout:
-    """Per-copy stream pre-draw: masks (and generator end states) must be
-    bit-identical to the serial client-by-client draw order."""
-
-    def plan_for(self, rngs, sizes_per_copy):
-        return [(rng, sizes, slot) for slot, (rng, sizes) in enumerate(zip(rngs, sizes_per_copy))]
-
-    def test_masks_match_serial_draw_order(self, rng):
-        rate, feat, steps = 0.4, (5,), [3, 3, 2]
-        seeds = [11, 12, 13]
-        serial_rngs = [np.random.default_rng(s) for s in seeds]
-        stacked_rngs = [np.random.default_rng(s) for s in seeds]
-        layer = StackedDropout(rate)
-        layer.begin_round(self.plan_for(stacked_rngs, [steps[c :] for c in [0, 0, 0]]))
-        # Serial reference: each copy's Dropout consumes its own stream,
-        # batch by batch.
-        serial_masks = []
-        for c in range(C):
-            d = Dropout(rate, serial_rngs[c])
-            copy_masks = []
-            for b in steps:
-                x = np.ones((b,) + feat)
-                d.forward(x)
-                copy_masks.append(d._mask.copy())
-            serial_masks.append(copy_masks)
-        for t in range(len(steps)):
-            layer.set_step(t)
-            x = np.ones((C, steps[t]) + feat)
-            y = layer.forward(x)
-            for c in range(C):
-                assert np.array_equal(y[c], serial_masks[c][t])
-        for a, b in zip(serial_rngs, stacked_rngs):
-            assert a.bit_generator.state == b.bit_generator.state
-
-    def test_padded_tail_is_identity(self, rng):
-        layer = StackedDropout(0.5)
-        layer.begin_round(self.plan_for([np.random.default_rng(c) for c in range(C)], [[2]] * C))
-        x = rng.normal(size=(C, 4, 3))  # width 4, real rows 2
-        y = layer.forward(x)
-        assert np.array_equal(y[:, 2:], x[:, 2:])
-
-    def test_gradcheck(self, rng):
-        layer = StackedDropout(0.3)
-        layer.begin_round(self.plan_for([np.random.default_rng(c) for c in range(C)], [[B]] * C))
-        gradcheck_module(layer, rng.normal(size=(C, B, 4)))
-
-    def test_rate_zero_is_identity_without_draws(self, rng):
-        layer = StackedDropout(0.0)
-        x = rng.normal(size=(C, B, 4))
-        assert layer.forward(x) is x
-        dy = rng.normal(size=x.shape)
-        assert layer.backward(dy) is dy
-
-    def test_eval_mode_identity(self, rng):
-        layer = StackedDropout(0.5)
-        layer.eval()
-        x = rng.normal(size=(C, B, 4))
-        assert layer.forward(x) is x
-
-    def test_forward_without_plan_raises(self, rng):
-        with pytest.raises(RuntimeError):
-            StackedDropout(0.5).forward(rng.normal(size=(C, B, 4)))
-
-    def test_dropout_model_gradcheck(self, rng):
-        template = Sequential(Linear(5, 6, rng), Dropout(0.4, rng), ReLU(), Linear(6, 3, rng))
-        model = StackedModel(template, C)
-        drop = [l for l in model.layers if isinstance(l, StackedDropout)][0]
-        drop.begin_round(
-            [(np.random.default_rng(c), [B], c) for c in range(C)]
-        )
-        gradcheck_module(model, rng.normal(size=(C, B, 5)))
-
-
 class TestStackSignature:
     def test_same_architecture_same_signature(self, rng):
         a = make_mlp(5, 3, hidden=(6,), rng=rng)
@@ -526,13 +437,12 @@ class TestStackSignature:
 
     def test_unsupported_model_is_none(self, rng):
         assert stack_signature(Linear(4, 4, rng)) is None
-        # Shared-generator Dropout is a training-schedule concern, not a
-        # structural one: the model signs (and trains) like any other.
-        shared = np.random.default_rng(0)
-        assert (
-            stack_signature(Sequential(Linear(4, 4, rng), Dropout(0.3, shared), Dropout(0.2, shared)))
-            is not None
-        )
+
+        class Scale(Module):  # a leaf type with no stacked counterpart
+            def forward(self, x):
+                return 2.0 * x
+
+        assert stack_signature(Sequential(Linear(4, 4, rng), Scale())) is None
 
     def test_text_model_signature(self, rng):
         a = make_lstm_lm(9, embed_dim=4, hidden=4, num_layers=2, rng=rng)

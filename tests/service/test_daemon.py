@@ -11,8 +11,6 @@ import signal
 import threading
 import time
 
-import pytest
-
 from repro.service import (
     DONE,
     PENDING,
