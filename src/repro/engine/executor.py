@@ -35,6 +35,7 @@ the retry schedule always converges to the serial in-parent answer.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import signal
@@ -63,9 +64,57 @@ _IN_WORKER = False
 _POOL_LOCK = threading.Lock()
 
 
+#: Thread-count setters an OpenBLAS build may export, probed in order.
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _loaded_openblas() -> List[ctypes.CDLL]:
+    """Handles to the OpenBLAS libraries this process has already mapped
+    (NumPy's bundled one), found in ``/proc/self/maps``; nothing new is
+    loaded. Empty where that file does not exist."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {
+                fields[5].strip()
+                for fields in (line.split(maxsplit=5) for line in maps)
+                if len(fields) == 6 and "openblas" in os.path.basename(fields[5])
+            }
+    except OSError:
+        return []
+    libs = []
+    for path in sorted(paths):
+        try:
+            libs.append(ctypes.CDLL(path))
+        except OSError:
+            continue
+    return libs
+
+
+def _single_thread_blas() -> None:
+    """Cap every loaded OpenBLAS at one thread in this process.
+
+    A forked worker inherits the parent's BLAS thread count, so n workers
+    on n cores would each run that many BLAS threads and oversubscribe the
+    machine. A library without a known setter is left as it is.
+    """
+    for lib in _loaded_openblas():
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
 def _mark_worker() -> None:
     global _IN_WORKER
     _IN_WORKER = True
+    _single_thread_blas()
 
 
 class WorkerCrashedError(RuntimeError):

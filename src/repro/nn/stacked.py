@@ -20,9 +20,12 @@ Numerical contract: with no padding in play, every stacked kernel is
 elementwise- or GEMM-per-slice-identical to its serial counterpart, so
 copy ``c`` of a stacked forward/backward reproduces the serial model
 bit-for-bit on the reference BLAS paths; the cohort trainer's equivalence
-tests assert this directly. Padded rows (ragged batches) are excluded via
-loss masks, which changes only summation *order* in per-client reductions
-(documented tolerance in :mod:`tests.fl.test_cohort`).
+tests assert this directly. The LSTM, sigmoid and cross-entropy kernels
+do the same per-element operations as the serial ones with their own
+implementation (branch-free, in place), and share no helper with the
+serial modules they are tested against. Padded rows (ragged batches) are
+excluded via loss masks, which changes only summation *order* in
+per-client reductions (documented tolerance in :mod:`tests.fl.test_cohort`).
 
 Prefix activation: when the first input axis ``k`` is smaller than the
 number of copies C, parameterised layers compute with the leading ``k``
@@ -52,7 +55,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from repro.nn.functional import col2im, im2col, log_softmax, softmax
+from repro.nn.functional import col2im, im2col
 from repro.nn.layers import (
     Conv2D,
     Embedding,
@@ -65,7 +68,7 @@ from repro.nn.layers import (
 )
 from repro.nn.losses import mse_loss, sequence_cross_entropy, softmax_cross_entropy
 from repro.nn.module import Module, Parameter, Sequential
-from repro.nn.recurrent import LSTM, _sigmoid
+from repro.nn.recurrent import LSTM
 
 #: Environment variable selecting the slab compute dtype when no explicit
 #: ``dtype``/``cohort_dtype`` argument is given.
@@ -306,14 +309,31 @@ def _relu_eval(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigmoid_eval(x: np.ndarray) -> np.ndarray:
-    # Mirrors Sigmoid.forward's stable piecewise formulation elementwise.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _stacked_sigmoid(
+    x: np.ndarray,
+    out: Optional[np.ndarray] = None,
+    e: Optional[np.ndarray] = None,
+    den: Optional[np.ndarray] = None,
+    pos: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Logistic sigmoid without a branch: ``max(e, x >= 0) / (1 + e)``
+    with ``e = exp(-|x|)``.
+
+    Same per-element operations as the serial piecewise sigmoid, own
+    implementation: for ``x >= 0`` the max picks 1 and the value is
+    ``1 / (1 + exp(-x))``; for ``x < 0`` it picks ``e = exp(x)`` and the
+    value is ``exp(x) / (1 + exp(x))`` — the same bits, ±0, ±inf and NaN
+    included, with no boolean gather or scatter. ``e``, ``den`` (x's shape
+    and dtype) and ``pos`` (bool) are optional scratch; ``out`` (any
+    layout, default ``den``) may alias ``x`` or ``den``.
+    """
+    pos = np.greater_equal(x, 0.0, out=pos)
+    e = np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = np.add(e, 1.0, out=den)
+    np.maximum(e, pos, out=e)
+    return np.divide(e, den, out=den if out is None else out)
 
 
 class StackedReLU(ReLU):
@@ -332,10 +352,11 @@ class StackedTanh(Tanh):
 
 
 class StackedSigmoid(Sigmoid):
-    """Sigmoid over ``(k, B, ...)`` (elementwise; serial kernel reused)."""
+    """Sigmoid over ``(k, B, ...)`` (elementwise; the serial kernel trains,
+    inference runs the branch-free :func:`_stacked_sigmoid`)."""
 
     def eval_forward(self, x: np.ndarray, k: int, shared: bool) -> Tuple[np.ndarray, bool]:
-        return _sigmoid_eval(x), shared
+        return _stacked_sigmoid(x), shared
 
 
 class StackedEmbedding(Module):
@@ -400,10 +421,10 @@ class StackedEmbedding(Module):
 
 
 class StackedLSTMCell(Module):
-    """C independent LSTM cells; gate layout [i, f, g, o] as in the serial
-    :class:`~repro.nn.recurrent.LSTMCell`, with a leading copy axis on
-    every matrix (``w_x: (C, in, 4h)``, ``w_h: (C, h, 4h)``, ``bias:
-    (C, 4h)``) and one batched matmul per gate projection."""
+    """Parameters of C independent LSTM cells: gate layout [i, f, g, o] as
+    in the serial :class:`~repro.nn.recurrent.LSTMCell`, with a leading
+    copy axis on every matrix (``w_x: (C, in, 4h)``, ``w_h: (C, h, 4h)``,
+    ``bias: (C, 4h)``). :class:`StackedLSTM` runs the kernels."""
 
     def __init__(self, w_x: np.ndarray, w_h: np.ndarray, bias: np.ndarray):
         super().__init__()
@@ -415,55 +436,6 @@ class StackedLSTMCell(Module):
         self.w_h = Parameter(w_h, "stacked_lstm.w_h")
         self.bias = Parameter(bias, "stacked_lstm.bias")
 
-    def step(
-        self, x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, tuple]:
-        """One time step over ``(k, B, ·)`` stacks; mirrors the serial
-        cell's arithmetic kernel for kernel."""
-        k = x_t.shape[0]
-        h_sz = self.hidden_size
-        gates = (
-            np.matmul(x_t, self.w_x.data[:k])
-            + np.matmul(h_prev, self.w_h.data[:k])
-            + self.bias.data[:k, None, :]
-        )
-        i = _sigmoid(gates[:, :, 0 * h_sz : 1 * h_sz])
-        f = _sigmoid(gates[:, :, 1 * h_sz : 2 * h_sz])
-        g = np.tanh(gates[:, :, 2 * h_sz : 3 * h_sz])
-        o = _sigmoid(gates[:, :, 3 * h_sz : 4 * h_sz])
-        c = f * c_prev + i * g
-        tanh_c = np.tanh(c)
-        h = o * tanh_c
-        cache = (x_t, h_prev, c_prev, i, f, g, o, tanh_c)
-        return h, c, cache
-
-    def step_backward(
-        self, dh: np.ndarray, dc: np.ndarray, cache: tuple
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        x_t, h_prev, c_prev, i, f, g, o, tanh_c = cache
-        k = x_t.shape[0]
-        do = dh * tanh_c
-        dc_total = dc + dh * o * (1.0 - tanh_c**2)
-        di = dc_total * g
-        df = dc_total * c_prev
-        dg = dc_total * i
-        dc_prev = dc_total * f
-        dgates = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g**2),
-                do * o * (1.0 - o),
-            ],
-            axis=2,
-        )
-        self.w_x.grad[:k] += np.matmul(x_t.transpose(0, 2, 1), dgates)
-        self.w_h.grad[:k] += np.matmul(h_prev.transpose(0, 2, 1), dgates)
-        self.bias.grad[:k] += dgates.sum(axis=1)
-        dx_t = np.matmul(dgates, self.w_x.data[:k].transpose(0, 2, 1))
-        dh_prev = np.matmul(dgates, self.w_h.data[:k].transpose(0, 2, 1))
-        return dx_t, dh_prev, dc_prev
-
     def forward(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - guard
         raise RuntimeError("StackedLSTMCell must be driven by StackedLSTM")
 
@@ -471,9 +443,82 @@ class StackedLSTMCell(Module):
         raise RuntimeError("StackedLSTMCell must be driven by StackedLSTM")
 
 
+#: Gate-block bytes per copy chunk of :meth:`StackedLSTM.eval_forward`:
+#: small enough that a step's elementwise passes run from cache.
+_EVAL_CHUNK_BYTES = 1 << 18
+
+
+class _StepScratch:
+    """Per-call scratch of the LSTM step kernel for ``(k, n)`` stacks: the
+    ``(k, n, 4h)`` gate pre-activations, the sigmoid's ``e``/``den``/``pos``
+    buffers (as ``(k, n, 4, h)`` views) and one ``(k, n, h)`` buffer."""
+
+    def __init__(self, k: int, n: int, h_sz: int, dtype):
+        self.gates = np.empty((k, n, 4 * h_sz), dtype=dtype)
+        self.den = np.empty_like(self.gates)
+        shape4 = (k, n, 4, h_sz)
+        self.gates4 = self.gates.reshape(shape4)
+        self.den4 = self.den.reshape(shape4)
+        self.e4 = np.empty(shape4, dtype=dtype)
+        self.pos4 = np.empty(shape4, dtype=bool)
+        self.tmp = np.empty((k, n, h_sz), dtype=dtype)
+
+
+def _lstm_step(
+    w_x: np.ndarray,
+    w_h: np.ndarray,
+    bias: np.ndarray,
+    x_t: np.ndarray,
+    h_prev: np.ndarray,
+    c_prev: np.ndarray,
+    act: np.ndarray,
+    c: np.ndarray,
+    tanh_c: np.ndarray,
+    h: np.ndarray,
+    s: _StepScratch,
+) -> None:
+    """One time step of a stacked cell (``w_x``/``w_h``/``bias`` already
+    cut to the active copies), written in place.
+
+    Same per-element operations as the serial cell, own implementation:
+    ``gates = x_t @ w_x + h_prev @ w_h + bias`` (one GEMM per copy and
+    projection, as in the serial step), the activations into the
+    gate-major ``act`` (``(4, k, n, h)``: i, f, g, o, each block
+    contiguous), then ``c = f * c_prev + i * g``, ``tanh_c = tanh(c)`` and
+    ``h = o * tanh_c``. ``c`` may alias ``c_prev`` and ``h`` ``h_prev``.
+    """
+    np.matmul(x_t, w_x, out=s.gates)
+    np.matmul(h_prev, w_h, out=s.den)
+    s.gates += s.den
+    s.gates += bias
+    # One sigmoid over the whole gate block; its g lanes are then
+    # overwritten by tanh.
+    _stacked_sigmoid(s.gates4, act.transpose(1, 2, 0, 3), s.e4, s.den4, s.pos4)
+    i, f, g, o = act[0], act[1], act[2], act[3]
+    np.tanh(s.gates4[:, :, 2], out=g)
+    np.multiply(f, c_prev, out=c)
+    np.multiply(i, g, out=s.tmp)
+    c += s.tmp
+    np.tanh(c, out=tanh_c)
+    np.multiply(o, tanh_c, out=h)
+
+
 class StackedLSTM(Module):
     """C lockstep LSTMs over ``(k, B, T, D)`` inputs, zero initial state
-    per sequence (stateless), returning all hidden states."""
+    per sequence (stateless), returning all hidden states.
+
+    Per copy the same per-element operations and per-step GEMMs as the
+    serial :class:`~repro.nn.recurrent.LSTM`, own implementation: a
+    branch-free sigmoid over each step's whole gate block, gate-major
+    activations so the elementwise chains run on contiguous blocks,
+    in-place ufuncs, and no product or sum regrouped — so copy ``c``
+    matches the serial model bit for bit. No GEMM is hoisted across time
+    steps: that would change the GEMM shapes the serial step runs (NumPy
+    sends a one-row matmul to gemv), and with them the rounding. The
+    forward caches per-step arrays, as the serial layer does:
+    whole-sequence ``(T, k, n, 4h)`` blocks measured slower, as large
+    allocations come back as fresh pages.
+    """
 
     def __init__(self, cells: List[StackedLSTMCell]):
         super().__init__()
@@ -497,18 +542,27 @@ class StackedLSTM(Module):
             )
         k, n, t_steps, _ = x.shape
         self._k, self._batch, self._t_steps = k, n, t_steps
-        self._caches = [[] for _ in self.cells]
-        h_sz = self.hidden_size
+        h_sz, dt = self.hidden_size, x.dtype
+        scratch = _StepScratch(k, n, h_sz, dt)
+        self._caches = []
         inputs = x
-        for layer, cell in enumerate(self.cells):
-            h = np.zeros((k, n, h_sz), dtype=x.dtype)
-            c = np.zeros((k, n, h_sz), dtype=x.dtype)
-            outputs = np.empty((k, n, t_steps, h_sz), dtype=x.dtype)
+        for cell in self.cells:
+            w_x, w_h = cell.w_x.data[:k], cell.w_h.data[:k]
+            # The bias broadcast once per call: a contiguous add per step.
+            bias = np.broadcast_to(cell.bias.data[:k, None, :], scratch.gates.shape).copy()
+            h = np.zeros((k, n, h_sz), dtype=dt)
+            c = np.zeros((k, n, h_sz), dtype=dt)
+            caches, hs = [], []
             for t in range(t_steps):
-                h, c, cache = cell.step(inputs[:, :, t, :], h, c)
-                self._caches[layer].append(cache)
-                outputs[:, :, t, :] = h
-            inputs = outputs
+                x_t = inputs[:, :, t, :]
+                act = np.empty((4, k, n, h_sz), dtype=dt)
+                c_new, tanh_c, h_new = np.empty((3, k, n, h_sz), dtype=dt)
+                _lstm_step(w_x, w_h, bias, x_t, h, c, act, c_new, tanh_c, h_new, scratch)
+                caches.append((x_t, h, c, act, tanh_c))
+                h, c = h_new, c_new
+                hs.append(h)
+            self._caches.append(caches)
+            inputs = np.stack(hs, axis=2)
         return inputs
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -517,51 +571,98 @@ class StackedLSTM(Module):
         k, n, t_steps, h_sz = self._k, self._batch, self._t_steps, self.hidden_size
         if dy.shape != (k, n, t_steps, h_sz):
             raise ValueError(f"StackedLSTM backward expected {(k, n, t_steps, h_sz)}, got {dy.shape}")
-        dinputs = dy
+        dt = dy.dtype
+        # Gate-major scratch (dg[j] is gate j's contiguous block) and the
+        # (k, n, 4h) dgates the GEMMs read, written through a gate-major
+        # view. Gradients w.r.t. layer outputs are kept step-major,
+        # (T, k, n, ·), so every per-step operand is contiguous.
+        dg = np.empty((4, k, n, h_sz), dtype=dt)
+        one_minus = np.empty_like(dg)
+        dgates = np.empty((k, n, 4 * h_sz), dtype=dt)
+        dgates_by_gate = dgates.reshape(k, n, 4, h_sz).transpose(2, 0, 1, 3)
+        dh, dc, tmp, one_minus_tc2 = np.empty((4, k, n, h_sz), dtype=dt)
+        dg_i, dg_f, dg_g, dg_o = dg
+        dg_if, one_minus_g = dg[:2], one_minus[2]
+        d_out = np.ascontiguousarray(dy.transpose(2, 0, 1, 3))
         for layer in range(self.num_layers - 1, -1, -1):
             cell = self.cells[layer]
-            dx = np.zeros((k, n, t_steps, cell.input_size), dtype=dy.dtype)
-            dh = np.zeros((k, n, h_sz), dtype=dy.dtype)
-            dc = np.zeros((k, n, h_sz), dtype=dy.dtype)
+            w_x_t = cell.w_x.data[:k].transpose(0, 2, 1)
+            w_h_t = cell.w_h.data[:k].transpose(0, 2, 1)
+            g_wx, g_wh, g_b = cell.w_x.grad[:k], cell.w_h.grad[:k], cell.bias.grad[:k]
+            gw_x = np.empty(g_wx.shape, dtype=dt)
+            gw_h = np.empty(g_wh.shape, dtype=dt)
+            gb = np.empty(g_b.shape, dtype=dt)
+            dx = np.empty((t_steps, k, n, cell.input_size), dtype=dt)
+            dh.fill(0.0)
+            dc.fill(0.0)
             for t in range(t_steps - 1, -1, -1):
-                dh_total = dh + dinputs[:, :, t, :]
-                dx_t, dh, dc = cell.step_backward(dh_total, dc, self._caches[layer][t])
-                dx[:, :, t, :] = dx_t
-            dinputs = dx
-        return dinputs
+                x_t, h_prev, c_prev, act, tanh_c = self._caches[layer][t]
+                i, f, g, o = act[0], act[1], act[2], act[3]
+                # 1 - i, 1 - f, 1 - g**2, 1 - o and 1 - tanh_c**2.
+                np.subtract(1.0, act, out=one_minus)
+                np.square(g, out=one_minus_g)
+                np.subtract(1.0, one_minus_g, out=one_minus_g)
+                np.square(tanh_c, out=one_minus_tc2)
+                np.subtract(1.0, one_minus_tc2, out=one_minus_tc2)
+                np.add(dh, d_out[t], out=dh)
+                # dc_total = dc + dh * o * (1 - tanh_c**2), left to right.
+                np.multiply(dh, o, out=tmp)
+                tmp *= one_minus_tc2
+                dc += tmp
+                # dgates = [dc*g*i*(1-i), dc*c_prev*f*(1-f), dc*i*(1-g**2),
+                #           dh*tanh_c*o*(1-o)], each product left to right.
+                np.multiply(dc, g, out=dg_i)
+                np.multiply(dc, c_prev, out=dg_f)
+                np.multiply(dc, i, out=dg_g)
+                np.multiply(dh, tanh_c, out=dg_o)
+                dg_if *= act[:2]
+                dg_o *= o
+                np.multiply(dg, one_minus, out=dgates_by_gate)
+                dc *= f
+                g_wx += np.matmul(x_t.transpose(0, 2, 1), dgates, out=gw_x)
+                g_wh += np.matmul(h_prev.transpose(0, 2, 1), dgates, out=gw_h)
+                g_b += np.add.reduce(dgates, axis=1, out=gb)
+                np.matmul(dgates, w_x_t, out=dx[t])
+                np.matmul(dgates, w_h_t, out=dh)
+            d_out = dx
+        return np.ascontiguousarray(d_out.transpose(1, 2, 0, 3))
 
     def eval_forward(self, x: np.ndarray, k: int, shared: bool) -> Tuple[np.ndarray, bool]:
-        # Cache-free inference mirroring the serial cell's arithmetic
-        # kernel for kernel. A still-shared input only stays shared for the
-        # very first gate projection (matmul broadcasts it against the
-        # stacked w_x); the recurrent state is per-copy from step one.
-        h_sz = self.hidden_size
-        inputs = x
-        for cell in self.cells:
-            if shared:
-                n, t_steps = inputs.shape[0], inputs.shape[1]
-            else:
-                n, t_steps = inputs.shape[1], inputs.shape[2]
-            h = np.zeros((k, n, h_sz), dtype=inputs.dtype)
-            c = np.zeros((k, n, h_sz), dtype=inputs.dtype)
-            outputs = np.empty((k, n, t_steps, h_sz), dtype=inputs.dtype)
-            for t in range(t_steps):
-                x_t = inputs[:, t, :] if shared else inputs[:, :, t, :]
-                gates = (
-                    np.matmul(x_t, cell.w_x.data[:k])
-                    + np.matmul(h, cell.w_h.data[:k])
-                    + cell.bias.data[:k, None, :]
-                )
-                i = _sigmoid(gates[:, :, 0 * h_sz : 1 * h_sz])
-                f = _sigmoid(gates[:, :, 1 * h_sz : 2 * h_sz])
-                g = np.tanh(gates[:, :, 2 * h_sz : 3 * h_sz])
-                o = _sigmoid(gates[:, :, 3 * h_sz : 4 * h_sz])
-                c = f * c + i * g
-                h = o * np.tanh(c)
-                outputs[:, :, t, :] = h
-            inputs = outputs
-            shared = False
-        return inputs, False
+        # Cache-free inference with the training step kernel. Copies are
+        # independent here, so they run in chunks whose gate block fits in
+        # cache; every GEMM keeps its per-copy shape. Within a chunk the
+        # layers are interleaved per time step, so only the last layer's
+        # outputs are kept. A shared input stays shared only for the first
+        # gate projection (matmul broadcasts it against the stacked w_x);
+        # the recurrent state is per-copy from step one.
+        n, t_steps = x.shape[:2] if shared else x.shape[1:3]
+        h_sz, dt = self.hidden_size, x.dtype
+        outputs = np.empty((k, n, t_steps, h_sz), dtype=dt)
+        chunk = max(1, _EVAL_CHUNK_BYTES // max(1, n * 4 * h_sz * dt.itemsize))
+        for k0 in range(0, k, chunk):
+            k1 = min(k, k0 + chunk)
+            self._eval_copies(x if shared else x[k0:k1], shared, k0, k1, outputs[k0:k1])
+        return outputs, False
+
+    def _eval_copies(
+        self, x: np.ndarray, shared: bool, k0: int, k1: int, outputs: np.ndarray
+    ) -> None:
+        kc, n, t_steps, h_sz = outputs.shape
+        dt = outputs.dtype
+        scratch = _StepScratch(kc, n, h_sz, dt)
+        act = np.empty((4, kc, n, h_sz), dtype=dt)
+        tanh_c = np.empty((kc, n, h_sz), dtype=dt)
+        states = np.zeros((self.num_layers, 2, kc, n, h_sz), dtype=dt)
+        weights = [
+            (cell.w_x.data[k0:k1], cell.w_h.data[k0:k1], cell.bias.data[k0:k1, None, :])
+            for cell in self.cells
+        ]
+        for t in range(t_steps):
+            x_t = x[:, t, :] if shared else x[:, :, t, :]
+            for (w_x, w_h, bias), (h, c) in zip(weights, states):
+                _lstm_step(w_x, w_h, bias, x_t, h, c, act, c, tanh_c, h, scratch)
+                x_t = h
+            outputs[:, :, t, :] = x_t
 
 
 # -- stacked losses -----------------------------------------------------------
@@ -579,6 +680,24 @@ def _check_mask(
     if np.any(counts <= 0):
         raise ValueError("mask excludes every row of at least one copy")
     return mask
+
+
+def _softmax_nll(logits: np.ndarray, rows: tuple) -> Tuple[np.ndarray, np.ndarray]:
+    """``(-log_softmax(logits)[rows], softmax(logits))`` over the last axis.
+
+    Same per-element operations as the serial ``log_softmax``/``softmax``
+    pair, own implementation: ``shifted = logits - max``, its ``exp`` and
+    the row sums are computed once; the log-probabilities are formed only
+    at ``rows`` (``shifted - log(sum)``) and the softmax (``exp / sum``)
+    reuses the exp buffer, which the caller turns into the gradient.
+    """
+    probs = logits - logits.max(axis=-1, keepdims=True)
+    picked = probs[rows]
+    np.exp(probs, out=probs)
+    sums = probs.sum(axis=-1, keepdims=True)
+    nll = -(picked - np.log(sums[..., 0]))
+    probs /= sums
+    return nll, probs
 
 
 def stacked_softmax_cross_entropy(
@@ -603,10 +722,8 @@ def stacked_softmax_cross_entropy(
     if b == 0:
         raise ValueError("empty batch")
     mask = _check_mask(mask, (c, b), dtype=logits.dtype)
-    logp = log_softmax(logits, axis=2)
     rows = np.arange(c)[:, None], np.arange(b)[None, :], labels
-    nll = -logp[rows]  # (C, B)
-    dlogits = softmax(logits, axis=2)
+    nll, dlogits = _softmax_nll(logits, rows)  # nll: (C, B)
     dlogits[rows] -= 1.0
     if mask is None:
         losses = nll.mean(axis=1)
@@ -658,9 +775,10 @@ def stacked_sequence_cross_entropy(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-copy token-averaged cross-entropy over ``(C, B, T, V)`` logits.
 
-    Mirrors :func:`repro.nn.losses.sequence_cross_entropy` per copy (the
-    serial client loss is called without a token mask, so each copy's loss
-    averages over all ``B*T`` tokens of its unmasked rows). ``mask`` is the
+    Per copy the same result as :func:`repro.nn.losses.sequence_cross_entropy`,
+    own kernel (the serial client loss is called without a token mask, so
+    each copy's loss averages over all ``B*T`` tokens of its unmasked
+    rows). ``mask`` is the
     cohort trainer's ``(C, B)`` *row* mask in {0, 1}: a masked (padded)
     sequence contributes neither loss nor gradient, and the copy's average
     runs over the tokens of its real rows only.
@@ -676,10 +794,8 @@ def stacked_sequence_cross_entropy(
     mask = _check_mask(mask, (c, b), dtype=logits.dtype)
     flat = logits.reshape(c, b * t, v)
     flat_labels = labels.reshape(c, b * t)
-    logp = log_softmax(flat, axis=2)
     rows = np.arange(c)[:, None], np.arange(b * t)[None, :], flat_labels
-    nll = -logp[rows]  # (C, B*T)
-    dflat = softmax(flat, axis=2)
+    nll, dflat = _softmax_nll(flat, rows)  # nll: (C, B*T)
     dflat[rows] -= 1.0
     if mask is None:
         # Multiply by the reciprocal, exactly as the serial loss's

@@ -1,5 +1,6 @@
 """Tests for the process-pool execution primitive."""
 
+import ctypes
 import os
 import signal
 
@@ -51,6 +52,29 @@ def _always_crash(payload, task):
     return task * task
 
 
+def _blas_lib_and_threads():
+    """``(lib, threads)`` of the first loaded OpenBLAS exporting a thread
+    getter, else ``(None, None)``."""
+    from repro.engine.executor import _loaded_openblas
+
+    for lib in _loaded_openblas():
+        for name in (
+            "scipy_openblas_get_num_threads64_",
+            "scipy_openblas_get_num_threads",
+            "openblas_get_num_threads64_",
+            "openblas_get_num_threads",
+        ):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return lib, getter()
+    return None, None
+
+
+def _blas_threads(payload, task):
+    return _blas_lib_and_threads()[1]
+
+
 class TestSerialExecutor:
     def test_maps_in_order(self):
         out = SerialExecutor().map(_square, [3, 1, 2])
@@ -93,6 +117,27 @@ class TestProcessExecutor:
     def test_runs_in_distinct_processes(self):
         pids = set(ProcessExecutor(2).map(_pid, list(range(8))))
         assert os.getpid() not in pids
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_workers_run_one_blas_thread(self):
+        # Forked workers would inherit the parent's BLAS pool and
+        # oversubscribe the cores; each caps itself at one thread, and the
+        # parent keeps its own count.
+        from repro.engine.executor import _BLAS_THREAD_SETTERS
+
+        lib, threads = _blas_lib_and_threads()
+        setter = None if lib is None else next(
+            (getattr(lib, n) for n in _BLAS_THREAD_SETTERS if hasattr(lib, n)), None
+        )
+        if setter is None:
+            pytest.skip("no OpenBLAS thread-count symbols loaded")
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(2)  # so a worker that kept the parent's count reads 2, not 1
+        try:
+            assert ProcessExecutor(2).map(_blas_threads, [0, 1]) == [1, 1]
+            assert _blas_lib_and_threads()[1] == 2
+        finally:
+            setter(threads)
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):

@@ -33,6 +33,7 @@ from repro.nn import (
     get_flat_grads,
     get_flat_params,
     gradcheck_module,
+    log_softmax,
     make_cnn,
     make_lstm_lm,
     make_mlp,
@@ -40,6 +41,7 @@ from repro.nn import (
     numerical_gradient,
     sequence_cross_entropy,
     set_flat_params,
+    softmax,
     softmax_cross_entropy,
     stack_signature,
     stacked_mse,
@@ -49,6 +51,17 @@ from repro.nn import (
 )
 
 C, B = 3, 4  # copies, batch
+
+
+def assert_same_bits(a, b):
+    """Bit-for-bit equality; NaNs must sit at the same positions (their
+    sign bit is not part of the contract)."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    bits = np.dtype(f"u{a.dtype.itemsize}")
+    assert np.array_equal(a[~nan].view(bits), b[~nan].view(bits))
 
 
 @pytest.fixture(autouse=True)
@@ -184,13 +197,31 @@ class TestSerialEquivalence:
             assert np.array_equal(layer.bias.grad[c], serial.bias.grad)
 
     def test_ce_matches_serial_per_copy(self, rng):
-        logits = rng.normal(size=(C, B, 5))
+        logits = rng.normal(size=(C, B, 5), scale=10.0)
         labels = rng.integers(0, 5, size=(C, B))
         losses, dlogits = stacked_softmax_cross_entropy(logits, labels)
         for c in range(C):
             loss_s, d_s = softmax_cross_entropy(logits[c], labels[c])
-            assert losses[c] == pytest.approx(loss_s, rel=1e-15, abs=1e-15)
-            np.testing.assert_allclose(dlogits[c], d_s, rtol=1e-15, atol=1e-18)
+            assert_same_bits(losses[c], loss_s)
+            assert_same_bits(dlogits[c], d_s)
+
+    def test_masked_ce_matches_serial_helpers_bitwise(self, rng):
+        # No serial loss takes a row mask; the reference is the masked
+        # formula over the serial log_softmax/softmax helpers.
+        logits = rng.normal(size=(C, B, 5), scale=10.0)
+        labels = rng.integers(0, 5, size=(C, B))
+        mask = (rng.random((C, B)) < 0.6).astype(np.float64)
+        mask[:, 0] = 1.0
+        losses, dlogits = stacked_softmax_cross_entropy(logits, labels, mask)
+        rows = np.arange(B)
+        for c in range(C):
+            count = mask[c].sum()
+            nll = -log_softmax(logits[c], axis=1)[rows, labels[c]]
+            d_s = softmax(logits[c], axis=1)
+            d_s[rows, labels[c]] -= 1.0
+            d_s *= (mask[c] / count)[:, None]
+            assert_same_bits(losses[c], (nll * mask[c]).sum() / count)
+            assert_same_bits(dlogits[c], d_s)
 
     def test_masked_ce_matches_serial_on_real_rows(self, rng):
         b_real = 2
@@ -313,21 +344,48 @@ class TestStackedTextKernels:
         stacked, _ = self.lstm_stack(rng, layers=1, d_in=3, h=3)
         gradcheck_module(stacked, rng.normal(size=(C, 2, 3, 3)))
 
-    def test_lstm_matches_serial_bitwise(self, rng):
+    def check_lstm_matches_serial(self, rng, n, t_steps, k):
         stacked, serials = self.lstm_stack(rng)
-        x = rng.normal(size=(C, B, 6, 4))
+        x = rng.normal(size=(k, n, t_steps, 4))
         y = stacked.forward(x)
         dy = rng.normal(size=y.shape)
         dx = stacked.backward(dy)
-        for c, serial in enumerate(serials):
-            ys = serial.forward(x[c])
-            dxs = serial.backward(dy[c])
-            assert np.array_equal(y[c], ys)
-            assert np.array_equal(dx[c], dxs)
-            for cell, scell in zip(stacked.cells, serial.cells):
-                assert np.array_equal(cell.w_x.grad[c], scell.w_x.grad)
-                assert np.array_equal(cell.w_h.grad[c], scell.w_h.grad)
-                assert np.array_equal(cell.bias.grad[c], scell.bias.grad)
+        for c in range(k):
+            assert_same_bits(y[c], serials[c].forward(x[c]))
+            assert_same_bits(dx[c], serials[c].backward(dy[c]))
+            for cell, scell in zip(stacked.cells, serials[c].cells):
+                assert_same_bits(cell.w_x.grad[c], scell.w_x.grad)
+                assert_same_bits(cell.w_h.grad[c], scell.w_h.grad)
+                assert_same_bits(cell.bias.grad[c], scell.bias.grad)
+        for cell in stacked.cells:
+            for p in cell.parameters():
+                assert np.all(p.grad[k:] == 0.0)
+
+    def test_lstm_matches_serial_bitwise(self, rng):
+        self.check_lstm_matches_serial(rng, B, 6, C)
+
+    @pytest.mark.parametrize(
+        "n, t_steps, k",
+        [(1, 6, C), (B, 1, C), (B, 6, C - 1), (1, 1, 1)],
+        ids=["batch1", "one_step", "prefix", "batch1_one_step_prefix"],
+    )
+    def test_lstm_matches_serial_at_edges(self, rng, n, t_steps, k):
+        # Batch 1 sends every GEMM to gemv, T=1 runs no recurrence, and a
+        # prefix k < C must leave the retired copies' gradients untouched.
+        self.check_lstm_matches_serial(rng, n, t_steps, k)
+
+    @pytest.mark.parametrize("n, k", [(1, C), (B, C - 1)], ids=["one_sequence", "prefix"])
+    def test_language_model_forward_eval_matches_serial(self, rng, n, k):
+        template = make_lstm_lm(9, embed_dim=4, hidden=5, num_layers=2, rng=rng)
+        model = StackedModel(template, C)
+        slab = rng.normal(size=model.slab.shape, scale=0.5)
+        model.set_slab(slab)
+        ids = rng.integers(0, 9, size=(n, 6))
+        y = model.forward_eval(ids, k)
+        assert y.shape == (k, n, 6, 9)
+        for c in range(k):
+            set_flat_params(template, slab[c])
+            assert_same_bits(y[c], template.forward(ids))
 
     def test_embedding_matches_serial_bitwise(self, rng):
         vocab, dim = 7, 3
@@ -364,6 +422,20 @@ class TestStackedTextKernels:
             loss_s, d_s = sequence_cross_entropy(logits[c], labels[c])
             assert losses[c] == loss_s
             assert np.array_equal(dlogits[c], d_s)
+
+    def test_sequence_ce_row_mask_matches_serial_token_mask(self, rng):
+        # A row mask is the serial loss's token mask repeated over T.
+        t = 4
+        logits = rng.normal(size=(C, B, t, 6))
+        labels = rng.integers(0, 6, size=(C, B, t))
+        mask = (rng.random((C, B)) < 0.6).astype(np.float64)
+        mask[:, 0] = 1.0
+        losses, dlogits = stacked_sequence_cross_entropy(logits, labels, mask)
+        for c in range(C):
+            token_mask = np.repeat(mask[c][:, None], t, axis=1)
+            loss_s, d_s = sequence_cross_entropy(logits[c], labels[c], token_mask)
+            assert_same_bits(losses[c], loss_s)
+            assert_same_bits(dlogits[c], d_s)
 
     def test_sequence_ce_masked_rows(self, rng):
         b_real = 2
@@ -450,3 +522,61 @@ class TestStackSignature:
         c = make_lstm_lm(9, embed_dim=4, hidden=5, num_layers=2, rng=rng)
         assert stack_signature(a) == stack_signature(b)
         assert stack_signature(a) != stack_signature(c)
+
+
+class TestStackedSigmoidExactness:
+    """The branch-free stacked sigmoid against both serial sigmoids (the
+    LSTM gate helper and the Sigmoid layer), bit for bit at the edges of
+    exp's range, at ±0/±inf/NaN, on subnormals, and on random inputs."""
+
+    EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 36.7, -36.7, 37.0, -37.0,
+             708.0, -708.0, 709.0, -709.0, 745.0, -745.0, 746.0, -746.0]
+
+    def inputs(self, rng, dtype):
+        info = np.finfo(dtype)
+        subnormals = [info.smallest_subnormal, -info.smallest_subnormal,
+                      info.smallest_normal / 2, -info.smallest_normal / 2]
+        edges = np.array(self.EDGES + subnormals, dtype=dtype)
+        normals = [rng.normal(scale=s, size=600).astype(dtype) for s in (1.0, 30.0, 300.0)]
+        return np.concatenate([edges] + normals)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_serial_bit_for_bit(self, rng, dtype):
+        from repro.nn.recurrent import _sigmoid as serial_sigmoid
+        from repro.nn.stacked import _stacked_sigmoid
+
+        x = self.inputs(rng, dtype)
+        y = _stacked_sigmoid(x)
+        assert y.dtype == dtype
+        assert_same_bits(y, serial_sigmoid(x))
+        assert_same_bits(y, Sigmoid().forward(x))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_scratch_and_layouts(self, rng, dtype):
+        # As the LSTM step runs it: a strided gate-block input, a
+        # gate-major (transposed) output, caller-owned scratch; and in
+        # place, and through StackedSigmoid's inference path.
+        from repro.nn.recurrent import _sigmoid as serial_sigmoid
+        from repro.nn.stacked import _stacked_sigmoid
+
+        x = self.inputs(rng, dtype)[: 3 * 5 * 16].reshape(3, 5, 16)[:, :, 4:12]
+        expect = serial_sigmoid(x)
+        out = np.empty((8, 3, 5), dtype=dtype).transpose(1, 2, 0)
+        scratch = (np.empty(x.shape, dtype), np.empty(x.shape, dtype), np.empty(x.shape, bool))
+        assert _stacked_sigmoid(x, out, *scratch) is out
+        assert_same_bits(out, expect)
+        inplace = x.copy()
+        assert _stacked_sigmoid(inplace, inplace) is inplace
+        assert_same_bits(inplace, expect)
+        assert_same_bits(StackedSigmoid().eval_forward(x, C, True)[0], expect)
+
+
+def test_stacked_kernels_share_no_serial_helper():
+    """The serial kernels are the oracle the stacked ones are tested
+    against, so ``nn.stacked`` must not run them: a fault in a shared
+    helper would pass every serial≡stacked test."""
+    from repro.nn import functional, recurrent, stacked
+
+    oracle = (recurrent._sigmoid, functional.softmax, functional.log_softmax)
+    bound = [name for name, value in vars(stacked).items() if any(value is o for o in oracle)]
+    assert bound == []
