@@ -441,7 +441,7 @@ class SlabTrainer:
                             n_failed += 1
                     if n_failed == n_groups:
                         return [False] * n_groups
-                model.backward(dlogits)
+                model.backward_params(dlogits)
                 grads = gslab[:k]
                 if prox_any:
                     # FedProx proximal pull towards the group's round-start

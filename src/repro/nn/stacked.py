@@ -20,12 +20,16 @@ Numerical contract: with no padding in play, every stacked kernel is
 elementwise- or GEMM-per-slice-identical to its serial counterpart, so
 copy ``c`` of a stacked forward/backward reproduces the serial model
 bit-for-bit on the reference BLAS paths; the cohort trainer's equivalence
-tests assert this directly. The LSTM, sigmoid and cross-entropy kernels
-do the same per-element operations as the serial ones with their own
-implementation (branch-free, in place), and share no helper with the
+tests assert this directly. The conv, max-pool, ReLU, LSTM, sigmoid and
+cross-entropy kernels do the same per-element operations as the serial
+ones with their own implementation (a gathered unfold, split pooling
+slices, branch-free and in-place ufuncs), and share no helper with the
 serial modules they are tested against. Padded rows (ragged batches) are
 excluded via loss masks, which changes only summation *order* in
 per-client reductions (documented tolerance in :mod:`tests.fl.test_cohort`).
+The slab trainer's step calls :meth:`StackedModel.backward_params`, which
+skips the first layer's input gradient; :meth:`StackedModel.backward`
+still returns it.
 
 Prefix activation: when the first input axis ``k`` is smaller than the
 number of copies C, parameterised layers compute with the leading ``k``
@@ -50,12 +54,12 @@ float32 never silently upcasts.
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from repro.nn.functional import col2im, im2col
 from repro.nn.layers import (
     Conv2D,
     Embedding,
@@ -148,7 +152,9 @@ class StackedLinear(Module):
             y += self.bias.data[:k, None, :]
         return y.reshape(x.shape[:-1] + (self.out_features,))
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward_params(self, dy: np.ndarray) -> np.ndarray:
+        """Accumulate the weight and bias gradients of ``dy`` and return it
+        as ``(k, rows, out)``; no input gradient."""
         x = self._x
         if x is None:
             raise RuntimeError("backward called before forward")
@@ -158,31 +164,65 @@ class StackedLinear(Module):
         self.weight.grad[:k] += np.matmul(x3.transpose(0, 2, 1), dy3)
         if self.bias is not None:
             self.bias.grad[:k] += dy3.sum(axis=1)
-        return np.matmul(dy3, self.weight.data[:k].transpose(0, 2, 1)).reshape(x.shape)
+        return dy3
+
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        dy3 = self.backward_params(dy)
+        k = dy3.shape[0]
+        return np.matmul(dy3, self.weight.data[:k].transpose(0, 2, 1)).reshape(self._x.shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _patch_index(
+    c: int, h: int, w: int, ksz: int, stride: int, pad: int
+) -> Tuple[np.ndarray, int, int]:
+    """Gather index of the unfold: ``(oh*ow, c*ksz*ksz)`` positions into
+    one image flattened as ``(c*h*w,)`` plus a trailing zero, which every
+    padding tap reads. Columns are ``(c, i, j)`` row-major, rows the output
+    positions row-major: the serial ``im2col`` layout. Built once per shape
+    (read-only)."""
+    out_h = (h + 2 * pad - ksz) // stride + 1
+    out_w = (w + 2 * pad - ksz) // stride + 1
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError(f"kernel ({ksz}x{ksz}) too large for input ({h}x{w}) with pad={pad}")
+    taps = np.arange(ksz)
+    rows = (np.arange(out_h) * stride)[:, None, None, None, None] + taps[:, None] - pad
+    cols = (np.arange(out_w) * stride)[None, :, None, None, None] + taps - pad
+    chan = np.arange(c)[:, None, None]
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    index = np.where(inside, (chan * h + rows) * w + cols, c * h * w)
+    index = index.reshape(out_h * out_w, c * ksz * ksz)
+    index.flags.writeable = False
+    return index, out_h, out_w
 
 
 class StackedConv2D(Module):
     """C independent 2-D convolutions over ``(k, B, C_in, H, W)`` inputs.
 
-    im2col runs once over the collapsed ``(k*B, ...)`` image stack (the
-    unfold is per-image, so collapsing is exact); the per-copy weights then
-    apply as one batched ``(k, B*oh*ow, ckk) @ (k, ckk, out_c)`` matmul.
+    The unfold is a gather: each image is copied once into a row with a
+    trailing zero (the padding value), and ``np.take`` with a cached
+    per-shape index (:func:`_patch_index`) builds the ``(k*B, oh*ow, ckk)``
+    patch rows — the serial ``im2col`` layout, values moved, never
+    computed. The per-copy weights then apply as one batched
+    ``(k, B*oh*ow, ckk) @ (k, ckk, out_c)`` matmul, the serial GEMM per
+    copy. The input-gradient fold adds the patch gradients tap by tap in
+    the serial ``(i, j)`` order into a zeroed padded image, so every
+    pixel's sum is formed in the same order. :meth:`backward_params` is
+    the backward without the input gradient, for a first layer whose
+    input is data.
     """
 
     def eval_forward(self, x: np.ndarray, k: int, shared: bool) -> Tuple[np.ndarray, bool]:
-        ksz = self.kernel_size
         w2 = self.weight.data[:k].reshape(k, self.out_channels, -1)
         if shared:
             # The unfold is copy-independent, so run it once on the shared
             # batch and broadcast the column matrix across the k copies.
             b = x.shape[0]
-            cols, out_h, out_w = im2col(x, ksz, ksz, self.stride, self.pad)
-            y = np.matmul(cols, w2.transpose(0, 2, 1))  # (k, B*oh*ow, out_c)
+            cols, out_h, out_w = self._unfold(x, b)
+            y = np.matmul(cols.reshape(b * out_h * out_w, -1), w2.transpose(0, 2, 1))
         else:
             kk, b = x.shape[:2]
-            cols, out_h, out_w = im2col(
-                x.reshape((kk * b,) + x.shape[2:]), ksz, ksz, self.stride, self.pad
-            )
+            cols, out_h, out_w = self._unfold(x, kk * b)
             y = np.matmul(cols.reshape(kk, b * out_h * out_w, -1), w2.transpose(0, 2, 1))
         y += self.bias.data[:k, None, :]
         return y.reshape(k, b, out_h, out_w, self.out_channels).transpose(0, 1, 4, 2, 3), False
@@ -208,6 +248,16 @@ class StackedConv2D(Module):
         self._x_shape: Optional[tuple] = None
         self._out_hw: Optional[tuple] = None
 
+    def _unfold(self, x: np.ndarray, n: int) -> Tuple[np.ndarray, int, int]:
+        """Patch rows ``(n, oh*ow, ckk)`` of the ``n`` images in ``x``
+        (``(..., C_in, H, W)``, any layout)."""
+        c, h, w = x.shape[-3:]
+        index, out_h, out_w = _patch_index(c, h, w, self.kernel_size, self.stride, self.pad)
+        rows = np.empty((n, c * h * w + 1), dtype=x.dtype)
+        rows[:, -1] = 0.0
+        rows[:, :-1].reshape(x.shape)[...] = x
+        return np.take(rows, index, axis=1), out_h, out_w
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 5 or x.shape[2] != self.in_channels or x.shape[0] > self.n_copies:
             raise ValueError(
@@ -215,10 +265,7 @@ class StackedConv2D(Module):
                 f"got {x.shape}"
             )
         k, b = x.shape[:2]
-        ksz = self.kernel_size
-        cols, out_h, out_w = im2col(
-            x.reshape((k * b,) + x.shape[2:]), ksz, ksz, self.stride, self.pad
-        )
+        cols, out_h, out_w = self._unfold(x, k * b)
         cols = cols.reshape(k, b * out_h * out_w, -1)
         self._cols, self._x_shape, self._out_hw = cols, x.shape, (out_h, out_w)
         w2 = self.weight.data[:k].reshape(k, self.out_channels, -1)  # (k, out_c, ckk)
@@ -226,7 +273,9 @@ class StackedConv2D(Module):
         y += self.bias.data[:k, None, :]
         return y.reshape(k, b, out_h, out_w, self.out_channels).transpose(0, 1, 4, 2, 3)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward_params(self, dy: np.ndarray) -> np.ndarray:
+        """Accumulate the weight and bias gradients of ``dy`` and return it
+        as the ``(k, B*oh*ow, out_c)`` row matrix; no input gradient."""
         if self._cols is None:
             raise RuntimeError("backward called before forward")
         k, b = self._x_shape[:2]
@@ -236,38 +285,73 @@ class StackedConv2D(Module):
             (k,) + self.weight.shape[1:]
         )
         self.bias.grad[:k] += dy2.sum(axis=1)
-        w2 = self.weight.data[:k].reshape(k, self.out_channels, -1)
-        dcols = np.matmul(dy2, w2).reshape(k * b * out_h * out_w, -1)
-        ksz = self.kernel_size
-        dx = col2im(dcols, (k * b,) + self._x_shape[2:], ksz, ksz, self.stride, self.pad)
-        return dx.reshape(self._x_shape)
-
-
-class StackedMaxPool2D(MaxPool2D):
-    """Max pooling over ``(k, B, C_in, H, W)``: pooling is per-window, so
-    the serial kernel applies verbatim on the collapsed ``(k*B, ...)``
-    image stack — one kernel to maintain, identical tie handling."""
-
-    def __init__(self, pool_size: int = 2):
-        super().__init__(pool_size)
-        self._stack_shape: Optional[tuple] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        k, b = x.shape[:2]
-        self._stack_shape = x.shape
-        y = MaxPool2D.forward(self, x.reshape((k * b,) + x.shape[2:]))
-        return y.reshape((k, b) + y.shape[1:])
+        return dy2
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._stack_shape is None:
+        dy2 = self.backward_params(dy)
+        k, b, c, h, w = self._x_shape
+        out_h, out_w = self._out_hw
+        ksz, s, pad = self.kernel_size, self.stride, self.pad
+        w2 = self.weight.data[:k].reshape(k, self.out_channels, -1)
+        dcols = np.matmul(dy2, w2).reshape(k * b, out_h, out_w, c, ksz * ksz)
+        # Tap-major copy, so each tap's add reads one contiguous block; the
+        # fold runs channels-last and returns an NCHW view of it.
+        taps = np.ascontiguousarray(dcols.transpose(4, 0, 1, 2, 3))
+        dx = np.zeros((k * b, h + 2 * pad, w + 2 * pad, c), dtype=dcols.dtype)
+        for i in range(ksz):
+            for j in range(ksz):
+                dx[:, i : i + s * out_h : s, j : j + s * out_w : s] += taps[i * ksz + j]
+        dx = dx[:, pad : pad + h, pad : pad + w].reshape(k, b, h, w, c)
+        return dx.transpose(0, 1, 4, 2, 3)
+
+
+class StackedMaxPool2D(Module):
+    """Max pooling over ``(k, B, C_in, H, W)`` with a square window that
+    tiles the input, own kernel: the forward is the elementwise
+    ``np.maximum`` of the ``p*p`` strided window slices, taken in window
+    row-major order, and the backward rebuilds the serial layer's
+    tie-split mask ``eq / count`` slice by slice (``eq``: the slice equals
+    the window max; ``count``: how many do), so tied maxima — every
+    all-zero window after a ReLU — share the gradient exactly as in the
+    serial layer. Values and masks follow the input's dtype."""
+
+    def __init__(self, pool_size: int = 2):
+        super().__init__()
+        self.pool_size = pool_size
+        self._x: Optional[np.ndarray] = None
+        self._y: Optional[np.ndarray] = None
+
+    def _slices(self, a: np.ndarray) -> List[np.ndarray]:
+        p = self.pool_size
+        return [a[..., i::p, j::p] for i in range(p) for j in range(p)]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        p = self.pool_size
+        h, w = x.shape[-2:]
+        if h % p or w % p:
+            raise ValueError(f"MaxPool2D({p}) requires H,W divisible by {p}, got {h}x{w}")
+        first, *rest = self._slices(x)
+        y = first.copy(order="K")
+        for part in rest:
+            np.maximum(y, part, out=y)
+        self._x, self._y = x, y
+        return y
+
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        if self._x is None:
             raise RuntimeError("backward called before forward")
-        k, b = self._stack_shape[:2]
-        dx = MaxPool2D.backward(self, dy.reshape((k * b,) + dy.shape[2:]))
-        return dx.reshape(self._stack_shape)
+        x, y = self._x, self._y
+        eqs = [np.equal(part, y, out=np.empty_like(y, dtype=dy.dtype)) for part in self._slices(x)]
+        count = sum(eqs[1:], eqs[0])
+        dx = np.empty_like(x, dtype=dy.dtype)
+        for eq, part in zip(eqs, self._slices(dx)):
+            eq /= count
+            np.multiply(eq, dy, out=part)
+        return dx
 
     def eval_forward(self, x: np.ndarray, k: int, shared: bool) -> Tuple[np.ndarray, bool]:
         # Pooling is per-window and parameter-free: a shared input stays
-        # shared, and no argmax mask is cached.
+        # shared, and nothing is cached.
         p = self.pool_size
         if shared:
             n, c, h, w = x.shape
@@ -299,14 +383,16 @@ class StackedFlatten(Module):
         return x.reshape(x.shape[0], x.shape[1], -1), False
 
 
-def _relu_eval(x: np.ndarray) -> np.ndarray:
-    # Mirrors ReLU.forward exactly (copy + in-place bool-mask multiply),
-    # including its NaN/inf propagation for diverged models. The compute
-    # dtype follows the slab (float32 slabs stay float32).
-    dt = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64
-    out = x.astype(dt, copy=True)
-    out *= x > 0
-    return out
+def _float_dtype(x: np.ndarray) -> np.dtype:
+    """The compute dtype of an activation: the input's when it is a float
+    (float32 slabs stay float32), else float64."""
+    return x.dtype if np.issubdtype(x.dtype, np.floating) else np.dtype(np.float64)
+
+
+def _relu(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``x * mask`` (``mask = x > 0``) in ``x``'s memory layout: the serial
+    ReLU's operation, so NaN stays NaN and ``-inf`` becomes NaN as there."""
+    return np.multiply(x, mask, out=np.empty_like(x, dtype=_float_dtype(x)))
 
 
 def _stacked_sigmoid(
@@ -336,12 +422,29 @@ def _stacked_sigmoid(
     return np.divide(e, den, out=den if out is None else out)
 
 
-class StackedReLU(ReLU):
-    """ReLU over ``(k, B, ...)`` — elementwise, so the serial kernel is
-    already stacked; the subclass only documents the shape contract."""
+class StackedReLU(Module):
+    """ReLU over ``(k, B, ...)``, own kernel: ``x * (x > 0)`` (see
+    :func:`_relu`). Output, mask and input gradient keep the input's
+    memory layout, so a stacked conv's channels-last output is never
+    transposed: the pooling reads it in place, and the gradient reaches
+    the conv's backward already in its row order. Values follow the
+    input's dtype."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._mask: Optional[np.ndarray] = None
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._mask = np.greater(x, 0)
+        return _relu(x, self._mask)
+
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        if self._mask is None:
+            raise RuntimeError("backward called before forward")
+        return np.multiply(dy, self._mask, out=np.empty_like(self._mask, dtype=dy.dtype))
 
     def eval_forward(self, x: np.ndarray, k: int, shared: bool) -> Tuple[np.ndarray, bool]:
-        return _relu_eval(x), shared
+        return _relu(x, x > 0), shared
 
 
 class StackedTanh(Tanh):
@@ -393,10 +496,15 @@ class StackedEmbedding(Module):
         self._copy_idx = np.arange(k).reshape((k,) + (1,) * (ids.ndim - 1))
         return self.weight.data[self._copy_idx, ids]
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward_params(self, dy: np.ndarray) -> None:
+        """Scatter-add ``dy`` into the table gradients (ids have no
+        gradient)."""
         if self._ids is None:
             raise RuntimeError("backward called before forward")
         np.add.at(self.weight.grad, (self._copy_idx, self._ids), dy)
+
+    def backward(self, dy: np.ndarray) -> np.ndarray:
+        self.backward_params(dy)
         # Ids are not differentiable; shape-cached zero placeholder, as in
         # the serial layer.
         if (
@@ -1032,6 +1140,18 @@ class StackedModel(Module):
         for layer in reversed(self.layers):
             dy = layer.backward(dy)
         return dy
+
+    def backward_params(self, dy: np.ndarray) -> None:
+        """The training step's backward: every parameter gradient of
+        :meth:`backward`, bit for bit, without the input gradient nobody
+        reads — the first layer runs its ``backward_params`` when it has
+        one (conv, linear, embedding), skipping the input-gradient GEMM and
+        fold. :meth:`backward` keeps returning the input gradient, which
+        gradient checks need."""
+        first, *rest = self.layers
+        for layer in reversed(rest):
+            dy = layer.backward(dy)
+        getattr(first, "backward_params", first.backward)(dy)
 
     def forward_eval(self, x: np.ndarray, k: Optional[int] = None) -> np.ndarray:
         """Inference of the leading ``k`` copies over ONE shared input batch.

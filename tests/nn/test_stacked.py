@@ -14,6 +14,7 @@ from repro.nn import (
     Embedding,
     Flatten,
     Linear,
+    MaxPool2D,
     Module,
     ReLU,
     Sequential,
@@ -577,6 +578,186 @@ def test_stacked_kernels_share_no_serial_helper():
     helper would pass every serial≡stacked test."""
     from repro.nn import functional, recurrent, stacked
 
-    oracle = (recurrent._sigmoid, functional.softmax, functional.log_softmax)
+    oracle = (
+        recurrent._sigmoid,
+        functional.softmax,
+        functional.log_softmax,
+        functional.im2col,
+        functional.col2im,
+    )
     bound = [name for name, value in vars(stacked).items() if any(value is o for o in oracle)]
     assert bound == []
+    # No stacked layer runs a serial pooling or ReLU training kernel.
+    serial = {getattr(cls, name) for cls in (MaxPool2D, ReLU) for name in ("forward", "backward")}
+    inherited = [
+        (cls.__name__, name)
+        for cls in vars(stacked).values()
+        if isinstance(cls, type) and issubclass(cls, Module) and cls.__module__ == stacked.__name__
+        for name in ("forward", "backward")
+        if getattr(cls, name) in serial
+    ]
+    assert inherited == []
+
+
+class TestStackedCNNKernels:
+    """The stacked conv, max-pool and ReLU kernels against the serial
+    layers, bit for bit: tied windows (all-zero windows after a ReLU), ±0,
+    NaN and ±inf, non-contiguous inputs, prefix activation and batch 1."""
+
+    @staticmethod
+    def pool_input(rng, k, b, c=2, h=8):
+        x = rng.normal(size=(k, b, c, h, h))
+        # One row of special windows, row-major from the first image:
+        # 2-, 3- and 4-way ties of 0, ±0 in one window, a tie at the max
+        # with a smaller value, NaN, +inf, -inf and a max tied at +inf.
+        windows = [
+            [0.0, 0.0, -1.0, -2.0],
+            [0.0, 0.0, 0.0, -1.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, -0.0, -0.0, 0.0],
+            [-0.0, -0.0, -0.0, -0.0],
+            [1.5, -3.0, 1.5, 1.5],
+            [np.nan, 1.0, 2.0, 3.0],
+            [np.inf, 1.0, -np.inf, 0.0],
+            [-np.inf, -np.inf, -np.inf, -np.inf],
+            [np.inf, np.inf, 2.0, np.nan],
+            [np.inf, np.inf, np.inf, -1.0],
+        ]
+        first_image = x.reshape(-1, h // 2, 2, h // 2, 2)[0]
+        for n, vals in enumerate(windows):
+            row, col = divmod(n, h // 2)
+            first_image[row, :, col, :] = np.reshape(vals, (2, 2))
+        return x
+
+    @staticmethod
+    def serial_pool(x, dy):
+        layer = MaxPool2D(2)
+        k, b = x.shape[:2]
+        y = layer.forward(x.reshape((k * b,) + x.shape[2:]))
+        dx = layer.backward(dy.reshape((k * b,) + dy.shape[2:]))
+        return y.reshape((k, b) + y.shape[1:]), dx.reshape(x.shape)
+
+    @pytest.mark.parametrize("k, b", [(C, B), (1, 1), (C, 1)])
+    def test_pool_matches_serial_with_ties_and_specials(self, rng, k, b):
+        x = self.pool_input(rng, k, b)
+        layer = StackedMaxPool2D(2)
+        with np.errstate(invalid="ignore"):
+            y = layer.forward(x)
+            dy = rng.normal(size=y.shape)
+            dx = layer.backward(dy)
+            y_s, dx_s = self.serial_pool(x, dy)
+        assert_same_bits(y, y_s)
+        assert_same_bits(dx, dx_s)
+        # The special windows really are in the batch: a 3-way tie splits
+        # the gradient in thirds, a NaN window gives NaN gradients.
+        assert np.isnan(dx).any() and np.any(dx == (1.0 / 3.0) * dy.reshape(-1)[1])
+
+    def test_pool_after_relu_of_conv_output(self, rng):
+        # The training layout: a conv's channels-last output through ReLU
+        # (many all-zero windows), pooled; also float32, where the
+        # gradient stays float32 (the serial mask is float64, so its
+        # float32 reference is compared within one rounding).
+        for dtype in (np.float64, np.float32):
+            conv = StackedConv2D(rng.normal(size=(C, 3, 2, 3, 3)), rng.normal(size=(C, 3)) - 1.0, pad=1)
+            for p in conv.parameters():
+                p.data = p.data.astype(dtype)
+            h = StackedReLU().forward(conv.forward(rng.normal(size=(C, 1, 2, 4, 4)).astype(dtype)))
+            assert (h == 0).mean() > 0.3
+            layer = StackedMaxPool2D(2)
+            y = layer.forward(h)
+            dy = rng.normal(size=y.shape).astype(dtype)
+            dx = layer.backward(dy)
+            y_s, dx_s = self.serial_pool(h, dy)
+            assert y.dtype == dx.dtype == dtype
+            assert_same_bits(y, y_s)
+            if dtype == np.float64:
+                assert_same_bits(dx, dx_s)
+            else:
+                np.testing.assert_allclose(dx, dx_s, rtol=2e-7, atol=0)
+
+    def test_relu_matches_serial_on_conv_output(self, rng):
+        conv = StackedConv2D(rng.normal(size=(C, 3, 2, 3, 3)), rng.normal(size=(C, 3)), pad=1)
+        x = conv.forward(rng.normal(size=(C, B, 2, 4, 4)))
+        assert not x.flags.c_contiguous
+        x[0, 0, 0, :2, 0] = [np.nan, -np.inf]
+        x[0, 0, 0, 2:, 0] = [np.inf, -0.0]
+        layer, serial = StackedReLU(), ReLU()
+        with np.errstate(invalid="ignore"):
+            y, y_s = layer.forward(x), serial.forward(x)
+        dy = rng.normal(size=y.shape)
+        assert_same_bits(y, y_s)
+        assert_same_bits(layer.backward(dy), serial.backward(dy))
+        with np.errstate(invalid="ignore"):
+            assert_same_bits(layer.eval_forward(x, C, False)[0], y_s)
+
+    @pytest.mark.parametrize("stride, pad, k, b", [(1, 1, C, B), (2, 0, C, B), (1, 2, 2, 1), (2, 1, 1, 1)])
+    def test_conv_matches_serial(self, rng, stride, pad, k, b):
+        layer = StackedConv2D(
+            rng.normal(size=(C, 3, 2, 3, 3)), rng.normal(size=(C, 3)), stride=stride, pad=pad
+        )
+        # A non-contiguous input, as the trainer's batch buffer gives.
+        x = rng.normal(size=(k, b + 1, 2, 5, 5))[:, 1:]
+        y = layer.forward(x)
+        dy = rng.normal(size=y.shape)
+        dx = layer.backward(dy)
+        shared_y = layer.eval_forward(x[0], k, True)[0]
+        for c in range(k):
+            serial = Conv2D(2, 3, 3, stride=stride, pad=pad, rng=rng)
+            serial.weight.data[...] = layer.weight.data[c]
+            serial.bias.data[...] = layer.bias.data[c]
+            assert_same_bits(y[c], serial.forward(x[c]))
+            assert_same_bits(dx[c], serial.backward(dy[c]))
+            assert_same_bits(layer.weight.grad[c], serial.weight.grad)
+            assert_same_bits(layer.bias.grad[c], serial.bias.grad)
+            assert_same_bits(shared_y[c], serial.forward(x[0]))
+        assert not layer.weight.grad[k:].any() and not layer.bias.grad[k:].any()
+
+    @pytest.mark.parametrize("factory", ["cnn", "mlp", "lm"])
+    def test_backward_params_matches_backward(self, rng, factory):
+        # The trainer's step skips the first layer's input gradient; every
+        # parameter gradient must equal the full backward's.
+        if factory == "cnn":
+            template, x = make_cnn(4, 1, 3, channels=(2, 3), rng=rng), rng.normal(size=(C, B, 1, 4, 4))
+        elif factory == "mlp":
+            template, x = make_mlp(5, 3, hidden=(6,), rng=rng), rng.normal(size=(C, B, 5))
+        else:
+            template, x = make_lstm_lm(9, embed_dim=4, hidden=4, rng=rng), rng.integers(0, 9, (C, B, 3))
+        model = StackedModel(template, C)
+        model.set_slab(rng.normal(size=model.slab.shape, scale=0.3))
+        grads = []
+        for step in ("backward", "backward_params"):
+            model.zero_grad()
+            y = model.forward(x[:2])
+            getattr(model, step)(np.ones_like(y))
+            grads.append(model.grad_slab.copy())
+        assert_same_bits(grads[0], grads[1])
+        assert grads[1][:2].any() and not grads[1][2:].any()
+
+    def test_float32_cnn_never_upcasts(self, rng):
+        model = StackedModel(make_cnn(4, 2, 3, channels=(2, 3), rng=rng), C, dtype="float32")
+        seen = []
+
+        def record(layer, name):
+            inner = getattr(layer, name)
+
+            def wrapper(a):
+                out = inner(a)
+                seen.append((type(layer).__name__, name, a.dtype, None if out is None else out.dtype))
+                return out
+            return wrapper
+
+        for layer in model.layers:
+            for name in ("forward", "backward", "backward_params"):
+                if hasattr(layer, name):
+                    setattr(layer, name, record(layer, name))
+        x = rng.normal(size=(C, B, 2, 4, 4)).astype(np.float32)
+        y = model.forward(x)
+        losses, dy = stacked_softmax_cross_entropy(y, rng.integers(0, 3, (C, B)))
+        model.backward(dy)
+        model.backward_params(dy)
+        assert {(name, step) for name, step, _, _ in seen} >= {
+            (type(layer).__name__, step) for layer in model.layers for step in ("forward", "backward")
+        }
+        upcast = [entry for entry in seen if entry[2] != np.float32 or entry[3] not in (None, np.float32)]
+        assert upcast == [] and losses.dtype == np.float32
+        assert all(g.grad.dtype == np.float32 for g in model.parameters())
