@@ -5,9 +5,9 @@ Contents:
 - :mod:`repro.core.search_space` — the Appendix-B HP space.
 - :mod:`repro.core.noise` / :mod:`repro.core.privacy` — the evaluation-noise
   stack (client subsampling, systems-heterogeneity bias, Laplace DP).
-- Tuning methods: :class:`RandomSearch`, :class:`GridSearch`, :class:`TPE`,
-  :class:`SuccessiveHalving`, :class:`Hyperband`, :class:`BOHB`, the
-  noise-immune :class:`OneShotProxySearch` baseline (§4), and the
+- Tuning methods: :class:`RandomSearch`, :class:`TPE`, :class:`Hyperband`
+  (successive-halving brackets), :class:`BOHB`, the GP-based :class:`GPBO`,
+  the noise-immune :class:`OneShotProxySearch` baseline (§4), and the
   population family :class:`WeightSharingTuner` (FedEx-style) /
   :class:`PopulationTuner` (FedPop-style) riding the fused slab
   (:mod:`repro.core.population`).
@@ -34,13 +34,11 @@ from repro.core.privacy import (
 )
 from repro.core.noise import NoiseConfig, NoisyEvaluation, NoisyEvaluator
 from repro.core.evaluator import FederatedTrialRunner, Trial, TrialRunner, config_to_trainer
-from repro.core.centralized import CentralizedTrialRunner
 from repro.core.results import CurvePoint, Observation, TuningResult
 from repro.core.tuner import BaseTuner, BudgetLedger
 from repro.core.random_search import RandomSearch
-from repro.core.grid_search import GridSearch
 from repro.core.tpe import TPE, TPESampler
-from repro.core.hyperband import Hyperband, SuccessiveHalving, bracket_specs, sha_rungs
+from repro.core.hyperband import Hyperband, bracket_specs, sha_rungs
 from repro.core.bohb import BOHB
 from repro.core.proxy import OneShotProxySearch
 from repro.core.population import PopulationTuner, PopulationTunerBase, WeightSharingTuner
@@ -76,7 +74,6 @@ __all__ = [
     "NoisyEvaluation",
     "NoisyEvaluator",
     "FederatedTrialRunner",
-    "CentralizedTrialRunner",
     "Trial",
     "TrialRunner",
     "config_to_trainer",
@@ -86,11 +83,9 @@ __all__ = [
     "BaseTuner",
     "BudgetLedger",
     "RandomSearch",
-    "GridSearch",
     "TPE",
     "TPESampler",
     "Hyperband",
-    "SuccessiveHalving",
     "bracket_specs",
     "sha_rungs",
     "BOHB",

@@ -216,7 +216,7 @@ class TrialRunner:
         """Hint that ``trial`` will be neither advanced nor read again.
 
         Tuners call this for eliminated configurations (SHA-killed rung
-        losers, scored-once RS/grid trials) so runners can release cached
+        losers, scored-once RS trials) so runners can release cached
         per-trial evaluation state. Retiring is only a memory hint — a
         retired trial that *is* read again re-evaluates correctly, just
         without the cache. Default: no-op.
@@ -309,7 +309,7 @@ class FederatedTrialRunner(TrialRunner):
     ``cohort_mode="fused"``, :meth:`advance_many` hands the batch to a
     :class:`repro.fl.fused.FusedTrainerPool`, which trains every
     same-architecture, same-schedule bucket of trials as one cross-trial
-    parameter slab — whole Hyperband/SHA rungs train as a few lockstep
+    parameter slab — whole Hyperband rungs train as a few lockstep
     mega-cohorts in this process. The runner is single-process: process
     parallelism maps whole tuning runs
     (:func:`repro.experiments.fig_methods.run_sweep`), one runner each. Only

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.core.evaluator import TrialRunner
 from repro.core.gp import fit_gp_with_model_selection
@@ -35,11 +34,13 @@ from repro.utils.rng import SeedLike
 
 def expected_improvement(mean: np.ndarray, var: np.ndarray, incumbent: float) -> np.ndarray:
     """EI for *minimisation*: ``E[max(incumbent - f, 0)]`` under N(mean, var)."""
+    from scipy.stats import norm
+
     std = np.sqrt(np.asarray(var, dtype=np.float64))
     improve = incumbent - np.asarray(mean, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(std > 0, improve / std, 0.0)
-    ei = improve * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+    ei = improve * norm.cdf(z) + std * norm.pdf(z)
     return np.where(std > 0, ei, np.maximum(improve, 0.0))
 
 

@@ -230,43 +230,3 @@ class Hyperband(BaseTuner):
             else None
         )
 
-
-class SuccessiveHalving(Hyperband):
-    """A single SHA bracket as a standalone tuner (the most aggressive
-    early-stopping baseline)."""
-
-    method_name = "sha"
-
-    def __init__(
-        self,
-        space: SearchSpace,
-        runner: TrialRunner,
-        noise: NoiseConfig = NoiseConfig(),
-        n_configs: int = 27,
-        r0: Optional[int] = None,
-        eta: int = 3,
-        total_budget: Optional[int] = None,
-        seed: SeedLike = 0,
-        config_source: Optional[Callable[[], Dict]] = None,
-    ):
-        if n_configs < 1:
-            raise ValueError(f"n_configs must be >= 1, got {n_configs}")
-        self._sha_n = n_configs
-        self._sha_r0 = r0 if r0 is not None else max(1, runner.max_rounds // eta**2)
-        self.eta = eta
-        self.n_brackets = 1
-        self._specs = [(n_configs, self._sha_r0)]
-        self._max_rounds = runner.max_rounds
-        self._config_source = config_source
-        self._bracket = None
-        self._bracket_idx = 0
-        BaseTuner.__init__(self, space, runner, noise, total_budget, seed)
-
-    def planned_releases(self) -> int:
-        return sum(n for n, _ in sha_rungs(self._sha_n, self._sha_r0, self.eta, self._max_rounds))
-
-    def _run(self) -> None:
-        if self._bracket is None:
-            self._start_bracket(self._sha_n, self._sha_r0)
-        self._run_bracket()
-        self._bracket = None

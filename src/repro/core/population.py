@@ -31,7 +31,7 @@ schedule (members keep their batch size and epochs for life) — and every scori
 batch, stacked through one inference slab. Exploit is an in-slab row
 copy and explore a per-row hyperparameter-vector edit
 (:func:`repro.nn.optim.copy_slab_rows` / :func:`~repro.nn.optim.perturb_rows`
-— the same per-row vectors :class:`~repro.nn.optim.FlatSGD` broadcasts),
+— the same per-row vectors :func:`~repro.nn.optim.fused_sgd_step` broadcasts),
 so population size is nearly free on top of the fused engine: no model
 is ever unstacked or restacked between steps.
 
@@ -414,7 +414,7 @@ class PopulationTuner(PopulationTunerBase):
 
     def _setup(self, trials: Sequence[Trial]) -> None:
         # The population's per-row hyperparameter vectors — the same (N,)
-        # RowHP form FlatSGD broadcasts per slab row — seeded from the
+        # RowHP form fused_sgd_step broadcasts per slab row — seeded from the
         # proposed configs and evolved in place by exploit/explore.
         self._hp_rows = {
             key: np.array([float(t.config[key]) for t in trials])

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 
 @dataclass
 class Observation:
@@ -60,9 +58,3 @@ class TuningResult:
             else:
                 break
         return best
-
-    def curve_series(self) -> tuple:
-        """Return ``(budgets, full_errors)`` arrays for plotting/reporting."""
-        budgets = np.array([p.budget_used for p in self.curve])
-        errors = np.array([p.full_error for p in self.curve])
-        return budgets, errors

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -122,20 +122,3 @@ class FederatedDataset:
         if scheme == "uniform":
             return np.ones(len(self.train_clients), dtype=np.float64)
         raise ValueError(f"unknown weighting scheme: {scheme!r}")
-
-    def pooled_eval(self) -> ClientData:
-        """All validation data pooled into one virtual client."""
-        x = np.concatenate([c.x for c in self.eval_clients])
-        y = np.concatenate([c.y for c in self.eval_clients])
-        return ClientData(x, y)
-
-    def with_eval_clients(self, eval_clients: Sequence[ClientData]) -> "FederatedDataset":
-        """Copy of this dataset with a replaced validation pool (used by the
-        iid-repartition heterogeneity experiments)."""
-        return FederatedDataset(
-            name=self.name,
-            task=self.task,
-            train_clients=self.train_clients,
-            eval_clients=list(eval_clients),
-            metadata=dict(self.metadata),
-        )

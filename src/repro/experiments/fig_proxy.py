@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.core.noise import NoiseConfig
 from repro.experiments.bank import ConfigBank
@@ -55,10 +54,12 @@ def run_transfer_scatter(
 def transfer_correlation(records: Sequence[Record], pair: str) -> float:
     """Spearman rank correlation of a pair's scatter (the paper's implicit
     measure of 'HPs transfer well')."""
+    from scipy.stats import spearmanr
+
     pts = [r for r in records if r.pair == pair]
     if len(pts) < 3:
         raise ValueError(f"not enough points for pair {pair!r}")
-    rho, _ = stats.spearmanr([r.error_x for r in pts], [r.error_y for r in pts])
+    rho, _ = spearmanr([r.error_x for r in pts], [r.error_y for r in pts])
     return float(rho)
 
 

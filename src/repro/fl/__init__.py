@@ -3,7 +3,7 @@
 Implements the training/evaluation workflow of the paper's §2.1 and
 Algorithm 2: a server holds global model parameters; each round it samples
 a small client cohort, runs local SGD on each client, aggregates the
-weighted parameter average, and applies a server optimizer (FedAdam family,
+weighted parameter average, and applies a server optimizer (FedAdam,
 Reddi et al. 2020) to the pseudo-gradient.
 """
 
@@ -16,24 +16,14 @@ from repro.fl.cohort import (
     resolve_cohort_mode,
 )
 from repro.fl.fused import FusedTrainerPool
-from repro.fl.server import (
-    FedAdagrad,
-    FedAdam,
-    FedAvg,
-    FedAvgM,
-    FedYogi,
-    ServerOptimizer,
-    make_server_optimizer,
-)
+from repro.fl.server import FedAdam, ServerOptimizer
 from repro.fl.sampling import BiasedSampler, UniformSampler, biased_weights
 from repro.fl.trainer import FederatedTrainer, LocalTrainingConfig
 from repro.fl.evaluation import (
     EvalChunkPlan,
     StackedEvalEngine,
-    clear_eval_plan_cache,
     client_error_rates,
     eval_chunk_plan,
-    evaluate_model,
     fused_group_rates,
     federated_error,
     stacked_client_error_rates,
@@ -50,13 +40,7 @@ __all__ = [
     "SlabTrainer",
     "resolve_cohort_mode",
     "ServerOptimizer",
-    "FedAvg",
-    "FedAvgM",
-    "FedSGD",
     "FedAdam",
-    "FedAdagrad",
-    "FedYogi",
-    "make_server_optimizer",
     "UniformSampler",
     "BiasedSampler",
     "biased_weights",
@@ -64,14 +48,10 @@ __all__ = [
     "LocalTrainingConfig",
     "EvalChunkPlan",
     "StackedEvalEngine",
-    "clear_eval_plan_cache",
     "client_error_rates",
     "eval_chunk_plan",
-    "evaluate_model",
     "fused_group_rates",
     "federated_error",
     "stacked_client_error_rates",
     "tail_error",
 ]
-
-FedSGD = FedAvg  # FedAvg with server lr is exactly server-side SGD.

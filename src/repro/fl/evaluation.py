@@ -23,7 +23,9 @@ The evaluation-side hot path mirrors the training-side slab architecture:
   inference slab holding T same-architecture models
   (:meth:`~repro.nn.stacked.StackedModel.forward_eval`), with per-copy
   error counts and the diverged-model → 1.0 convention preserved per
-  model — bit-identical to T serial :func:`client_error_rates` calls.
+  model — bit-identical to T serial :func:`client_error_rates` calls. A
+  float32 slab reads the plan's float32 copy of the features
+  (:meth:`EvalChunkPlan.inputs`), so it computes in float32 throughout.
 """
 
 from __future__ import annotations
@@ -34,14 +36,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.datasets.base import (
-    ClientData,
-    FederatedDataset,
-    TaskSpec,
-    classification_error,
-    next_token_error,
-)
-from repro.nn.module import Module, set_flat_params
+from repro.datasets.base import ClientData, TaskSpec, classification_error, next_token_error
+from repro.nn.module import Module
 from repro.nn.stacked import StackedModel, resolve_dtype, stack_signature
 from repro.fl.client import evaluate_client
 from repro.utils.stats import weighted_mean
@@ -105,6 +101,25 @@ class EvalChunkPlan:
             chunks.append(EvalChunk(members, x, y, offsets, sizes))
             i = j
         self.chunks = chunks
+        self._inputs: Dict[np.dtype, List[np.ndarray]] = {}
+
+    def inputs(self, dtype) -> List[np.ndarray]:
+        """Every chunk's ``x`` in ``dtype``, cast once per plan and dtype.
+
+        A float32 inference slab fed float64 features would upcast at its
+        first matmul and run in float64 from there on. Float features are
+        cast; integer token ids pass through, and a float64 slab reads the
+        chunks' own arrays.
+        """
+        dtype = np.dtype(dtype)
+        xs = self._inputs.get(dtype)
+        if xs is None:
+            xs = [
+                c.x.astype(dtype, copy=False) if c.x.dtype.kind == "f" else c.x
+                for c in self.chunks
+            ]
+            self._inputs[dtype] = xs
+        return xs
 
 
 #: LRU of chunk plans. Keys are (budget, id(client_0), id(client_1), ...);
@@ -112,18 +127,6 @@ class EvalChunkPlan:
 #: live entry's ids can never be recycled onto different objects.
 _PLAN_CACHE: "OrderedDict[tuple, EvalChunkPlan]" = OrderedDict()
 _PLAN_CACHE_CAPACITY = 16
-
-
-def clear_eval_plan_cache() -> None:
-    """Drop every cached chunk plan.
-
-    The LRU bounds the cache to ``_PLAN_CACHE_CAPACITY`` pools, but each
-    entry pins its clients (plus concatenated copies) for the process
-    lifetime; long-lived processes that churn through many validation
-    pools — e.g. repeated Figure-4 repartitions — can call this between
-    experiments to release them eagerly.
-    """
-    _PLAN_CACHE.clear()
 
 
 def eval_chunk_plan(
@@ -214,9 +217,9 @@ def _count_next_token(logits: np.ndarray, chunk: EvalChunk) -> Tuple[np.ndarray,
     return errs, np.broadcast_to(chunk.sizes * chunk.y.shape[1], errs.shape)
 
 
-#: Serial ``error_fn`` -> vectorized per-copy per-client counter. Tasks with
-#: a custom error function fall back to per-copy serial counting (correct,
-#: just not batched), mirroring the STACKED_LOSSES registry pattern.
+#: Serial ``error_fn`` -> vectorized per-copy per-client counter, mirroring
+#: the STACKED_LOSSES registry. Stacked evaluation of a task whose error
+#: function has no counter here raises.
 STACKED_ERROR_COUNTERS: Dict[Callable, Callable] = {
     classification_error: _count_classification,
     next_token_error: _count_next_token,
@@ -250,31 +253,25 @@ def stacked_client_error_rates(
     logits go non-finite on a client scores 1.0 there — per copy, not per
     chunk.
     """
+    counter = STACKED_ERROR_COUNTERS.get(task.error_fn)
+    if counter is None:
+        raise ValueError(
+            f"error_fn {getattr(task.error_fn, '__name__', task.error_fn)!r} has no "
+            "stacked error counter (see STACKED_ERROR_COUNTERS)"
+        )
     k = stacked.n_copies if n_models is None else n_models
     if plan is None:
         plan = eval_chunk_plan(clients, max_chunk_examples)
-    counter = STACKED_ERROR_COUNTERS.get(task.error_fn)
     rates = np.empty((k, plan.n_clients))
     pos = 0
-    for chunk in plan.chunks:
+    for chunk, x in zip(plan.chunks, plan.inputs(stacked.dtype)):
         m = len(chunk.clients)
         with np.errstate(over="ignore", invalid="ignore"):
-            logits = stacked.forward_eval(chunk.x, k)
-        if counter is not None:
-            errs, tots = counter(logits, chunk)
-            block = errs / tots
-            np.copyto(block, 1.0, where=~_finite_per_client(logits, chunk))
-            rates[:, pos : pos + m] = block
-        else:
-            for c in range(k):
-                for i, client in enumerate(chunk.clients):
-                    off = chunk.offsets[i]
-                    client_logits = logits[c, off : off + client.n]
-                    if not np.all(np.isfinite(client_logits)):
-                        rates[c, pos + i] = 1.0
-                    else:
-                        n_err, n_tot = task.error_fn(client_logits, client.y)
-                        rates[c, pos + i] = n_err / n_tot
+            logits = stacked.forward_eval(x, k)
+        errs, tots = counter(logits, chunk)
+        block = errs / tots
+        np.copyto(block, 1.0, where=~_finite_per_client(logits, chunk))
+        rates[:, pos : pos + m] = block
         pos += m
     return rates
 
@@ -454,27 +451,3 @@ def tail_error(
         raise ValueError("tail_error of empty cohort")
     return float(np.percentile(error_rates, percentile))
 
-
-def evaluate_model(
-    model: Module,
-    dataset: FederatedDataset,
-    params: Optional[np.ndarray] = None,
-    subset: Optional[np.ndarray] = None,
-    scheme: str = "weighted",
-) -> float:
-    """End-to-end evaluation: error rates + aggregation in one call.
-
-    ``params`` (if given) is loaded into ``model`` first; ``subset`` indexes
-    into the validation client pool; ``scheme`` selects the paper's weighted
-    or uniform objective.
-    """
-    if params is not None:
-        set_flat_params(model, params)
-    clients = dataset.eval_clients
-    weights = dataset.eval_weights(scheme)
-    if subset is not None:
-        subset = np.asarray(subset)
-        clients = [clients[i] for i in subset]
-        weights = weights[subset]
-    rates = client_error_rates(model, clients, dataset.task)
-    return weighted_mean(rates, weights)

@@ -1,12 +1,12 @@
 """Trial-fused execution: many trainers' rounds in one cross-trial slab.
 
-A tuner rung (Hyperband/SHA), a random-search batch, or a grid sweep hands
-``advance_many`` a set of trials that differ *only in hyperparameters* —
-same dataset, same model architecture. :class:`FusedTrainerPool` exploits
-that: it groups trainers by :func:`repro.nn.stacked.stack_signature` and
-local step schedule ``(batch_size, epochs)`` and advances each bucket's
-rounds in lockstep, with every trial's whole cohort occupying a contiguous
-row block of one ``(sum of cohorts, P)`` slab. Per-trial hyperparameters
+A Hyperband rung or a random-search batch hands ``advance_many`` a set of
+trials that differ *only in hyperparameters* — same dataset, same model
+architecture. :class:`FusedTrainerPool` exploits that: it groups trainers
+by :func:`repro.nn.stacked.stack_signature` and local step schedule
+``(batch_size, epochs)`` and advances each bucket's rounds in lockstep,
+with every trial's whole cohort occupying a contiguous row block of one
+``(sum of cohorts, P)`` slab. Per-trial hyperparameters
 (client lr / momentum / weight decay / FedProx mu) broadcast per slab row
 through the per-row vector form of :func:`repro.nn.optim.fused_sgd_step`.
 Trials with different schedules never share a pass: a mixed slab pads
@@ -37,7 +37,7 @@ import numpy as np
 from repro.fl.cohort import SlabTrainer
 from repro.fl.evaluation import StackedEvalEngine, fused_group_rates
 from repro.fl.trainer import FederatedTrainer, run_slab_round
-from repro.nn.stacked import STACKED_LOSSES, StackedModel, resolve_dtype, stack_signature
+from repro.nn.stacked import StackedModel, resolve_dtype, stack_signature
 
 
 class FusedTrainerPool:
@@ -79,7 +79,7 @@ class FusedTrainerPool:
         Same-architecture trainers (grouped by
         :func:`~repro.nn.stacked.stack_signature`) evaluate as one
         stacked inference sweep over the pool's cached chunk plan;
-        singleton groups and unstackable models use the serial
+        singleton groups use the serial
         :meth:`~repro.fl.trainer.FederatedTrainer.eval_error_rates`.
         Per trainer the result is bit-identical to the serial call.
         """
@@ -113,7 +113,6 @@ class FusedTrainerPool:
         Trainers are bucketed by architecture signature, loss, slab dtype
         and local step schedule; each bucket — of one trainer or many —
         trains as one pass over the pool's slab for that architecture.
-        Trainers without stacked kernels run their own (serial) ``run``.
         A diverged trial reruns its round serially (see
         :func:`~repro.fl.trainer.run_slab_round`); any exception from
         building or training a slab propagates.
@@ -125,12 +124,8 @@ class FusedTrainerPool:
                 raise ValueError(f"rounds must be >= 0, got {r}")
         buckets: Dict[tuple, List[int]] = {}
         for i, trainer in enumerate(trainers):
-            signature = stack_signature(trainer.model)
-            if signature is None or trainer.dataset.task.loss_fn not in STACKED_LOSSES:
-                trainer.run(rounds[i])
-                continue
             dtype_name = np.dtype(getattr(trainer, "cohort_dtype", self.dtype)).name
-            slab_key = (signature, trainer.dataset.task.loss_fn, dtype_name)
+            slab_key = (stack_signature(trainer.model), trainer.dataset.task.loss_fn, dtype_name)
             schedule = (trainer.local.batch_size, trainer.local.epochs)
             buckets.setdefault((slab_key, schedule), []).append(i)
         for (slab_key, _), members in buckets.items():

@@ -1,8 +1,8 @@
 """Server optimizers (``ServerOPT`` in Algorithm 2).
 
-These implement the adaptive federated optimization family of Reddi et al.
+:class:`FedAdam` is the adaptive federated optimizer of Reddi et al.
 (2020): the round's aggregated client update is treated as a pseudo-gradient
-``Δ_t = w_t - avg_k(w_k)`` and fed to a server-side first-order method.
+``Δ_t = w_t - avg_k(w_k)`` and fed to a server-side Adam step.
 The paper tunes FedAdam's learning rate and both moment-decay rates, with a
 fixed multiplicative lr decay γ = 0.9999 per round (Appendix B).
 """
@@ -65,38 +65,14 @@ class ServerOptimizer:
         raise NotImplementedError
 
 
-class FedAvg(ServerOptimizer):
-    """Server SGD: ``w <- w - lr * Δ``. With lr = 1 this is vanilla FedAvg
-    (the new parameters are exactly the aggregated client average)."""
+class FedAdam(ServerOptimizer):
+    """FedAdam (Reddi et al. 2020) — the paper's tuned server optimizer.
 
-    def __init__(self, lr: float = 1.0, lr_decay: float = 1.0):
-        super().__init__(lr, lr_decay)
-
-    def _update(self, params: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return params - self.current_lr * g
-
-
-class FedAvgM(ServerOptimizer):
-    """Server SGD with momentum (FedAvgM, Hsu et al. 2019)."""
-
-    _STATE_ATTRS = ("_t", "_velocity")
-
-    def __init__(self, lr: float = 1.0, momentum: float = 0.9, lr_decay: float = 1.0):
-        super().__init__(lr, lr_decay)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity: Optional[np.ndarray] = None
-
-    def _update(self, params: np.ndarray, g: np.ndarray) -> np.ndarray:
-        if self._velocity is None:
-            self._velocity = np.zeros_like(params)
-        self._velocity = self.momentum * self._velocity + g
-        return params - self.current_lr * self._velocity
-
-
-class _AdaptiveServerOptimizer(ServerOptimizer):
-    """Shared moment bookkeeping for FedAdagrad / FedAdam / FedYogi."""
+    ``m <- β1·m + (1-β1)·Δ``; ``v <- β2·v + (1-β2)·Δ²``;
+    ``w <- w - lr_t · m / (sqrt(v) + τ)``. The paper's search space
+    (Appendix B): ``log10 lr ~ U[-6, -1]``, ``beta1 ~ U[0, 0.9]``,
+    ``beta2 ~ U[0, 0.999]``, γ = 0.9999.
+    """
 
     _STATE_ATTRS = ("_t", "_m", "_v")
 
@@ -121,63 +97,10 @@ class _AdaptiveServerOptimizer(ServerOptimizer):
         self._m: Optional[np.ndarray] = None
         self._v: Optional[np.ndarray] = None
 
-    def _ensure_state(self, params: np.ndarray) -> None:
+    def _update(self, params: np.ndarray, g: np.ndarray) -> np.ndarray:
         if self._m is None:
             self._m = np.zeros_like(params)
             self._v = np.zeros_like(params)
-
-    def _second_moment(self, g: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _update(self, params: np.ndarray, g: np.ndarray) -> np.ndarray:
-        self._ensure_state(params)
         self._m = self.beta1 * self._m + (1.0 - self.beta1) * g
-        self._v = self._second_moment(g)
+        self._v = self.beta2 * self._v + (1.0 - self.beta2) * g**2
         return params - self.current_lr * self._m / (np.sqrt(self._v) + self.tau)
-
-
-class FedAdam(_AdaptiveServerOptimizer):
-    """FedAdam (Reddi et al. 2020) — the paper's tuned server optimizer.
-
-    The paper's search space (Appendix B): ``log10 lr ~ U[-6, -1]``,
-    ``beta1 ~ U[0, 0.9]``, ``beta2 ~ U[0, 0.999]``, γ = 0.9999.
-    """
-
-    def _second_moment(self, g: np.ndarray) -> np.ndarray:
-        return self.beta2 * self._v + (1.0 - self.beta2) * g**2
-
-
-class FedAdagrad(_AdaptiveServerOptimizer):
-    """FedAdagrad: accumulating second moment."""
-
-    def _second_moment(self, g: np.ndarray) -> np.ndarray:
-        return self._v + g**2
-
-
-class FedYogi(_AdaptiveServerOptimizer):
-    """FedYogi: sign-controlled second-moment update."""
-
-    def _second_moment(self, g: np.ndarray) -> np.ndarray:
-        g2 = g**2
-        return self._v - (1.0 - self.beta2) * g2 * np.sign(self._v - g2)
-
-
-_SERVER_OPTIMIZERS = {
-    "fedavg": FedAvg,
-    "fedavgm": FedAvgM,
-    "fedadam": FedAdam,
-    "fedadagrad": FedAdagrad,
-    "fedyogi": FedYogi,
-}
-
-
-def make_server_optimizer(name: str, **kwargs) -> ServerOptimizer:
-    """Factory by name (``fedavg``, ``fedavgm``, ``fedadam``, ``fedadagrad``,
-    ``fedyogi``)."""
-    try:
-        cls = _SERVER_OPTIMIZERS[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown server optimizer {name!r}; choose from {sorted(_SERVER_OPTIMIZERS)}"
-        ) from None
-    return cls(**kwargs)

@@ -20,7 +20,7 @@ import numpy as np
 from repro.datasets.base import FederatedDataset
 from repro.fl.client import ClientTrainer
 from repro.fl.cohort import SlabGroup, SlabTrainer, resolve_cohort_mode
-from repro.fl.evaluation import client_error_rates, evaluate_model
+from repro.fl.evaluation import client_error_rates
 from repro.fl.sampling import UniformSampler
 from repro.fl.server import ServerOptimizer
 from repro.nn.module import Module, get_flat_params, set_flat_params
@@ -77,9 +77,9 @@ class FederatedTrainer:
         cross-trial slab when a :class:`repro.fl.fused.FusedTrainerPool`
         (via the trial runners' ``advance_many``) drives the round.
         ``None`` resolves from ``$REPRO_COHORT_VECTOR`` (default serial).
-        Models without stacked kernels and rounds with diverging clients
-        automatically fall back to the serial path;
-        ``cohort_mode_effective`` reports the path actually in use.
+        Fused mode raises ``ValueError`` at construction for a model or
+        loss without stacked kernels; a round whose client diverges
+        reruns that round serially.
     cohort_dtype : slab compute dtype for the fused path
         (:func:`repro.nn.stacked.resolve_dtype`; ``None`` resolves
         ``$REPRO_DTYPE``, default float64). float32 halves slab memory at
@@ -133,24 +133,21 @@ class FederatedTrainer:
         self.participation = None
         self.cohort_mode = resolve_cohort_mode(cohort_mode)
         self.cohort_dtype = resolve_dtype(cohort_dtype)
+        if self.cohort_mode == "fused" and not SlabTrainer.supports(dataset.task, self.model):
+            raise ValueError(
+                f"cohort_mode='fused' needs stacked kernels, but model "
+                f"{type(self.model).__name__} with loss "
+                f"{getattr(dataset.task.loss_fn, '__name__', dataset.task.loss_fn)} has none"
+            )
         # The standalone slab is built lazily on the first run_round:
         # trials advanced through a trainer pool train on the pool's slab,
         # so a fused rung does not pay one (C, P) slab per trial.
-        self._slab_capable = self.cohort_mode == "fused" and SlabTrainer.supports(
-            dataset.task, self.model
-        )
         self._slab: Optional[SlabTrainer] = None
         # Aggregation scratch, reused every round: the (cohort, P) client
         # updates, their weighted copy, and the averaged parameters.
         self._updates = np.empty((self.clients_per_round, self.params.size))
         self._weighted = np.empty_like(self._updates)
         self._avg = np.empty(self.params.size)
-
-    @property
-    def cohort_mode_effective(self) -> str:
-        """The training path in use ("fused" falls back to "serial" for
-        model families without stacked kernels)."""
-        return "fused" if self._slab_capable else "serial"
 
     # -- round phases --------------------------------------------------------
     # A round is three hooks — sample the cohort, produce per-client
@@ -241,7 +238,7 @@ class FederatedTrainer:
 
     def run_round(self) -> None:
         """One communication round (the inner loop of Algorithm 2)."""
-        if self._slab_capable:
+        if self.cohort_mode == "fused":
             if self._slab is None:
                 self._slab = SlabTrainer(
                     self.dataset.task,
@@ -376,16 +373,6 @@ class FederatedTrainer:
             self.dataset.eval_clients,
             self.dataset.task,
             max_chunk_examples=max_chunk_examples,
-        )
-
-    def full_validation_error(self, scheme: Optional[str] = None) -> float:
-        """Full-pool validation error (Eq. 2 with S = [N_val])."""
-        return evaluate_model(
-            self.model,
-            self.dataset,
-            params=self.params,
-            subset=None,
-            scheme=scheme or self.scheme,
         )
 
 

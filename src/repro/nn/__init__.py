@@ -43,7 +43,6 @@ from repro.nn.recurrent import LSTM, LSTMCell
 from repro.nn.losses import mse_loss, softmax_cross_entropy, sequence_cross_entropy
 from repro.nn.optim import (
     SGD,
-    FlatSGD,
     Optimizer,
     copy_slab_rows,
     fused_sgd_step,
@@ -105,7 +104,6 @@ __all__ = [
     "softmax_cross_entropy",
     "sequence_cross_entropy",
     "SGD",
-    "FlatSGD",
     "Optimizer",
     "copy_slab_rows",
     "fused_sgd_step",

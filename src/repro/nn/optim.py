@@ -4,8 +4,10 @@ The paper's client optimizer is SGD with momentum and weight decay
 (Appendix B). The server-side FedAdam update works on flat vectors and
 lives in :mod:`repro.fl.server`.
 
-The fused slab kernels (:func:`fused_sgd_step`, :class:`FlatSGD`,
-:func:`copy_slab_rows`, :func:`perturb_rows`) are dtype-polymorphic: the
+:class:`SGD` is the serial per-parameter client optimizer. The slab
+trainer runs the same rule as one whole-buffer call,
+:func:`fused_sgd_step`; it and the population tuners' row moves
+(:func:`copy_slab_rows`, :func:`perturb_rows`) are dtype-polymorphic: the
 buffers they receive carry the slab's compute dtype, and scalar
 hyperparameters stay in that dtype under NumPy's weak scalar promotion.
 """
@@ -16,7 +18,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Parameter
 
 #: A hyperparameter that is either one scalar for the whole buffer or a
 #: per-row ``(R,)`` vector for a stacked ``(R, P)`` slab.
@@ -50,11 +52,6 @@ class Optimizer:
             raise ValueError("optimizer needs at least one parameter")
         self.params = list(params)
         self.lr = lr
-
-    @classmethod
-    def for_module(cls, module: Module, **kwargs) -> "Optimizer":
-        """Construct for all parameters of ``module``."""
-        return cls(module.parameters(), **kwargs)
 
     def step(self) -> None:
         raise NotImplementedError
@@ -217,8 +214,8 @@ def perturb_rows(
 
     ``values[rows[j]] <- clip(values[rows[j]] * factors[j], low, high)`` —
     the population tuners' *explore* move over the ``(R,)`` lr / momentum
-    / weight-decay vectors that :func:`fused_sgd_step` and
-    :class:`FlatSGD` broadcast per slab row. Multiplicative factors keep
+    / weight-decay vectors that :func:`fused_sgd_step` broadcasts per slab
+    row. Multiplicative factors keep
     sign-constrained knobs (positive lr, non-negative weight decay) in
     domain without per-knob special cases.
     """
@@ -233,57 +230,4 @@ def perturb_rows(
     if low is not None or high is not None:
         np.clip(perturbed, low, high, out=perturbed)
     values[rows] = perturbed
-
-
-class FlatSGD:
-    """:class:`SGD` fused over one flat parameter buffer.
-
-    Where :class:`SGD` loops over a module's parameter list, this operates
-    on a single ``(P,)`` vector — or a stacked ``(C, P)`` slab holding C
-    independent parameter copies with per-row momentum state — which is
-    what the lockstep slab trainer (:mod:`repro.fl.cohort`) runs local
-    SGD on. Updates are bit-identical to the per-parameter loop.
-
-    Each hyperparameter may also be a per-row ``(C,)`` vector, giving
-    every slab row its own learning rate / momentum / weight decay — the
-    trial-fused runner trains whole tuner rungs this way, one
-    configuration per row group.
-    """
-
-    def __init__(self, lr: RowHP, momentum: RowHP = 0.0, weight_decay: RowHP = 0.0):
-        if np.any(np.asarray(lr) <= 0):
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if np.any(np.asarray(momentum) < 0) or np.any(np.asarray(momentum) >= 1.0):
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if np.any(np.asarray(weight_decay) < 0):
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity: Optional[np.ndarray] = None
-
-    def reset(self) -> None:
-        """Drop momentum state (e.g. between federated rounds, where client
-        momentum is per-invocation)."""
-        self._velocity = None
-
-    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
-        """Update ``params`` in place from ``grads`` (same shape)."""
-        if params.shape != grads.shape:
-            raise ValueError(
-                f"shape mismatch: params {params.shape} vs grads {grads.shape}"
-            )
-        velocity = None
-        if np.any(self.momentum):
-            if self._velocity is None or self._velocity.shape != params.shape:
-                self._velocity = np.zeros_like(params)
-            velocity = self._velocity
-        fused_sgd_step(
-            params,
-            grads,
-            lr=self.lr,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            velocity=velocity,
-        )
 

@@ -920,8 +920,8 @@ def stacked_sequence_cross_entropy(
 
 
 #: Serial loss function -> its stacked counterpart. The cohort trainer uses
-#: this to translate a TaskSpec's ``loss_fn``; tasks whose loss is not here
-#: fall back to serial training.
+#: this to translate a TaskSpec's ``loss_fn``; a fused trainer for a task
+#: whose loss is not here raises at construction.
 STACKED_LOSSES: Dict[Callable, Callable] = {
     softmax_cross_entropy: stacked_softmax_cross_entropy,
     mse_loss: stacked_mse,

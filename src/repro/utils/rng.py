@@ -93,10 +93,6 @@ class RngFactory:
         """Return a generator bound to ``name`` under this factory."""
         return np.random.default_rng(self._entropy_for(name))
 
-    def make_many(self, name: str, n: int) -> List[np.random.Generator]:
-        """Return ``n`` independent generators under ``name``."""
-        return [np.random.default_rng(child) for child in self._entropy_for(name).spawn(n)]
-
     def child(self, name: str) -> "RngFactory":
         """Return a nested factory rooted at ``name``."""
         sub = RngFactory.__new__(RngFactory)

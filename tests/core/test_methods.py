@@ -6,16 +6,15 @@ import pytest
 from repro.core import (
     BOHB,
     TPE,
-    GridSearch,
     Hyperband,
     NoiseConfig,
     RandomSearch,
-    SuccessiveHalving,
     SyntheticRunner,
     bracket_specs,
     paper_space,
     sha_rungs,
 )
+from repro.core.hyperband import bracket_cost
 
 SPACE = paper_space()
 
@@ -105,31 +104,6 @@ class TestRandomSearch:
             run_method(RandomSearch, n_configs=0)
 
 
-class TestGridSearch:
-    def test_covers_levels(self):
-        result = run_method(GridSearch, levels=2, max_configs=16, budget=16 * 27)
-        assert len(result.observations) == 16
-
-    def test_planned_releases_counts_grid(self):
-        runner = SyntheticRunner(max_rounds=27, seed=0)
-        gs = GridSearch(SPACE, runner, NoiseConfig(), levels=2, max_configs=1000, seed=0)
-        # 5 numeric searched dims at 2 levels, batch_size has 3 options.
-        assert gs.planned_releases() == 2**5 * 3
-
-    def test_max_configs_caps(self):
-        runner = SyntheticRunner(max_rounds=27, seed=0)
-        gs = GridSearch(SPACE, runner, NoiseConfig(), levels=3, max_configs=5, seed=0)
-        assert len(gs._grid) == 5
-        assert gs.planned_releases() == 5
-
-    def test_validation(self):
-        runner = SyntheticRunner(max_rounds=27, seed=0)
-        with pytest.raises(ValueError):
-            GridSearch(SPACE, runner, levels=0)
-        with pytest.raises(ValueError):
-            GridSearch(SPACE, runner, max_configs=0)
-
-
 class TestTPE:
     def test_beats_or_matches_rs_noiseless(self):
         """With a smooth surface and no noise, TPE should be at least
@@ -209,14 +183,20 @@ class TestHyperbandFamily:
         assert promoted == best
 
     def test_sha_single_bracket(self):
-        result = run_method(SuccessiveHalving, n_configs=9, budget=200)
+        # A budget of exactly the first bracket's cost runs one SHA bracket.
+        runner = SyntheticRunner(n_clients=20, max_rounds=27, heterogeneity=0.05, seed=0)
+        n, r0 = bracket_specs(27, 3, 5)[0]
+        budget = bracket_cost(n, r0, 3, 27)
+        hb = Hyperband(SPACE, runner, NoiseConfig(), total_budget=budget, seed=0)
+        result = hb.run()
         assert result.best_config is not None
+        assert len({o.trial_id for o in result.observations}) == n
+        assert len(result.observations) == sum(k for k, _ in sha_rungs(n, r0, 3, 27))
 
     def test_sha_release_count(self):
-        runner = SyntheticRunner(max_rounds=27, seed=0)
-        sha = SuccessiveHalving(SPACE, runner, NoiseConfig(), n_configs=9, r0=3, seed=0)
-        # Rungs: (9,3), (3,9), (1,27) -> 13 evaluations.
-        assert sha.planned_releases() == 13
+        # One SHA bracket of 9 configs from r0 = 3: rungs (9,3), (3,9),
+        # (1,27) -> 13 evaluations, the count Hyperband plans for it.
+        assert sum(n for n, _ in sha_rungs(9, 3, 3, 27)) == 13
 
     def test_eta_validation(self):
         runner = SyntheticRunner(max_rounds=27, seed=0)

@@ -89,11 +89,6 @@ class TestBaseTunerMechanics:
         r2 = self.make_rs(seed=2).run()
         assert r1.observations[0].config != r2.observations[0].config
 
-    def test_curve_series(self):
-        result = self.make_rs().run()
-        budgets, errors = result.curve_series()
-        assert budgets.shape == errors.shape == (len(result.curve),)
-
 
 class TestSyntheticRunner:
     def test_learning_curve_decreases_with_rounds(self):

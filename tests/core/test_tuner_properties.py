@@ -7,10 +7,10 @@ from repro.core import (
     Hyperband,
     NoiseConfig,
     RandomSearch,
-    SuccessiveHalving,
     SyntheticRunner,
     paper_space,
 )
+from repro.core.hyperband import bracket_cost, bracket_specs
 
 SPACE = paper_space()
 
@@ -53,21 +53,16 @@ class TestBudgetInvariants:
 
     @settings(max_examples=10, deadline=None)
     @given(
-        n_configs=st.integers(2, 20),
         max_rounds=st.integers(3, 30),
+        eta=st.integers(2, 4),
         seed=st.integers(0, 999),
     )
-    def test_sha_trains_within_per_config_cap(self, n_configs, max_rounds, seed):
+    def test_sha_trains_within_per_config_cap(self, max_rounds, eta, seed):
+        # A budget of exactly one cycle runs every SHA bracket to completion.
+        budget = sum(bracket_cost(n, r0, eta, max_rounds) for n, r0 in bracket_specs(max_rounds, eta, 5))
         runner = SyntheticRunner(n_clients=8, max_rounds=max_rounds, seed=0)
-        sha = SuccessiveHalving(
-            SPACE,
-            runner,
-            NoiseConfig(),
-            n_configs=n_configs,
-            total_budget=1_000_000,  # effectively unlimited
-            seed=seed,
-        )
-        result = sha.run()
+        result = Hyperband(SPACE, runner, NoiseConfig(), eta=eta, total_budget=budget, seed=seed).run()
+        assert result.observations
         for obs in result.observations:
             assert obs.rounds <= max_rounds
 

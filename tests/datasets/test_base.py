@@ -91,16 +91,3 @@ class TestFederatedDataset:
             ds.eval_weights("quadratic")
         with pytest.raises(ValueError):
             ds.train_weights("quadratic")
-
-    def test_pooled_eval(self, rng):
-        ds = self.make_ds(rng)
-        pooled = ds.pooled_eval()
-        assert pooled.n == sum(c.n for c in ds.eval_clients)
-
-    def test_with_eval_clients_replaces_pool(self, rng):
-        ds = self.make_ds(rng)
-        new_pool = [make_client(7, rng)]
-        ds2 = ds.with_eval_clients(new_pool)
-        assert ds2.num_eval_clients == 1
-        assert ds.num_eval_clients == 2  # original untouched
-        assert ds2.train_clients is ds.train_clients

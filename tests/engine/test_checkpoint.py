@@ -4,9 +4,9 @@ The hard contract: a tuning run killed after any observation and resumed
 from its last on-disk checkpoint produces the *same* ``TuningResult`` —
 observations, curves, DP release counts — and the same tuner/trainer RNG
 end states as the uninterrupted run. Asserted here for every method in
-the registry (plus the non-registry tuners: SHA, grid, robust RS
-variants), under plain / DP / biased evaluation noise, across the serial
-and fused cohort modes, and at every kill point. At the sweep level, a
+the registry (plus the non-registry robust RS variants), under plain /
+DP / biased evaluation noise, across the serial and fused cohort modes,
+and at every kill point. At the sweep level, a
 ``--workers 2`` figure run preempted by SIGTERM or killed with SIGKILL
 resumes to the uninterrupted output.
 """
@@ -24,8 +24,7 @@ import pytest
 from repro.core import FederatedTrialRunner, NoiseConfig
 from repro.core.bohb import BOHB
 from repro.core.gp_bo import GPBO
-from repro.core.grid_search import GridSearch
-from repro.core.hyperband import Hyperband, SuccessiveHalving
+from repro.core.hyperband import Hyperband
 from repro.core.population import PopulationTuner, WeightSharingTuner
 from repro.core.random_search import RandomSearch
 from repro.core.robust import ResampledRandomSearch, TwoStageRandomSearch
@@ -67,8 +66,6 @@ ALL_METHODS = (
     "fedpop",
     "gp-ei",
     "gp-nei",
-    "sha",
-    "grid",
     "rs-resampled",
     "rs-two-stage",
 )
@@ -122,10 +119,6 @@ def build_tuner(method, dataset, noise, mode="serial", seed=5):
         return Hyperband(SPACE, runner, noise, n_brackets=2, **kw)
     if method == "bohb":
         return BOHB(SPACE, runner, noise, n_brackets=2, **kw)
-    if method == "sha":
-        return SuccessiveHalving(SPACE, runner, noise, n_configs=6, **kw)
-    if method == "grid":
-        return GridSearch(SPACE, runner, noise, levels=2, max_configs=4, **kw)
     if method == "rs-resampled":
         return ResampledRandomSearch(SPACE, runner, noise, n_configs=3, n_resamples=2, **kw)
     if method == "rs-two-stage":

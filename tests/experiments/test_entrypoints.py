@@ -11,6 +11,8 @@ experiments CLI, and the environment resolution inside
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.experiments.cli import main as cli_main
 from repro.fl.cohort import COHORT_VECTOR_ENV, resolve_cohort_mode
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
 def load_example(name):
@@ -159,3 +162,15 @@ class TestPopulationExampleRuns:
         mod.main(["--preset", "test", "--population", "3", "--rounds-per-step", "2"])
         out = capsys.readouterr().out
         assert "fedex" in out and "fedpop" in out
+
+
+class TestImportCost:
+    def test_cli_import_does_not_load_scipy(self):
+        """scipy is imported where it is used (GP-EI, TPE, Spearman), so
+        starting the CLI does not pay for ``scipy.stats``."""
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC_DIR))
+        code = "import sys, repro.experiments.cli; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"

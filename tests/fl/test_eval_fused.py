@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import FederatedTrialRunner, NoiseConfig, RandomSearch
 from repro.core.evaluator import TrialRunner
-from repro.core.hyperband import SuccessiveHalving
+from repro.core.hyperband import Hyperband
 from repro.core.noise import NoisyEvaluator
 from repro.core.search_space import paper_space
 from repro.datasets import load_dataset
@@ -168,6 +168,30 @@ class TestDivergedConvention:
             assert np.array_equal(rates[i], client_error_rates(m, ds.eval_clients, ds.task))
         assert np.all(rates[2] == 1.0)
 
+    def test_custom_error_fn_raises_on_stacked_path(self):
+        """A task whose error function has no stacked counter is rejected,
+        not scored copy by copy; the serial path still scores it."""
+        ds = mlp_dataset()
+
+        def top1_error(logits, y):
+            return classification_error(logits, y)
+
+        task = TaskSpec(
+            kind="classification",
+            build_model=ds.task.build_model,
+            loss_fn=ds.task.loss_fn,
+            error_fn=top1_error,
+        )
+        model = task.build_model(0)
+        stacked = StackedModel(model, 2)
+        stacked.slab[:] = get_flat_params(model)
+        with pytest.raises(ValueError, match="top1_error"):
+            stacked_client_error_rates(stacked, ds.eval_clients, task)
+        assert np.array_equal(
+            client_error_rates(model, ds.eval_clients, task),
+            client_error_rates(model, ds.eval_clients, ds.task),
+        )
+
 
 class TestMixedArchitectures:
     def test_pool_evaluate_splits_by_signature(self):
@@ -268,11 +292,9 @@ class TestRunnerCachesAndRetire:
     def test_sha_rung_losers_are_retired(self):
         ds = mlp_dataset()
         runner = FederatedTrialRunner(ds, max_rounds=9, seed=3)
-        sha = SuccessiveHalving(
-            SPACE, runner, NoiseConfig(subsample=3), n_configs=4, r0=1,
-            total_budget=60, seed=1,
-        )
-        sha.run()
+        # Two whole SHA brackets, (9, 1) and (5, 3), spend exactly 42 rounds.
+        hb = Hyperband(SPACE, runner, NoiseConfig(subsample=3), total_budget=42, seed=1)
+        hb.run()
         # Everything but (at most) the protected incumbent was released.
         assert len(runner._rates_cache) <= 1
 
@@ -290,11 +312,8 @@ class TestTunerBatchEquivalence:
                 runner.error_rates_many = lambda trials: TrialRunner.error_rates_many(
                     runner, trials
                 )
-            sha = SuccessiveHalving(
-                SPACE, runner, NoiseConfig(subsample=3), n_configs=4, r0=1,
-                total_budget=60, seed=1,
-            )
-            return sha.run()
+            hb = Hyperband(SPACE, runner, NoiseConfig(subsample=3), total_budget=60, seed=1)
+            return hb.run()
 
         a, b = run(True), run(False)
         assert len(a.observations) == len(b.observations)

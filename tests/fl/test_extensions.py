@@ -5,7 +5,14 @@ import pytest
 
 from repro.datasets import ClientData, TaskSpec, load_dataset
 from repro.datasets.base import classification_error
-from repro.fl import ClientTrainer, FedAdam, FederatedTrainer, LocalTrainingConfig, tail_error
+from repro.fl import (
+    ClientTrainer,
+    FedAdam,
+    FederatedTrainer,
+    LocalTrainingConfig,
+    federated_error,
+    tail_error,
+)
 from repro.nn import make_mlp, softmax_cross_entropy
 from repro.nn.module import get_flat_params
 
@@ -68,9 +75,10 @@ class TestFedProx:
             LocalTrainingConfig(lr=0.1, momentum=0.9, prox_mu=0.1),
             seed=0,
         )
-        before = trainer.full_validation_error()
+        weights = ds.eval_weights("weighted")
+        before = federated_error(trainer.eval_error_rates(), weights)
         trainer.run(12)
-        assert trainer.full_validation_error() < before
+        assert federated_error(trainer.eval_error_rates(), weights) < before
 
     def test_prox_reduces_client_drift_across_cohort(self):
         """With heterogeneous clients, the spread of client updates around

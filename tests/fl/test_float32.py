@@ -23,12 +23,15 @@ import os
 import numpy as np
 import pytest
 
+from repro.datasets import load_dataset
 from repro.datasets.base import ClientData, FederatedDataset, TaskSpec, classification_error
 from repro.fl import FedAdam, FederatedTrainer, LocalTrainingConfig
 from repro.fl.cohort import SlabTrainer
+from repro.fl.evaluation import eval_chunk_plan, stacked_client_error_rates
 from repro.fl.fused import FusedTrainerPool
 from repro.nn import make_mlp, softmax_cross_entropy
-from repro.nn.stacked import DTYPE_ENV
+from repro.nn.module import get_flat_params
+from repro.nn.stacked import DTYPE_ENV, StackedModel
 
 F32_RTOL, F32_ATOL = 1e-3, 1e-5  # documented float32-vs-float64 tolerance
 
@@ -151,6 +154,39 @@ class TestFloat32Tolerance:
         a.run(3)
         b.run(3)
         assert a._rng.bit_generator.state == b._rng.bit_generator.state
+
+
+class TestFloat32Evaluation:
+    def test_stacked_eval_computes_in_float32(self):
+        """Float features are cast to the slab dtype once per plan, so a
+        float32 inference slab never upcasts to float64 at its first
+        layer; its rates track the float64 slab's."""
+        ds = load_dataset("cifar10", "test", seed=0)
+        template = ds.task.build_model(0)
+        plan = eval_chunk_plan(ds.eval_clients)
+        assert plan.inputs(np.float64)[0] is plan.chunks[0].x
+        x32 = plan.inputs(np.float32)
+        assert plan.inputs(np.float32) is x32
+        assert x32[0].dtype == np.float32
+        slabs = {}
+        for dtype in ("float64", "float32"):
+            stacked = StackedModel(template, 4, dtype=dtype)
+            stacked.slab[:] = get_flat_params(template) * np.arange(1, 5)[:, None]
+            slabs[dtype] = stacked
+        logits = []
+        forward_eval = slabs["float32"].forward_eval
+        slabs["float32"].forward_eval = lambda x, k: logits.append(forward_eval(x, k)) or logits[-1]
+        r64 = stacked_client_error_rates(slabs["float64"], ds.eval_clients, ds.task, plan=plan)
+        r32 = stacked_client_error_rates(slabs["float32"], ds.eval_clients, ds.task, plan=plan)
+        assert logits and all(out.dtype == np.float32 for out in logits)
+        # Rates are exact counts; float32 may flip a near-tied argmax.
+        np.testing.assert_allclose(r32, r64, atol=0.02)
+
+    def test_token_ids_pass_through(self):
+        ds = load_dataset("stackoverflow", "test", seed=0)
+        plan = eval_chunk_plan(ds.eval_clients)
+        for chunk, x in zip(plan.chunks, plan.inputs(np.float32)):
+            assert x is chunk.x
 
 
 class TestSlabMemory:

@@ -1,63 +1,9 @@
-"""Tests for server optimizers."""
+"""Tests for the FedAdam server optimizer."""
 
 import numpy as np
 import pytest
 
-from repro.fl import (
-    FedAdagrad,
-    FedAdam,
-    FedAvg,
-    FedAvgM,
-    FedYogi,
-    make_server_optimizer,
-)
-
-
-class TestFedAvg:
-    def test_lr_one_returns_average(self):
-        opt = FedAvg(lr=1.0)
-        params = np.array([1.0, 2.0])
-        avg = np.array([0.5, 1.0])
-        new = opt.step(params, params - avg)
-        assert np.allclose(new, avg)
-
-    def test_lr_scales_step(self):
-        opt = FedAvg(lr=0.5)
-        new = opt.step(np.array([1.0]), np.array([1.0]))
-        assert new[0] == pytest.approx(0.5)
-
-    def test_lr_decay(self):
-        opt = FedAvg(lr=1.0, lr_decay=0.5)
-        p = np.array([0.0])
-        p = opt.step(p, np.array([1.0]))  # lr 1.0
-        assert p[0] == pytest.approx(-1.0)
-        p = opt.step(p, np.array([1.0]))  # lr 0.5
-        assert p[0] == pytest.approx(-1.5)
-
-    def test_rejects_bad_hps(self):
-        with pytest.raises(ValueError):
-            FedAvg(lr=0.0)
-        with pytest.raises(ValueError):
-            FedAvg(lr=1.0, lr_decay=0.0)
-        with pytest.raises(ValueError):
-            FedAvg(lr=1.0, lr_decay=1.5)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            FedAvg(lr=1.0).step(np.zeros(3), np.zeros(2))
-
-
-class TestFedAvgM:
-    def test_momentum_accumulates(self):
-        opt = FedAvgM(lr=1.0, momentum=0.5)
-        p = np.array([0.0])
-        p = opt.step(p, np.array([1.0]))  # v=1, p=-1
-        p = opt.step(p, np.array([1.0]))  # v=1.5, p=-2.5
-        assert p[0] == pytest.approx(-2.5)
-
-    def test_rejects_bad_momentum(self):
-        with pytest.raises(ValueError):
-            FedAvgM(lr=1.0, momentum=1.0)
+from repro.fl import FedAdam
 
 
 class TestAdaptive:
@@ -76,17 +22,13 @@ class TestAdaptive:
             w = opt.step(w, 2.0 * w)
         assert abs(w[0]) < 0.05
 
-    def test_fedadagrad_accumulates_v(self):
-        opt = FedAdagrad(lr=1.0, beta1=0.0, beta2=0.9)
-        opt.step(np.array([0.0]), np.array([1.0]))
-        opt.step(np.array([0.0]), np.array([1.0]))
-        assert opt._v[0] == pytest.approx(2.0)
-
-    def test_fedyogi_v_moves_towards_g2(self):
-        opt = FedYogi(lr=1.0, beta1=0.0, beta2=0.9)
-        opt.step(np.array([0.0]), np.array([2.0]))
-        # v starts 0, g^2=4: v <- 0 - 0.1 * 4 * sign(0-4) = 0.4
-        assert opt._v[0] == pytest.approx(0.4)
+    def test_rejects_bad_lr_hps(self):
+        with pytest.raises(ValueError):
+            FedAdam(lr=0.0)
+        with pytest.raises(ValueError):
+            FedAdam(lr=1.0, lr_decay=0.0)
+        with pytest.raises(ValueError):
+            FedAdam(lr=1.0, lr_decay=1.5)
 
     def test_rejects_bad_hps(self):
         with pytest.raises(ValueError):
@@ -102,24 +44,6 @@ class TestAdaptive:
         opt.step(np.zeros(1), np.ones(1))
         assert opt.current_lr == pytest.approx(0.9)
 
-
-class TestFactory:
-    @pytest.mark.parametrize(
-        "name,cls",
-        [
-            ("fedavg", FedAvg),
-            ("fedavgm", FedAvgM),
-            ("fedadam", FedAdam),
-            ("fedadagrad", FedAdagrad),
-            ("fedyogi", FedYogi),
-        ],
-    )
-    def test_builds_by_name(self, name, cls):
-        assert isinstance(make_server_optimizer(name, lr=0.1), cls)
-
-    def test_case_insensitive(self):
-        assert isinstance(make_server_optimizer("FedAdam", lr=0.1), FedAdam)
-
-    def test_unknown_raises(self):
+    def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            make_server_optimizer("sgd", lr=0.1)
+            FedAdam(lr=1.0).step(np.zeros(3), np.zeros(2))

@@ -47,7 +47,7 @@ class TestMakeCNN:
         x[y == 0, :, :4, :] += 1.0
         x[y == 1, :, 4:, :] += 1.0
         model = make_cnn(8, 1, 2, channels=(4, 4), rng=rng)
-        opt = SGD.for_module(model, lr=0.3, momentum=0.9)
+        opt = SGD(model.parameters(), lr=0.3, momentum=0.9)
         losses = []
         for _ in range(30):
             model.zero_grad()
@@ -72,7 +72,7 @@ class TestLanguageModel:
         x = seq[:-1][None, :].repeat(4, axis=0)
         y = seq[1:][None, :].repeat(4, axis=0)
         lm = make_lstm_lm(v, embed_dim=8, hidden=16, num_layers=1, rng=rng)
-        opt = SGD.for_module(lm, lr=0.5, momentum=0.9)
+        opt = SGD(lm.parameters(), lr=0.5, momentum=0.9)
         losses = []
         for _ in range(80):
             lm.zero_grad()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.nn import (
     SGD,
-    FlatSGD,
     Linear,
     Sequential,
     copy_slab_rows,
@@ -73,28 +72,27 @@ class TestSGD:
         opt.zero_grad()
         assert np.all(p.grad == 0)
 
-    def test_for_module_collects_all_params(self, rng):
-        model = Sequential(Linear(3, 4, rng), Linear(4, 2, rng))
-        opt = SGD.for_module(model, lr=0.1)
-        assert len(opt.params) == 4
-
 
 class TestFlatSGD:
-    """The fused flat-buffer step must match the per-parameter SGD loop
-    bit-for-bit — the contract the vectorized cohort trainer relies on."""
+    """SGD on one flat buffer (:func:`fused_sgd_step`) must match the
+    per-parameter SGD loop bit-for-bit — the contract the slab trainer
+    relies on."""
 
     def run_pair(self, rng, momentum, weight_decay, steps=5):
         shapes = [(4, 3), (3,), (3, 2), (2,)]
         params = [Parameter(rng.normal(size=s)) for s in shapes]
         flat = np.concatenate([p.data.ravel() for p in params])
+        velocity = np.zeros_like(flat)
         looped = SGD(params, lr=0.1, momentum=momentum, weight_decay=weight_decay)
-        fused = FlatSGD(lr=0.1, momentum=momentum, weight_decay=weight_decay)
         for _ in range(steps):
             grads = [rng.normal(size=s) for s in shapes]
             for p, g in zip(params, grads):
                 p.grad[...] = g
             looped.step()
-            fused.step(flat, np.concatenate([g.ravel() for g in grads]))
+            fused_sgd_step(
+                flat, np.concatenate([g.ravel() for g in grads]), lr=0.1,
+                momentum=momentum, weight_decay=weight_decay, velocity=velocity,
+            )
         flat_looped = np.concatenate([p.data.ravel() for p in params])
         assert np.array_equal(flat, flat_looped)
 
@@ -110,32 +108,11 @@ class TestFlatSGD:
     def test_matches_sgd_loop_weight_decay_only(self, rng):
         self.run_pair(rng, momentum=0.0, weight_decay=0.05)
 
-    def test_rejects_bad_hyperparameters(self):
+    def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            FlatSGD(lr=0.0)
+            fused_sgd_step(np.zeros(4), np.zeros(4), lr=0.1, work=np.zeros(5))
         with pytest.raises(ValueError):
-            FlatSGD(lr=0.1, momentum=1.0)
-        with pytest.raises(ValueError):
-            FlatSGD(lr=0.1, weight_decay=-1.0)
-
-    def test_shape_mismatch_rejected(self, rng):
-        opt = FlatSGD(lr=0.1)
-        with pytest.raises(ValueError):
-            opt.step(np.zeros(4), np.zeros(5))
-
-    def test_reset_drops_momentum(self, rng):
-        p1 = rng.normal(size=6).copy()
-        p2 = p1.copy()
-        g = rng.normal(size=6)
-        warm = FlatSGD(lr=0.1, momentum=0.9)
-        warm.step(p1, g)
-        warm.reset()
-        warm.step(p1, g)
-        fresh = FlatSGD(lr=0.1, momentum=0.9)
-        fresh.step(p2, g)
-        fresh2 = FlatSGD(lr=0.1, momentum=0.9)
-        fresh2.step(p2, g)
-        assert np.array_equal(p1, p2)
+            fused_sgd_step(np.zeros((2, 4)), np.zeros((2, 4)), lr=np.array([0.1, 0.1, 0.1]))
 
     def test_stacked_rows_match_independent_vectors(self, rng):
         """A (C, P) slab step equals C independent (P,) steps — per-row
@@ -144,7 +121,7 @@ class TestFlatSGD:
         slab = rng.normal(size=(c_copies, p_size))
         rows = [slab[i].copy() for i in range(c_copies)]
         velocity = np.zeros_like(slab)
-        row_opts = [FlatSGD(lr=0.2, momentum=0.8, weight_decay=0.01) for _ in rows]
+        row_velocities = [np.zeros(p_size) for _ in rows]
         work = np.empty_like(slab)
         for _ in range(4):
             grads = rng.normal(size=(c_copies, p_size))
@@ -152,8 +129,8 @@ class TestFlatSGD:
                 slab, grads, lr=0.2, momentum=0.8, weight_decay=0.01,
                 velocity=velocity, work=work,
             )
-            for row, opt, g in zip(rows, row_opts, grads):
-                opt.step(row, g)
+            for row, v, g in zip(rows, row_velocities, grads):
+                fused_sgd_step(row, g, lr=0.2, momentum=0.8, weight_decay=0.01, velocity=v)
         for i, row in enumerate(rows):
             assert np.array_equal(slab[i], row)
 
@@ -214,7 +191,7 @@ class TestTrainingIntegration:
         w_true = rng.normal(size=(5,))
         y = (x @ w_true > 0).astype(int)
         model = Sequential(Linear(5, 8, rng), Linear(8, 2, rng))
-        opt = SGD.for_module(model, lr=0.5, momentum=0.9)
+        opt = SGD(model.parameters(), lr=0.5, momentum=0.9)
         first_loss = None
         for _ in range(60):
             model.zero_grad()

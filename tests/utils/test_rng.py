@@ -68,13 +68,6 @@ class TestRngFactory:
         b = RngFactory(5).child("x").make("y").integers(0, 1 << 30)
         assert a == b
 
-    def test_make_many(self):
-        f = RngFactory(0)
-        gens = f.make_many("clients", 4)
-        assert len(gens) == 4
-        draws = [g.integers(0, 1 << 30) for g in gens]
-        assert len(set(draws)) == 4
-
     def test_repeated_make_same_name_identical(self):
         f = RngFactory(0)
         assert f.make("a").integers(0, 1 << 30) == f.make("a").integers(0, 1 << 30)
