@@ -62,6 +62,7 @@ ALLOWLIST: Dict[str, str] = {
     "nn/stacked.py::StackedEmbedding.backward": "input-side backward, run by gradchecks (training calls backward_params)",
     "nn/stacked.py::stacked_mse": "stacked MSE loss, an e2e trace probe target",
     "nn/losses.py::mse_loss": "serial MSE, the oracle of stacked_mse",
+    "datasets/base.py::next_token_error": "serial next-token error, the oracle of the stacked counter it keys in STACKED_ERROR_COUNTERS",
     # Test utilities that live in src/ until the reference oracle moves to tests/.
     "core/synthetic.py": "SyntheticRunner, the fast synthetic surface the tuner tests drive",
     "nn/gradcheck.py": "numerical gradient checks for the layer tests",
@@ -74,6 +75,7 @@ ALLOWLIST: Dict[str, str] = {
     "nn/stacked.py::StackedModel.set_slab": "slab accessor the stacked-kernel tests use",
     "nn/stacked.py::StackedModel.get_slab": "slab accessor the stacked-kernel tests use",
     "nn/stacked.py::StackedModel.zero_grad": "slab accessor the stacked-kernel tests use",
+    "fl/cohort.py::SlabTrainer.stacked_model": "slab accessor the float32 memory tests read",
     "nn/module.py::get_flat_grads": "flat gradient read the layer tests use",
     "nn/functional.py::one_hot": "helper the loss tests use",
     "nn/initializers.py::he_normal": "initializer the layer tests use",

@@ -4,11 +4,12 @@ Times full-validation-pool evaluation of a rung of 8 same-architecture MLP
 configurations (the shape of every Hyperband/SHA promotion decision, RS
 batch scoring, and bank checkpoint snapshot) two ways:
 
-- **serial** — today's per-trial loop: one chunked ``client_error_rates``
-  sweep per trial;
-- **stacked** — this PR's ``TrialRunner.error_rates_many``: the whole
-  validation pool pushes through one ``StackedModel.forward_eval``
-  inference slab with vectorized per-copy per-client error counting.
+- **serial** — the serial oracle's per-trial loop: one chunked
+  ``client_error_rates`` sweep per trial;
+- **stacked** — ``TrialRunner.error_rates_many``: the whole validation
+  pool pushes through one ``StackedModel.forward_eval`` inference slab
+  with vectorized per-copy per-client error counting. Runner reads are
+  stateless, so every call scores the whole rung.
 
 Bit-identity of the per-trial rate vectors is asserted before any timing
 is trusted. Results append to ``BENCH_evalfuse.json`` at the repo root
@@ -124,7 +125,6 @@ class TestEvalFusedThroughput:
             return [t.state.eval_error_rates() for t in trials]
 
         def run_stacked():
-            runner._rates_cache.clear()  # time the sweep, not the cache
             return runner.error_rates_many(trials)
 
         t_serial = time_eval(run_serial)

@@ -5,6 +5,12 @@ trials exclusively through :class:`TrialRunner`, which hides whether models
 are trained live (:class:`FederatedTrialRunner`) or replayed from a
 precomputed configuration bank (:class:`repro.experiments.bank.BankTrialRunner`
 — the paper's own bootstrap methodology).
+
+Reads are stateless: a runner keeps no per-trial rates, so every read
+scores the trial's model as it is now. The live runner scores through
+one :class:`repro.fl.evaluation.StackedEvalEngine` for batches and single
+trials alike; tuners keep the rates of the batch they observe in hand
+(:meth:`repro.core.tuner.BaseTuner.observe_many`).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.datasets.base import FederatedDataset
+from repro.fl.evaluation import federated_error
 from repro.fl.server import FedAdam
 from repro.fl.trainer import FederatedTrainer, LocalTrainingConfig
 from repro.utils.rng import SeedLike, as_rng
@@ -212,34 +219,10 @@ class TrialRunner:
         """
         return [self.error_rates(trial) for trial in trials]
 
-    def retire(self, trial: Trial) -> None:
-        """Hint that ``trial`` will be neither advanced nor read again.
-
-        Tuners call this for eliminated configurations (SHA-killed rung
-        losers, scored-once RS trials) so runners can release cached
-        per-trial evaluation state. Retiring is only a memory hint — a
-        retired trial that *is* read again re-evaluates correctly, just
-        without the cache. Default: no-op.
-        """
-
-    def invalidate(self, trial: Trial) -> None:
-        """Declare that ``trial``'s model state was mutated *in place*.
-
-        Population-based tuners (:mod:`repro.core.population`) rewrite a
-        live trial's parameters between training steps — FedEx-style
-        weight sharing overwrites every arm with the shared slab average,
-        FedPop-style exploit copies a winner's row over a loser — without
-        the trial's round count changing. Runners that cache evaluation
-        results keyed by ``(trial, rounds)`` MUST drop those entries here,
-        or the next read would report the pre-mutation model. Unlike
-        :meth:`retire`, the trial stays fully live. Default: no-op
-        (stateless runners have nothing to drop).
-        """
-
     def full_error(self, trial: Trial, scheme: str = "weighted") -> float:
         """Full-pool validation error (Eq. 2, S = [N_val]) — reporting only;
         tuners never see this value."""
-        raise NotImplementedError
+        return federated_error(self.error_rates(trial), self.eval_weights(scheme))
 
     def eval_weights(self, scheme: str) -> np.ndarray:
         """Full-pool aggregation weights for the noise stack."""
@@ -251,7 +234,7 @@ class TrialRunner:
 
         Trial payloads are *not* captured here: the tuner serializes
         exactly the trials it still references through
-        :meth:`trial_state`, so retired trials never bloat a checkpoint.
+        :meth:`trial_state`, so trials it dropped never bloat a checkpoint.
         """
         return {"rounds_used": self.rounds_used, "next_id": self._next_id}
 
@@ -310,7 +293,9 @@ class FederatedTrialRunner(TrialRunner):
     :class:`repro.fl.fused.FusedTrainerPool`, which trains every
     same-architecture, same-schedule bucket of trials as one cross-trial
     parameter slab — whole Hyperband rungs train as a few lockstep
-    mega-cohorts in this process. The runner is single-process: process
+    mega-cohorts in this process. Every read, of one trial or a whole
+    rung, is one stacked inference sweep (:meth:`error_rates_many`).
+    The runner is single-process: process
     parallelism maps whole tuning runs
     (:func:`repro.experiments.fig_methods.run_sweep`), one runner each. Only
     an injected trial fault becomes a trial failure; an exception from
@@ -339,7 +324,6 @@ class FederatedTrialRunner(TrialRunner):
         self._fused_pool = None
         self._eval_engine = None
         self._seed_rng = as_rng(seed)
-        self._rates_cache: Dict[int, tuple] = {}
         self._eval_weights_cache: Dict[str, np.ndarray] = {}
         self._quarantined_rates_memo: Optional[np.ndarray] = None
 
@@ -363,10 +347,8 @@ class FederatedTrialRunner(TrialRunner):
     def state_dict(self) -> Dict:
         """Adds the trial-seed RNG stream to the base snapshot, so trials
         created after a resume draw exactly the seeds they would have in
-        the uninterrupted run. The rates/eval-weights caches are *not*
-        serialized: both are pure memos keyed by ``(trial, rounds)`` /
-        scheme whose entries rebuild bit-identically on first read, so a
-        resumed runner simply starts cold."""
+        the uninterrupted run. The eval-weights memo is not serialized: it
+        rebuilds bit-identically on first read."""
         state = super().state_dict()
         state["seed_rng_state"] = self._seed_rng.bit_generator.state
         return state
@@ -374,7 +356,6 @@ class FederatedTrialRunner(TrialRunner):
     def load_state_dict(self, state: Dict) -> None:
         super().load_state_dict(state)
         self._seed_rng.bit_generator.state = state["seed_rng_state"]
-        self._rates_cache.clear()
 
     def _trial_payload(self, trial: Trial) -> Dict:
         return trial.state.state_dict()
@@ -404,10 +385,6 @@ class FederatedTrialRunner(TrialRunner):
 
     def _advance_trial(self, trial: Trial, rounds: int) -> None:
         trial.state.run(rounds)
-        # The cached rate vector (if any) describes an earlier round count;
-        # drop it now rather than leaving a stale entry pinned until the
-        # next read.
-        self._rates_cache.pop(trial.trial_id, None)
 
     def advance_many(self, requests: Sequence[Tuple[Trial, int]]) -> List[int]:
         if self.cohort_mode != "fused":
@@ -436,16 +413,7 @@ class FederatedTrialRunner(TrialRunner):
         for trial, allowed in planned:
             trial.rounds += allowed
             self.rounds_used += allowed
-            if allowed > 0:
-                self._rates_cache.pop(trial.trial_id, None)
         return [allowed for _, allowed in planned]
-
-    def _store_rates(self, trial: Trial, rates: np.ndarray) -> np.ndarray:
-        # Read-only: callers (noise stacks, robust tuners, user code) must
-        # not be able to corrupt the cache that full_error reads later.
-        rates.setflags(write=False)
-        self._rates_cache[trial.trial_id] = (trial.rounds, rates)
-        return rates
 
     def _quarantined_rates(self) -> np.ndarray:
         """The all-wrong rate vector quarantined trials read (error 1.0
@@ -457,83 +425,44 @@ class FederatedTrialRunner(TrialRunner):
         return self._quarantined_rates_memo
 
     def error_rates(self, trial: Trial) -> np.ndarray:
-        if trial.failed:
-            return self._quarantined_rates()
-        cached = self._rates_cache.get(trial.trial_id)
-        if cached is not None and cached[0] == trial.rounds:
-            return cached[1]
-        return self._store_rates(trial, trial.state.eval_error_rates())
+        return self._read([trial])[0]
 
     def error_rates_many(self, trials: Sequence[Trial]) -> List[np.ndarray]:
-        """Batch evaluation of a rung/batch of trials, bit-identical per
-        trial to the serial :meth:`error_rates` loop.
+        return self._read(trials)
 
-        Uncached trials are scored through one
-        :class:`~repro.fl.evaluation.StackedEvalEngine` inference slab per
-        architecture group. A fused runner hands the engine the training
-        slab its rung just used (no unstack/restack round trip); trials
-        whose model has no stacked kernels, and singleton groups, take the
-        serial path. All results land in the rates cache.
+    def _read(self, trials: Sequence[Trial]) -> List[np.ndarray]:
+        """Score every trial's current model through one
+        :class:`~repro.fl.evaluation.StackedEvalEngine` sweep, bit-identical
+        per trial (in float64) to the serial
+        :meth:`~repro.fl.trainer.FederatedTrainer.eval_error_rates`.
+
+        Reads compute in the dtype the trials train in: the slab dtype in
+        fused mode, float64 in serial mode. Nothing is cached, so a read
+        after an in-place parameter rewrite scores the rewritten model.
+        A trial listed twice is scored once; quarantined trials read the
+        all-wrong vector without scoring.
         """
-        results: Dict[int, np.ndarray] = {}
-        pending: List[Trial] = []
-        for trial in trials:
-            if trial.trial_id in results or any(t.trial_id == trial.trial_id for t in pending):
-                continue
-            if trial.failed:
-                results[trial.trial_id] = self._quarantined_rates()
-                continue
-            cached = self._rates_cache.get(trial.trial_id)
-            if cached is not None and cached[0] == trial.rounds:
-                results[trial.trial_id] = cached[1]
-            else:
-                pending.append(trial)
-        if len(pending) > 1:
-            self._stacked_rates(pending, results)
-        else:
-            for trial in pending:
-                results[trial.trial_id] = self.error_rates(trial)
-        return [results[trial.trial_id] for trial in trials]
-
-    def _stacked_rates(self, pending: List[Trial], results: Dict[int, np.ndarray]) -> None:
-        """Score ``pending`` via per-architecture stacked inference slabs."""
-        from repro.fl.evaluation import StackedEvalEngine, fused_group_rates
-
         if self._eval_engine is None:
-            self._eval_engine = StackedEvalEngine(dtype=self.cohort_dtype)
-        rates = fused_group_rates(
-            self._eval_engine,
-            [trial.state.model for trial in pending],
-            [trial.state.params for trial in pending],
-            self.dataset.eval_clients,
-            self.dataset.task,
-            pool=self._fused_pool,
-        )
-        for trial, row in zip(pending, rates):
-            if row is None:
-                results[trial.trial_id] = self.error_rates(trial)
-            else:
-                results[trial.trial_id] = self._store_rates(trial, row)
+            from repro.fl.evaluation import StackedEvalEngine
 
-    def retire(self, trial: Trial) -> None:
-        """Release the trial's cached full-pool rate vector (SHA-killed
-        rungs otherwise keep every loser's vector alive for the whole
-        run). Training state stays: a retired trial re-evaluates (and even
-        resumes) correctly, just without the cache."""
-        self._rates_cache.pop(trial.trial_id, None)
-
-    def invalidate(self, trial: Trial) -> None:
-        """Drop the cached rate vector after an in-place parameter rewrite
-        (population exploit copies / weight-sharing writes): the cache key
-        is ``(trial, rounds)`` and the round count did not move, so without
-        this the next read would serve the pre-rewrite model's rates."""
-        self._rates_cache.pop(trial.trial_id, None)
-
-    def full_error(self, trial: Trial, scheme: str = "weighted") -> float:
-        from repro.fl.evaluation import federated_error
-
-        rates = self.error_rates(trial)
-        return federated_error(rates, self.eval_weights(scheme))
+            fused = self.cohort_mode == "fused"
+            self._eval_engine = StackedEvalEngine(
+                dtype=self.cohort_dtype if fused else np.float64
+            )
+        pending = {t.trial_id: t.state for t in trials if not t.failed}
+        scored = {}
+        if pending:
+            trainers = list(pending.values())
+            rows = self._eval_engine.error_rates_many(
+                trainers[0].model,
+                [trainer.params for trainer in trainers],
+                self.dataset.eval_clients,
+                self.dataset.task,
+            )
+            scored = dict(zip(pending, rows))
+        return [
+            self._quarantined_rates() if t.failed else scored[t.trial_id] for t in trials
+        ]
 
     def eval_weights(self, scheme: str) -> np.ndarray:
         """Full-pool weights, computed once per scheme and returned as a

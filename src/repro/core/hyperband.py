@@ -176,12 +176,10 @@ class Hyperband(BaseTuner):
             # Promote the best ``n // eta`` (by noisy score) to the next rung.
             order = np.argsort(scores, kind="stable")
             reordered = [active[i] for i in order]
-            # Rung losers are never advanced or read again: release their
-            # cached full-pool rate vectors (the incumbent is protected)
-            # and drop them from the cursor so checkpoints carry only the
-            # survivors the next rung trains.
+            # Rung losers are never advanced or read again: drop them from
+            # the cursor so checkpoints carry only the survivors the next
+            # rung trains.
             survivors = rungs[rung_idx + 1][0] if rung_idx + 1 < len(rungs) else 0
-            self.retire_trials(reordered[survivors:])
             bracket["trials"] = reordered[:survivors]
             bracket["rung"] = rung_idx + 1
             if self.ledger.exhausted:

@@ -174,9 +174,9 @@ class PopulationTunerBase(BaseTuner):
 
     def _write_params(self, trial: Trial, flat: np.ndarray) -> None:
         """Overwrite a live trial's model parameters in place (no round
-        advance), dropping the runner's now-stale evaluation cache."""
+        advance); runner reads are stateless, so the next read scores the
+        rewritten model."""
         trial.state.params = np.array(flat, dtype=np.float64)
-        self.runner.invalidate(trial)
 
     # -- execution -----------------------------------------------------------
     def _setup(self, trials: Sequence[Trial]) -> None:

@@ -50,7 +50,7 @@ class RandomSearch(BaseTuner):
         super().__init__(space, runner, noise, total_budget, seed)
         self._config_source = config_source
         # Resume cursor for the sequential loop: configs fully processed
-        # (created, trained, observed, retired) so far.
+        # (created, trained, observed) so far.
         self._seq_index = 0
 
     def planned_releases(self) -> int:
@@ -76,9 +76,6 @@ class RandomSearch(BaseTuner):
                 trial = self.runner.create(self.propose())
                 self.train_trial(trial, rounds_per_config)
                 self.observe(trial)
-                # Scored exactly once: release the cached rate vector now
-                # (the incumbent's is kept until dethroned).
-                self.retire_trials([trial])
                 self._seq_index += 1
                 self._checkpoint()
             return

@@ -137,11 +137,9 @@ class TwoStageRandomSearch(RandomSearch):
             if not trials:
                 return
             # Stage 2: fresh evaluations for the screening top-k. The final
-            # incumbent is decided purely by stage-2 scores. Non-finalists
-            # are done for good — release their cached rate vectors now.
+            # incumbent is decided purely by stage-2 scores.
             order = np.argsort(screening, kind="stable")
             finalists = [trials[i] for i in order[: self.n_finalists]]
-            self.retire_trials([trials[i] for i in order[self.n_finalists :]])
             self._incumbent = None
             self._incumbent_noisy = np.inf
             self._stage = {"finalists": finalists, "next": 0}
@@ -152,7 +150,6 @@ class TwoStageRandomSearch(RandomSearch):
             self.observe(finalists[stage["next"]])
             stage["next"] += 1
             self._checkpoint()
-        self.retire_trials(finalists)
         self._stage = None
 
     # -- checkpoint/resume --------------------------------------------------------

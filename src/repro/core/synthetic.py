@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.core.evaluator import Trial, TrialRunner
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.stats import weighted_mean
 
 
 def default_quality(config: Dict) -> float:
@@ -85,9 +84,6 @@ class SyntheticRunner(TrialRunner):
         e0 = 0.95
         level = q + (e0 - q) * np.exp(-trial.rounds / self.tau)
         return np.clip(level + self.client_offsets, 0.0, 1.0)
-
-    def full_error(self, trial: Trial, scheme: str = "weighted") -> float:
-        return weighted_mean(self.error_rates(trial), self.eval_weights(scheme))
 
     def eval_weights(self, scheme: str) -> np.ndarray:
         if scheme == "weighted":

@@ -207,8 +207,8 @@ class TPE(RandomSearch):
     def propose(self) -> Dict:
         return self.sampler.suggest()
 
-    def observe(self, trial, budget_used=None) -> float:
-        noisy = super().observe(trial, budget_used=budget_used)
+    def _observe(self, trial, budget_used, in_hand) -> float:
+        noisy = super()._observe(trial, budget_used, in_hand)
         self.sampler.tell(trial.config, noisy)
         return noisy
 

@@ -22,6 +22,7 @@ from repro.core.noise import NoiseConfig, NoisyEvaluator
 from repro.core.privacy import PrivacyConfig
 from repro.core.results import CurvePoint, Observation, TuningResult
 from repro.core.search_space import SearchSpace
+from repro.fl.evaluation import federated_error
 from repro.utils.rng import SeedLike, as_rng
 
 
@@ -93,9 +94,6 @@ class BaseTuner:
         # rounds): observe() records a curve point per observation, but the
         # value only changes when the incumbent (or its round count) does.
         self._incumbent_full: Optional[tuple] = None
-        # Eliminated trials that were the incumbent at retire time: their
-        # cached evaluation state is released once they are dethroned.
-        self._retire_on_dethrone: Dict[int, Trial] = {}
         # Checkpoint/resume plumbing: _finished marks a completed _run (a
         # resumed finished run repackages its result without re-running),
         # _phase is the shared propose-all -> train-all -> observe-all
@@ -275,9 +273,34 @@ class BaseTuner:
 
         Returns the noisy error the tuner should act on.
         """
-        used = self.ledger.used if budget_used is None else budget_used
         rates = self.runner.error_rates(trial)
-        evaluation = self._evaluate_rates(rates)
+        return self._observe(trial, budget_used, {trial.trial_id: rates})
+
+    def observe_many(self, evaluations) -> List[float]:
+        """Batch :meth:`observe` over ``[(trial, budget_used), ...]``.
+
+        Rate vectors for the whole batch are read once through
+        :meth:`TrialRunner.error_rates_many` — which stacked runners
+        score as one fused sweep — then each trial is observed in order
+        from the rates in hand. Evaluation consumes no tuner RNG, so noise
+        draws, incumbent updates, and curve points land exactly as in the
+        serial loop.
+        """
+        evaluations = list(evaluations)
+        trials = [trial for trial, _ in evaluations]
+        in_hand = {
+            trial.trial_id: rates
+            for trial, rates in zip(trials, self.runner.error_rates_many(trials))
+        }
+        return [self._observe(trial, used, in_hand) for trial, used in evaluations]
+
+    def _observe(self, trial: Trial, budget_used: Optional[int], in_hand: Dict) -> float:
+        """:meth:`observe` on rates already read: ``in_hand`` maps trial
+        ids to their current rate vectors and holds ``trial``'s. Every
+        observation passes through here, so tuners that learn from their
+        observations (TPE, BOHB, GP-BO) extend this method."""
+        used = self.ledger.used if budget_used is None else budget_used
+        evaluation = self._evaluate_rates(in_hand[trial.trial_id])
         self.observations.append(
             Observation(
                 trial_id=trial.trial_id,
@@ -289,59 +312,36 @@ class BaseTuner:
             )
         )
         if evaluation.error < self._incumbent_noisy:
-            old = self._incumbent
             self._incumbent = trial
             self._incumbent_noisy = evaluation.error
-            if old is not None and old.trial_id != trial.trial_id:
-                deferred = self._retire_on_dethrone.pop(old.trial_id, None)
-                if deferred is not None:
-                    self.runner.retire(deferred)
         # Record the curve even when the incumbent is unchanged: budget moved.
         if self._incumbent is not None:
-            inc = self._incumbent
-            memo = self._incumbent_full
-            if memo is None or memo[0] != inc.trial_id or memo[1] != inc.rounds:
-                memo = (
-                    inc.trial_id,
-                    inc.rounds,
-                    self.runner.full_error(inc, scheme=self.noise.scheme),
-                )
-                self._incumbent_full = memo
             self.curve.append(
                 CurvePoint(
                     budget_used=used,
-                    incumbent_trial_id=inc.trial_id,
+                    incumbent_trial_id=self._incumbent.trial_id,
                     noisy_error=self._incumbent_noisy,
-                    full_error=memo[2],
+                    full_error=self._incumbent_full_error(in_hand),
                 )
             )
         return evaluation.error
 
-    def observe_many(self, evaluations) -> List[float]:
-        """Batch :meth:`observe` over ``[(trial, budget_used), ...]``.
-
-        Rate vectors for the whole batch are prefetched through
-        :meth:`TrialRunner.error_rates_many` — which stacked runners
-        score as one fused sweep — then each trial is observed in
-        order. Evaluation consumes no tuner RNG, so noise draws, incumbent
-        updates, and curve points land exactly as in the serial loop.
-        """
-        evaluations = list(evaluations)
-        self.runner.error_rates_many([trial for trial, _ in evaluations])
-        return [self.observe(trial, budget_used=used) for trial, used in evaluations]
-
-    def retire_trials(self, trials) -> None:
-        """Release eliminated trials' cached evaluation state.
-
-        The current incumbent is never retired directly — its rate vector
-        backs every subsequent curve point — but is remembered and
-        released if a later observation dethrones it.
-        """
-        for trial in trials:
-            if self._incumbent is not None and trial.trial_id == self._incumbent.trial_id:
-                self._retire_on_dethrone[trial.trial_id] = trial
-            else:
-                self.runner.retire(trial)
+    def _incumbent_full_error(self, in_hand: Dict) -> float:
+        """The incumbent's full-pool error, memoized by ``(trial_id,
+        rounds)``: the value only changes when the incumbent or its round
+        count does. A stale memo is refreshed from the incumbent's rates
+        in ``in_hand`` when they are there, and by a runner read
+        otherwise."""
+        inc = self._incumbent
+        memo = self._incumbent_full
+        if memo is None or memo[0] != inc.trial_id or memo[1] != inc.rounds:
+            rates = in_hand.get(inc.trial_id)
+            if rates is None:
+                rates = self.runner.error_rates(inc)
+            full = federated_error(rates, self.runner.eval_weights(self.noise.scheme))
+            memo = (inc.trial_id, inc.rounds, full)
+            self._incumbent_full = memo
+        return memo[2]
 
     # -- checkpoint/resume ------------------------------------------------------
     def _cursor_trials(self):
@@ -368,7 +368,6 @@ class BaseTuner:
             candidates.extend(self._phase["trials"])
         if self._incumbent is not None:
             candidates.append(self._incumbent)
-        candidates.extend(self._retire_on_dethrone.values())
         for trial in candidates:
             live.setdefault(trial.trial_id, trial)
         return live
@@ -400,7 +399,6 @@ class BaseTuner:
             "incumbent_id": inc.trial_id if inc is not None else None,
             "incumbent_noisy": float(self._incumbent_noisy),
             "incumbent_full": list(memo) if memo is not None else None,
-            "retire_on_dethrone": sorted(self._retire_on_dethrone),
             "phase": (
                 {
                     "trial_ids": [t.trial_id for t in phase["trials"]],
@@ -464,7 +462,6 @@ class BaseTuner:
         self._incumbent_noisy = state["incumbent_noisy"]
         memo = state["incumbent_full"]
         self._incumbent_full = tuple(memo) if memo is not None else None
-        self._retire_on_dethrone = {tid: trials[tid] for tid in state["retire_on_dethrone"]}
         phase = state["phase"]
         self._phase = (
             {
@@ -504,7 +501,6 @@ class BaseTuner:
             self._checkpoint()
         trials = self._phase["trials"]
         self.observe_many(zip(trials, self._phase["snapshots"]))
-        self.retire_trials(trials)
         self._phase = None
 
     def run(self, checkpoint=None) -> TuningResult:
@@ -534,9 +530,7 @@ class BaseTuner:
             best_trial_id=best_trial.trial_id if best_trial else None,
             best_noisy_error=float(self._incumbent_noisy),
             final_full_error=(
-                self.runner.full_error(best_trial, scheme=self.noise.scheme)
-                if best_trial
-                else float("nan")
+                self._incumbent_full_error({}) if best_trial else float("nan")
             ),
             curve=self.curve,
             observations=self.observations,

@@ -26,10 +26,8 @@ import numpy as np
 from repro.core.evaluator import Trial, TrialRunner, config_to_trainer
 from repro.core.search_space import SearchSpace
 from repro.datasets.base import FederatedDataset
-from repro.fl.evaluation import client_error_rates
-from repro.nn.module import set_flat_params
+from repro.fl.evaluation import StackedEvalEngine
 from repro.utils.rng import SeedLike, as_rng
-from repro.utils.stats import weighted_mean
 
 BANK_ID_KEY = "_bank_id"
 
@@ -39,7 +37,9 @@ def _build_config_task(payload, k: int):
 
     ``payload`` rides fork inheritance (datasets are not picklable); the
     per-config trainer seed was drawn serially in the parent before
-    dispatch, so results are bit-identical to the serial loop.
+    dispatch, so results are bit-identical to the serial loop. Each
+    checkpoint is one :class:`~repro.fl.evaluation.StackedEvalEngine`
+    read in the dtype the trainer trains in (float64 on the serial path).
     """
     (
         dataset,
@@ -62,11 +62,16 @@ def _build_config_task(payload, k: int):
         cohort_mode=cohort_mode,
         cohort_dtype=cohort_dtype,
     )
+    engine = StackedEvalEngine(
+        dtype=trainer.cohort_dtype if trainer.cohort_mode == "fused" else np.float64
+    )
     errors = np.empty((len(ckpts), dataset.num_eval_clients))
     params = np.empty((len(ckpts), trainer.params.size)) if store_params else None
     for c, rounds in enumerate(ckpts):
         trainer.run(rounds - trainer.rounds_completed)
-        errors[c] = trainer.eval_error_rates()
+        errors[c] = engine.error_rates_many(
+            trainer.model, [trainer.params], dataset.eval_clients, dataset.task
+        )[0]
         if store_params:
             params[c] = trainer.params
     return errors, params
@@ -100,12 +105,12 @@ def _build_fused(
     All configs share the dataset's architecture, so the fused pool merges
     every same-schedule config's cohort into one slab pass and advances
     the pool checkpoint to checkpoint in lockstep. Each checkpoint's
-    per-config snapshot is one fused evaluation sweep (:meth:`FusedTrainerPool.evaluate`): the
-    whole validation pool pushes through a single inference slab —
-    borrowed from the training slab the pool just used — instead of
-    re-running the full pool once per config. Per config the rates are
-    bit-identical to the per-config loop's ``eval_error_rates``, with each
-    trainer owning its serially-pre-drawn seed and RNG stream.
+    per-config snapshot is one fused evaluation sweep
+    (:meth:`FusedTrainerPool.evaluate`): the whole validation pool pushes
+    through a single inference slab instead of re-running the full pool
+    once per config. In float64 the rates are bit-identical per config to
+    the per-config build's, with each trainer owning its serially-pre-drawn
+    seed and RNG stream.
     """
     from repro.fl.fused import FusedTrainerPool
 
@@ -337,35 +342,21 @@ class ConfigBank:
 
         Requires ``store_params=True`` at build time. Used by the Figure-4
         heterogeneity experiment, which repartitions validation data while
-        keeping trained models fixed. When the architecture has stacked
-        inference kernels, each checkpoint re-evaluates as one cross-config
-        :class:`~repro.fl.evaluation.StackedEvalEngine` sweep (bit-identical
-        per config to the serial loop it replaces).
+        keeping trained models fixed. Each checkpoint re-evaluates as one
+        cross-config :class:`~repro.fl.evaluation.StackedEvalEngine` sweep
+        in the default slab dtype (:func:`repro.nn.stacked.resolve_dtype`;
+        in float64, bit-identical per config to the serial oracle).
         """
-        from repro.fl.evaluation import StackedEvalEngine
-        from repro.nn.stacked import stack_signature
-
         if self.params is None:
             raise ValueError("bank was built without store_params=True")
         clients = eval_clients if eval_clients is not None else dataset.eval_clients
         model = dataset.task.build_model(0)
         errors = np.empty((self.n_configs, len(self.checkpoints), len(clients)))
-        signature = stack_signature(model)
-        if signature is not None and self.n_configs > 1:
-            engine = StackedEvalEngine()
-            for c in range(len(self.checkpoints)):
-                errors[:, c, :] = engine.error_rates_many(
-                    model,
-                    [self.params[k, c] for k in range(self.n_configs)],
-                    clients,
-                    dataset.task,
-                    signature=signature,
-                )
-        else:
-            for k in range(self.n_configs):
-                for c in range(len(self.checkpoints)):
-                    set_flat_params(model, self.params[k, c])
-                    errors[k, c] = client_error_rates(model, clients, dataset.task)
+        engine = StackedEvalEngine()
+        for c in range(len(self.checkpoints)):
+            errors[:, c, :] = engine.error_rates_many(
+                model, list(self.params[:, c]), clients, dataset.task
+            )
         sizes = np.array([cl.n for cl in clients], dtype=np.float64)
         return ConfigBank(
             dataset_name=self.dataset_name,
@@ -437,10 +428,6 @@ class BankTrialRunner(TrialRunner):
 
     def error_rates(self, trial: Trial) -> np.ndarray:
         return self.bank.error_rates(trial.state, trial.rounds)
-
-    def full_error(self, trial: Trial, scheme: str = "weighted") -> float:
-        rates = self.error_rates(trial)
-        return weighted_mean(rates, self.bank.weights(scheme))
 
     def eval_weights(self, scheme: str) -> np.ndarray:
         return self.bank.weights(scheme)

@@ -24,7 +24,6 @@ from repro.fl.evaluation import (
     StackedEvalEngine,
     client_error_rates,
     eval_chunk_plan,
-    fused_group_rates,
     federated_error,
     stacked_client_error_rates,
     tail_error,
@@ -50,7 +49,6 @@ __all__ = [
     "StackedEvalEngine",
     "client_error_rates",
     "eval_chunk_plan",
-    "fused_group_rates",
     "federated_error",
     "stacked_client_error_rates",
     "tail_error",

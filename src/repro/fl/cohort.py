@@ -170,10 +170,8 @@ class SlabTrainer:
     @property
     def stacked_model(self) -> StackedModel:
         """The underlying slab model. Between :meth:`train_groups` calls
-        its rows are free scratch — every round reloads them from the
-        groups' start vectors — so fused evaluation borrows it as an
-        inference slab (:meth:`~repro.nn.stacked.StackedModel.forward_eval`)
-        instead of allocating a second ``(C, P)`` allocation."""
+        its rows are free scratch: every round reloads them from the
+        groups' start vectors."""
         return self._stacked
 
     def ensure_capacity(self, rows: int) -> None:

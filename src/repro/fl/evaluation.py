@@ -4,7 +4,7 @@ Implements Eq. 2 of the paper: the validation objective is a weighted sum
 of per-client error rates, over either the full validation pool
 (``S = [N_val]``) or a subsampled cohort.
 
-The evaluation-side hot path mirrors the training-side slab architecture:
+Per-client rates come from one shared chunking and two scorers:
 
 - **Chunk-plan cache.** Evaluating a pool of many small clients wants
   batched forward passes, so consecutive clients are concatenated into
@@ -14,18 +14,18 @@ The evaluation-side hot path mirrors the training-side slab architecture:
   built once per pool and cached (:func:`eval_chunk_plan`, a small LRU
   keyed by the identity of the client objects; entries hold strong
   references to their clients, which pins the ids the key is built from).
-  Both evaluation paths — the serial/chunked :func:`client_error_rates`
-  and the stacked :func:`stacked_client_error_rates` — reuse the same
-  plan, so the per-call concatenation
-  cost of the old code is paid once per pool instead of once per model.
-- **Stacked evaluation.** :class:`StackedEvalEngine` pushes the whole
+- **The read path.** :class:`StackedEvalEngine` is the only scorer
+  production code calls: trial runners, the fused trainer pool and bank
+  builds hand it k >= 1 parameter vectors, and it pushes the whole
   validation pool through one :class:`~repro.nn.stacked.StackedModel`
-  inference slab holding T same-architecture models
-  (:meth:`~repro.nn.stacked.StackedModel.forward_eval`), with per-copy
-  error counts and the diverged-model → 1.0 convention preserved per
-  model — bit-identical to T serial :func:`client_error_rates` calls. A
-  float32 slab reads the plan's float32 copy of the features
-  (:meth:`EvalChunkPlan.inputs`), so it computes in float32 throughout.
+  inference slab (:meth:`~repro.nn.stacked.StackedModel.forward_eval`),
+  with per-copy error counts and the diverged-model → 1.0 convention
+  applied per model. It holds no per-trial state. A float32 slab reads
+  the plan's float32 copy of the features (:meth:`EvalChunkPlan.inputs`),
+  so it computes in float32 throughout.
+- **The serial oracle.** :func:`client_error_rates` scores one serial
+  model chunk by chunk. No library read path calls it; the tests hold
+  every float64 engine row bit-identical to it.
 """
 
 from __future__ import annotations
@@ -277,20 +277,20 @@ def stacked_client_error_rates(
 
 
 class StackedEvalEngine:
-    """Batched evaluation of many same-architecture models on one pool.
+    """The one production read path: per-client error rates of many
+    same-architecture parameter vectors at once.
 
-    The engine owns inference slabs cached per architecture signature
-    (grown in place as batches get larger), or *borrows* a caller-provided
-    slab — the fused trial runner hands over the training slab its rung
-    just trained, so a train-then-evaluate cycle never unstacks and
-    restacks parameters. One engine instance per runner/pool is the
-    intended granularity; slabs are reused across calls.
+    Every evaluation a tuning run, a bank build or a bank re-evaluation
+    makes scores through :meth:`error_rates_many`, for any number of
+    vectors k >= 1. The engine owns its inference slabs, cached per
+    architecture signature and grown in place as batches get larger; one
+    engine per runner, pool or build is the intended granularity. It
+    keeps no per-trial state, so a read always scores the parameters it
+    is given.
 
-    ``dtype`` fixes the engine's slab compute dtype
-    (:func:`repro.nn.stacked.resolve_dtype`); a borrowed slab is only
-    accepted when its dtype matches, so a float32 training slab never
-    silently changes the precision of a float64 evaluation (or vice
-    versa).
+    ``dtype`` fixes the slab compute dtype
+    (:func:`repro.nn.stacked.resolve_dtype`): callers pass the dtype their
+    trainers train in, float64 for the serial path.
     """
 
     _CAPACITY = 8  # distinct architectures kept
@@ -299,19 +299,7 @@ class StackedEvalEngine:
         self.dtype = resolve_dtype(dtype)
         self._models: "OrderedDict[tuple, StackedModel]" = OrderedDict()
 
-    def _model_for(
-        self,
-        template: Module,
-        signature: tuple,
-        rows: int,
-        borrowed: Optional[StackedModel] = None,
-    ) -> StackedModel:
-        if (
-            borrowed is not None
-            and borrowed.n_copies >= rows
-            and borrowed.dtype == self.dtype
-        ):
-            return borrowed
+    def _model_for(self, template: Module, signature: tuple, rows: int) -> StackedModel:
         cached = self._models.get(signature)
         if cached is None or cached.n_copies < rows:
             cached = StackedModel(template, rows, dtype=self.dtype)
@@ -329,13 +317,13 @@ class StackedEvalEngine:
         task: TaskSpec,
         max_chunk_examples: int = 4096,
         signature: Optional[tuple] = None,
-        borrowed: Optional[StackedModel] = None,
     ) -> np.ndarray:
         """``(T, n_clients)`` error rates for T parameter vectors at once.
 
         ``template`` supplies the architecture (its own parameter values
-        are irrelevant — every evaluated row is overwritten); ``borrowed``
-        may pass an existing same-architecture slab with capacity >= T.
+        are irrelevant — every evaluated row is overwritten). Row ``t`` is
+        bit-identical to :func:`client_error_rates` on a float64 model
+        holding ``params_rows[t]`` when the engine computes in float64.
         """
         rows = len(params_rows)
         if rows == 0:
@@ -345,62 +333,13 @@ class StackedEvalEngine:
             raise ValueError(
                 f"model {type(template).__name__} has no stacked inference kernels"
             )
-        stacked = self._model_for(template, sig, rows, borrowed)
+        stacked = self._model_for(template, sig, rows)
         slab = stacked.slab
         for i, params in enumerate(params_rows):
             slab[i] = params
         return stacked_client_error_rates(
             stacked, clients, task, n_models=rows, max_chunk_examples=max_chunk_examples
         )
-
-
-def fused_group_rates(
-    engine: StackedEvalEngine,
-    models: Sequence[Module],
-    params_rows: Sequence[np.ndarray],
-    clients: Sequence[ClientData],
-    task: TaskSpec,
-    pool=None,
-) -> List[Optional[np.ndarray]]:
-    """Stacked rates for a batch of (model, params) pairs on one pool.
-
-    The shared grouping core of both fused-evaluation entry points
-    (``FusedTrainerPool.evaluate`` and the trial runners'
-    ``error_rates_many``): models group by :func:`stack_signature`, each
-    multi-member group evaluates through ``engine`` as one inference
-    slab — borrowed from ``pool`` (anything with the
-    ``FusedTrainerPool.stacked_model(key, rows)`` interface) when its
-    training slab for the architecture can hold the group — and every
-    evaluated entry comes back as its own writable copy. Entries that
-    need the caller's serial path (unstackable models, singleton groups)
-    are returned as ``None``.
-    """
-    results: List[Optional[np.ndarray]] = [None] * len(models)
-    groups: Dict[tuple, List[int]] = {}
-    for i, model in enumerate(models):
-        signature = stack_signature(model)
-        if signature is not None:
-            groups.setdefault(signature, []).append(i)
-    for signature, members in groups.items():
-        if len(members) == 1:
-            continue
-        template = models[members[0]]
-        borrowed = None
-        if pool is not None:
-            borrowed = pool.stacked_model((signature, task.loss_fn), len(members))
-        rates = engine.error_rates_many(
-            template,
-            [params_rows[i] for i in members],
-            clients,
-            task,
-            signature=signature,
-            borrowed=borrowed,
-        )
-        for row, i in zip(rates, members):
-            # Per-entry copies so releasing one trial's vector does not
-            # pin the whole (T, n) block.
-            results[i] = row.copy()
-    return results
 
 
 # -- aggregation ---------------------------------------------------------------

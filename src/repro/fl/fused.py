@@ -35,9 +35,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.fl.cohort import SlabTrainer
-from repro.fl.evaluation import StackedEvalEngine, fused_group_rates
+from repro.fl.evaluation import StackedEvalEngine
 from repro.fl.trainer import FederatedTrainer, run_slab_round
-from repro.nn.stacked import StackedModel, resolve_dtype, stack_signature
+from repro.nn.stacked import resolve_dtype, stack_signature
 
 
 class FusedTrainerPool:
@@ -46,9 +46,9 @@ class FusedTrainerPool:
     architecture (slabs are cached across calls, so the schedule buckets
     of a rung and successive rungs of a tuning run reuse one allocation).
     :meth:`evaluate` is the matching read path: every trainer of a batch
-    is scored on the validation pool through one inference slab —
-    borrowing the training slab the batch just used, so a train→evaluate
-    rung cycle never unstacks and restacks parameters.
+    is scored on the validation pool through the pool's
+    :class:`~repro.fl.evaluation.StackedEvalEngine`, one inference slab
+    per architecture.
 
     ``dtype`` is the pool's default slab compute dtype
     (:func:`repro.nn.stacked.resolve_dtype`); each group's slab is built
@@ -61,49 +61,33 @@ class FusedTrainerPool:
         self._slabs: Dict[tuple, SlabTrainer] = {}
         self._eval_engine: Optional[StackedEvalEngine] = None
 
-    def stacked_model(self, key: tuple, rows: int, dtype=None) -> Optional[StackedModel]:
-        """The training slab's model for ``key`` when it can already hold
-        ``rows`` copies (else ``None``) — the borrow handle fused
-        evaluation uses. ``key`` is the ``(stack_signature, loss_fn)``
-        pair of :meth:`advance`'s grouping key; the dtype completing the
-        full slab key defaults to the pool's."""
-        full_key = key + (np.dtype(dtype if dtype is not None else self.dtype).name,)
-        slab = self._slabs.get(full_key)
-        if slab is not None and slab.capacity >= rows:
-            return slab.stacked_model
-        return None
-
     def evaluate(self, trainers: Sequence[FederatedTrainer]) -> List[np.ndarray]:
-        """Per-validation-client error rates for every trainer, fused.
+        """Per-validation-client error rates for every trainer.
 
-        Same-architecture trainers (grouped by
-        :func:`~repro.nn.stacked.stack_signature`) evaluate as one
-        stacked inference sweep over the pool's cached chunk plan;
-        singleton groups use the serial
-        :meth:`~repro.fl.trainer.FederatedTrainer.eval_error_rates`.
-        Per trainer the result is bit-identical to the serial call.
+        Trainers group by dataset and
+        :func:`~repro.nn.stacked.stack_signature`; each group, of one
+        trainer or many, is one :meth:`StackedEvalEngine.error_rates_many`
+        sweep in the pool's dtype. In float64 each row is bit-identical to
+        the serial :meth:`~repro.fl.trainer.FederatedTrainer.eval_error_rates`.
         """
-        results: List[Optional[np.ndarray]] = [None] * len(trainers)
-        by_dataset: Dict[int, List[int]] = {}
+        if self._eval_engine is None:
+            self._eval_engine = StackedEvalEngine(dtype=self.dtype)
+        groups: Dict[tuple, List[int]] = {}
         for i, trainer in enumerate(trainers):
-            by_dataset.setdefault(id(trainer.dataset), []).append(i)
-        for members in by_dataset.values():
-            dataset = trainers[members[0]].dataset
-            if self._eval_engine is None:
-                self._eval_engine = StackedEvalEngine(dtype=self.dtype)
-            rates = fused_group_rates(
-                self._eval_engine,
-                [trainers[i].model for i in members],
+            key = (id(trainer.dataset), stack_signature(trainer.model))
+            groups.setdefault(key, []).append(i)
+        results: List[np.ndarray] = [None] * len(trainers)
+        for (_, signature), members in groups.items():
+            first = trainers[members[0]]
+            rates = self._eval_engine.error_rates_many(
+                first.model,
                 [trainers[i].params for i in members],
-                dataset.eval_clients,
-                dataset.task,
-                pool=self,
+                first.dataset.eval_clients,
+                first.dataset.task,
+                signature=signature,
             )
             for row, i in zip(rates, members):
                 results[i] = row
-        for i, row in enumerate(results):
-            if row is None:
-                results[i] = trainers[i].eval_error_rates()
         return results
 
     # -- public API ----------------------------------------------------------

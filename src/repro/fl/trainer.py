@@ -359,13 +359,13 @@ class FederatedTrainer:
     def eval_error_rates(self, max_chunk_examples: int = 4096) -> np.ndarray:
         """Per-validation-client error rates of the current global model.
 
-        This is the serial reference path: chunked batched forwards over
-        the pool's cached :class:`~repro.fl.evaluation.EvalChunkPlan`
-        (shared with the stacked engine, so serial and fused evaluation
-        see identical chunk boundaries). Batch callers — tuner rungs, bank
-        snapshots — should prefer ``TrialRunner.error_rates_many`` /
-        ``FusedTrainerPool.evaluate``, which score many same-architecture
-        trainers through one inference slab.
+        This is the serial oracle, in float64: chunked batched forwards
+        over the pool's cached :class:`~repro.fl.evaluation.EvalChunkPlan`
+        (shared with the stacked engine, so both see identical chunk
+        boundaries). Production reads — ``TrialRunner.error_rates_many``,
+        ``FusedTrainerPool.evaluate``, bank builds — score through
+        :class:`~repro.fl.evaluation.StackedEvalEngine`; the tests hold
+        them bit-identical to this method.
         """
         set_flat_params(self.model, self.params)
         return client_error_rates(

@@ -1162,8 +1162,7 @@ class StackedModel(Module):
         once; the first parameterised layer fans out to ``(k, B, ...)``
         via a broadcast matmul/gather, after which stacked per-copy
         kernels take over. Nothing is cached (no backward, no memory
-        bloat), so a *training* slab can be borrowed for evaluation
-        between rounds. Per copy the result is the serial model's forward on
+        bloat). Per copy the result is the serial model's forward on
         ``x`` — same dgemm shapes, same elementwise ops — which is what
         makes fused evaluation bit-identical to ``client_error_rates``
         on the unstacked models.

@@ -76,17 +76,6 @@ class TestFederatedTrialRunner:
         assert runner.rounds_used == 0
         assert np.array_equal(a.state.params, p0)
 
-    def test_error_rates_cached_per_round_count(self, cifar):
-        runner = FederatedTrialRunner(cifar, max_rounds=6, seed=0)
-        trial = runner.create(sample_config())
-        runner.advance(trial, 2)
-        r1 = runner.error_rates(trial)
-        r2 = runner.error_rates(trial)
-        assert r1 is r2  # cache hit: no re-evaluation
-        runner.advance(trial, 2)
-        r3 = runner.error_rates(trial)
-        assert r3 is not r1
-
     def test_full_error_consistent_with_rates(self, cifar):
         runner = FederatedTrialRunner(cifar, max_rounds=3, seed=0)
         trial = runner.create(sample_config())
@@ -118,19 +107,6 @@ class TestFederatedTrialRunner:
     def test_eval_weights_delegates_to_dataset(self, cifar):
         runner = FederatedTrialRunner(cifar, max_rounds=3, seed=0)
         assert np.array_equal(runner.eval_weights("uniform"), np.ones(cifar.num_eval_clients))
-
-    def test_error_rates_cache_cannot_be_corrupted(self, cifar):
-        """Regression: error_rates used to return the cached array
-        writeable, so a caller mutating it corrupted every later
-        full_error read of the same trial."""
-        runner = FederatedTrialRunner(cifar, max_rounds=3, seed=0)
-        trial = runner.create(sample_config())
-        runner.advance(trial, 3)
-        rates = runner.error_rates(trial)
-        before = runner.full_error(trial)
-        with pytest.raises((ValueError, RuntimeError)):
-            rates[:] = 0.0  # read-only: the would-be corruption is refused
-        assert runner.full_error(trial) == pytest.approx(before)
 
     def test_advance_many_matches_serial_advance(self, cifar):
         serial = FederatedTrialRunner(cifar, max_rounds=4, seed=9)

@@ -11,8 +11,9 @@ The contract under test:
 - budget/release accounting is exact: ``planned_releases`` (the DP
   budget M) equals the observations actually performed, including
   budget-truncated final steps;
-- exploit/explore and weight sharing invalidate stale evaluation caches
-  and keep trial configs in sync with live trainer hyperparameters.
+- reads after exploit/explore and weight sharing score the rewritten
+  models, and trial configs stay in sync with live trainer
+  hyperparameters.
 """
 
 import numpy as np
@@ -285,16 +286,19 @@ class TestWeightSharing:
         assert not any(t.state.params is base for t in trials[1:])
 
     def test_adapt_invalidates_rates_cache(self, dataset, space):
+        """Reads after an in-place weight-sharing rewrite score the
+        rewritten models: bit-identical to a fresh serial oracle read."""
         runner = make_runner(dataset, False)
         tuner = make_tuner(WeightSharingTuner, space, runner)
         trials = [runner.create(tuner.propose()) for _ in range(4)]
         tuner.population = trials
         runner.advance_many([(t, 1) for t in trials])
-        before = [runner.error_rates(t).copy() for t in trials]
+        before = runner.error_rates_many(trials)
         tuner._adapt(trials, np.array([0.9, 0.1, 0.5, 0.4]))
-        after = [runner.error_rates(t) for t in trials]
-        # All arms share one parameter vector now: identical rate vectors,
-        # freshly computed (stale per-arm caches would differ).
+        after = runner.error_rates_many(trials)
+        for trial, rates in zip(trials, after):
+            assert np.array_equal(rates, trial.state.eval_error_rates())
+        # All arms share one parameter vector now: identical rate vectors.
         for rates in after[1:]:
             assert np.array_equal(rates, after[0])
         assert any(not np.array_equal(a, b) for a, b in zip(before, after))

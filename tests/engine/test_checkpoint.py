@@ -36,7 +36,9 @@ from repro.engine.checkpoint import (
     CheckpointError,
     CheckpointVersionError,
     RunCheckpointer,
+    capture_run_state,
     load_checkpoint,
+    restore_run_state,
     resume_checkpoint,
     save_checkpoint,
 )
@@ -141,19 +143,20 @@ class Killed(Exception):
 
 def run_until_killed(tuner, checkpoint, kill_after):
     """Run with a checkpoint hook, aborting right after the kill_after-th
-    observation. Wrapping the bound method as an instance attribute
-    intercepts every path (observe_many and subclass overrides included)."""
-    orig = tuner.observe
+    observation. Every observation — ``observe``, ``observe_many`` and
+    subclass overrides — goes through ``_observe``, so wrapping that bound
+    method as an instance attribute intercepts every path."""
+    orig = tuner._observe
     seen = [0]
 
-    def observe(trial, budget_used=None):
-        out = orig(trial, budget_used=budget_used)
+    def observe(trial, budget_used, in_hand):
+        out = orig(trial, budget_used, in_hand)
         seen[0] += 1
         if seen[0] >= kill_after:
             raise Killed()
         return out
 
-    tuner.observe = observe
+    tuner._observe = observe
     with pytest.raises(Killed):
         tuner.run(checkpoint=checkpoint)
     return seen[0]
@@ -268,6 +271,44 @@ class TestKillResumeBitIdentity:
         result = replay.run()
         assert replay.rng.bit_generator.state == pickle.loads(rng_before)
         assert_identical_outcome(result, ref, replay, first)
+
+    @pytest.mark.parametrize("method", ("hb", "bohb"))
+    def test_state_with_retired_trials_resumes(self, dataset, method):
+        """Version-2 tuner states written while runners still cached rate
+        vectors carry a ``retire_on_dethrone`` id list and the trials it
+        named in their trial table. Such a state loads and resumes onto
+        the uninterrupted trajectory, and the next save drops the field."""
+        reference = build_tuner(method, dataset, NOISES["dp"])
+        ref_result = reference.run()
+
+        blobs, created = [], []
+
+        class Capture:
+            def save(self, tuner, force=False):
+                blobs.append(pickle.dumps(capture_run_state(tuner)))
+
+        writer = build_tuner(method, dataset, NOISES["dp"])
+        create = writer.runner.create
+        writer.runner.create = lambda config: created.append(create(config)) or created[-1]
+        writer.run(checkpoint=Capture())
+        state = pickle.loads(blobs[len(blobs) // 2])
+        tuner_state = state["tuner"]
+        seen = {obs["trial_id"] for obs in tuner_state["observations"]}
+        # A trial observed before the save that the table no longer holds:
+        # never advanced again, so its end-of-run payload is its payload
+        # at save time.
+        extra = next(
+            t for t in created if t.trial_id in seen and t.trial_id not in tuner_state["trials"]
+        )
+        tuner_state["retire_on_dethrone"] = [extra.trial_id]
+        tuner_state["trials"][extra.trial_id] = writer.runner.trial_state(extra)
+
+        resumed = build_tuner(method, dataset, NOISES["dp"])
+        assert resumed.STATE_VERSION == tuner_state["state_version"] == 2
+        restore_run_state(resumed, state)
+        result = resumed.run()
+        assert_identical_outcome(result, ref_result, resumed, reference)
+        assert "retire_on_dethrone" not in resumed.state_dict()
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))

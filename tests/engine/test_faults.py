@@ -586,17 +586,17 @@ class Killed(Exception):
 
 
 def run_until_killed(tuner, checkpoint, kill_after):
-    orig = tuner.observe
+    orig = tuner._observe  # the path every observation takes
     seen = [0]
 
-    def observe(trial, budget_used=None):
-        out = orig(trial, budget_used=budget_used)
+    def observe(trial, budget_used, in_hand):
+        out = orig(trial, budget_used, in_hand)
         seen[0] += 1
         if seen[0] >= kill_after:
             raise Killed()
         return out
 
-    tuner.observe = observe
+    tuner._observe = observe
     with pytest.raises(Killed):
         tuner.run(checkpoint=checkpoint)
 

@@ -1,8 +1,9 @@
 """Fused evaluation: the stacked cross-trial inference equivalence contract.
 
-``error_rates_many`` (trial runners / FusedTrainerPool.evaluate /
-StackedEvalEngine) must be *bit-identical* per trial to the serial
-``client_error_rates`` on the unstacked models: same chunk plan, same
+Every production read — trial runners' ``error_rates``/``error_rates_many``,
+``FusedTrainerPool.evaluate``, bank builds — scores through
+``StackedEvalEngine`` and must be *bit-identical* per trial (in float64)
+to the serial oracle ``client_error_rates`` on the unstacked models: same chunk plan, same
 per-copy logits per dgemm, integer-exact counts, and the diverged-model
 → 1.0 convention applied per copy. The chunk-plan cache must be invariant
 in the budget (same rates for any ``max_chunk_examples``), and
@@ -20,11 +21,14 @@ from repro.core import FederatedTrialRunner, NoiseConfig, RandomSearch
 from repro.core.evaluator import TrialRunner
 from repro.core.hyperband import Hyperband
 from repro.core.noise import NoisyEvaluator
+from repro.core.population import WeightSharingTuner
 from repro.core.search_space import paper_space
+from repro.core.tpe import TPE
 from repro.datasets import load_dataset
 from repro.datasets.base import ClientData, FederatedDataset, TaskSpec, classification_error
 from repro.fl import FusedTrainerPool
 from repro.fl.evaluation import (
+    StackedEvalEngine,
     client_error_rates,
     eval_chunk_plan,
     stacked_client_error_rates,
@@ -36,7 +40,7 @@ from repro.nn import (
     stack_signature,
     supports_stacking,
 )
-from repro.nn.module import get_flat_params
+from repro.nn.module import get_flat_params, set_flat_params
 from repro.nn.stacked import StackedModel
 
 SPACE = paper_space()
@@ -83,7 +87,7 @@ class TestStackedVsSerial:
         batch = runner.error_rates_many(trials)
         for ref, got in zip(reference, batch):
             assert np.array_equal(ref, got)
-        # Batch results landed in the cache and serial reads agree.
+        # Single-trial reads take the same engine and agree.
         for t, ref in zip(trials, reference):
             assert np.array_equal(runner.error_rates(t), ref)
 
@@ -103,22 +107,25 @@ class TestStackedVsSerial:
         for ref, got in zip(reference, runner.error_rates_many(trials)):
             assert np.array_equal(ref, got)
 
-    def test_fused_runner_borrows_training_slab(self):
-        """A fused rung evaluates straight from the slab it just trained:
-        the eval engine allocates no slab of its own."""
-        ds = mlp_dataset(n_lo=16, n_hi=16)
-        runner = FederatedTrialRunner(ds, max_rounds=10, seed=3, cohort_mode="fused")
-        trials = trained_trials(runner, 4)
-        assert runner._fused_pool is not None  # the rung actually fused
-        reference = [t.state.eval_error_rates().copy() for t in trials]
-        for ref, got in zip(reference, runner.error_rates_many(trials)):
-            assert np.array_equal(ref, got)
-        assert runner._eval_engine is not None
-        assert len(runner._eval_engine._models) == 0  # borrowed, not allocated
+    @pytest.mark.parametrize("mode", ["serial", "fused"])
+    @pytest.mark.parametrize("name", ["cifar10", "stackoverflow"])
+    def test_single_trial_read_bit_identical(self, name, mode):
+        """A k=1 read, on the CNN and the LSTM in both cohort modes,
+        equals the serial oracle bit for bit."""
+        ds = load_dataset(name, "test", seed=0)
+        runner = FederatedTrialRunner(
+            ds, max_rounds=4, seed=5, cohort_mode=mode, cohort_dtype="float64"
+        )
+        (trial,) = trained_trials(runner, 1, rounds=1)
+        model = trial.state.model
+        set_flat_params(model, trial.state.params)
+        reference = client_error_rates(model, ds.eval_clients, ds.task)
+        assert np.array_equal(runner.error_rates(trial), reference)
+        assert len(runner._eval_engine._models) == 1  # scored by the engine
 
     def test_serial_runner_evaluates_on_its_own_slab(self):
-        """A serial rung has no training slab to lend, so the eval engine
-        stacks the trials on a slab of its own."""
+        """The eval engine stacks a serial rung's trials on a slab of its
+        own."""
         ds = mlp_dataset()
         model = ds.task.build_model(0)
         assert supports_stacking(model)
@@ -128,14 +135,15 @@ class TestStackedVsSerial:
         reference = [t.state.eval_error_rates().copy() for t in trials]
         for ref, got in zip(reference, runner.error_rates_many(trials)):
             assert np.array_equal(ref, got)
-        # Actually went through the stacked engine (no borrowable slab here).
+        # Actually went through the stacked engine.
         assert runner._eval_engine is not None and len(runner._eval_engine._models) == 1
 
 
-def _slab_overflow():
-    """Writing 1e300 into a float32 slab (``REPRO_DTYPE=float32``)
-    overflows to inf, which NumPy reports; a float64 slab holds it."""
-    if np.dtype(resolve_dtype(None)) == np.float32:
+def _slab_overflow(dtype=None):
+    """Writing 1e300 into a float32 slab (``dtype``, default
+    ``REPRO_DTYPE``) overflows to inf, which NumPy reports; a float64
+    slab holds it."""
+    if np.dtype(resolve_dtype(dtype)) == np.float32:
         return pytest.warns(RuntimeWarning, match="overflow encountered in cast")
     return contextlib.nullcontext()
 
@@ -143,12 +151,12 @@ def _slab_overflow():
 class TestDivergedConvention:
     def test_diverged_copy_scores_one_per_client(self):
         ds = mlp_dataset()
-        runner = FederatedTrialRunner(ds, max_rounds=10, seed=3)
+        runner = FederatedTrialRunner(ds, max_rounds=10, seed=3, cohort_mode="serial")
         trials = trained_trials(runner, 4)
         trials[1].state.params = np.full_like(trials[1].state.params, 1e300)
         reference = [t.state.eval_error_rates().copy() for t in trials]
         assert np.all(reference[1] == 1.0)  # serial convention sanity
-        with _slab_overflow():
+        with _slab_overflow("float64"):  # serial-mode runners read in float64
             batch = runner.error_rates_many(trials)
         for ref, got in zip(reference, batch):
             assert np.array_equal(ref, got)
@@ -252,7 +260,7 @@ class TestChunkPlanCache:
                 assert not chunk.x.flags.writeable
 
 
-class TestRunnerCachesAndRetire:
+class TestRunnerEvalWeights:
     def test_eval_weights_cached_and_read_only(self):
         ds = mlp_dataset()
         runner = FederatedTrialRunner(ds, max_rounds=10, seed=3)
@@ -262,41 +270,48 @@ class TestRunnerCachesAndRetire:
         assert np.array_equal(w, ds.eval_weights("weighted"))
         assert runner.eval_weights("uniform") is runner.eval_weights("uniform")
 
-    def test_retire_evicts_rates_and_rereads_work(self):
-        ds = mlp_dataset()
-        runner = FederatedTrialRunner(ds, max_rounds=10, seed=3)
-        (trial,) = trained_trials(runner, 1)
-        rates = runner.error_rates(trial)
-        assert trial.trial_id in runner._rates_cache
-        runner.retire(trial)
-        assert trial.trial_id not in runner._rates_cache
-        assert np.array_equal(runner.error_rates(trial), rates)
+class TestScoringCount:
+    """No cache and no rescoring: a tuning run scores exactly one row per
+    distinct ``(trial, rounds)`` it observes — the incumbent's full error
+    and the final report come from rates already in hand, so the final
+    report is the last curve point."""
 
-    def test_advance_drops_stale_cache_entry(self):
-        ds = mlp_dataset()
-        runner = FederatedTrialRunner(ds, max_rounds=10, seed=3)
-        (trial,) = trained_trials(runner, 1)
-        runner.error_rates(trial)
-        runner.advance(trial, 1)
-        assert trial.trial_id not in runner._rates_cache
+    @pytest.mark.parametrize("mode", ["serial", "fused"])
+    @pytest.mark.parametrize("method", ["rs", "hb", "tpe", "fedex"])
+    def test_one_row_per_observed_state(self, monkeypatch, method, mode):
+        rows = []
+        many = StackedEvalEngine.error_rates_many
 
-    def test_tuner_run_retires_all_but_incumbent(self):
-        ds = mlp_dataset()
-        runner = FederatedTrialRunner(ds, max_rounds=6, seed=3)
-        rs = RandomSearch(
-            SPACE, runner, NoiseConfig(subsample=3), n_configs=5, total_budget=30, seed=1
-        )
-        result = rs.run()
-        assert set(runner._rates_cache) <= {result.best_trial_id}
+        def counting(self, template, params_rows, *args, **kwargs):
+            rows.append(len(params_rows))
+            return many(self, template, params_rows, *args, **kwargs)
 
-    def test_sha_rung_losers_are_retired(self):
-        ds = mlp_dataset()
-        runner = FederatedTrialRunner(ds, max_rounds=9, seed=3)
-        # Two whole SHA brackets, (9, 1) and (5, 3), spend exactly 42 rounds.
-        hb = Hyperband(SPACE, runner, NoiseConfig(subsample=3), total_budget=42, seed=1)
-        hb.run()
-        # Everything but (at most) the protected incumbent was released.
-        assert len(runner._rates_cache) <= 1
+        monkeypatch.setattr(StackedEvalEngine, "error_rates_many", counting)
+        runner = FederatedTrialRunner(mlp_dataset(), max_rounds=9, seed=3, cohort_mode=mode)
+        noise = NoiseConfig(subsample=3)
+        if method == "rs":
+            tuner = RandomSearch(SPACE, runner, noise, n_configs=5, total_budget=30, seed=1)
+        elif method == "hb":
+            # The final rung is cut short by the budget.
+            tuner = Hyperband(SPACE, runner, noise, total_budget=60, seed=1)
+        elif method == "tpe":
+            tuner = TPE(SPACE, runner, noise, n_configs=6, total_budget=36, seed=1)
+        else:
+            # The last step is truncated: only a prefix of the arms trains,
+            # and the incumbent is an arm whose weights the last
+            # weight-sharing step rewrote after its observation.
+            tuner = WeightSharingTuner(
+                SPACE, runner, noise, population_size=4, total_budget=35, seed=3
+            )
+        result = tuner.run()
+        observed = [(o.trial_id, o.rounds) for o in result.observations]
+        assert sum(rows) == len(observed)
+        assert result.final_full_error == result.curve[-1].full_error
+        # FedEx's truncated last step hands one arm a zero-round grant and
+        # observes it again at an unchanged round count: after the
+        # weight-sharing rewrite that is a new model, so a new row.
+        if method != "fedex":
+            assert len(set(observed)) == len(observed)
 
 
 class TestTunerBatchEquivalence:

@@ -22,7 +22,9 @@ from repro.datasets import load_dataset
 from repro.datasets.base import ClientData, FederatedDataset, TaskSpec, classification_error
 from repro.datasets.registry import DATASET_NAMES
 from repro.fl import FedAdam, FederatedTrainer, FusedTrainerPool, LocalTrainingConfig, SlabTrainer
+from repro.fl.evaluation import client_error_rates
 from repro.nn import make_mlp, softmax_cross_entropy
+from repro.nn.module import set_flat_params
 from repro.nn.stacked import DTYPE_ENV, StackedModel, supports_stacking
 
 RTOL, ATOL = 1e-8, 1e-11  # documented ragged-cohort tolerance (multi-round)
@@ -402,6 +404,14 @@ class TestFusedBankBuild:
         assert serial.configs == fused.configs
         np.testing.assert_allclose(fused.errors, serial.errors, rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(fused.params, serial.params, rtol=RTOL, atol=1e-8)
+        # The serial build reads every checkpoint in float64: bit for bit
+        # the serial oracle on the stored parameters.
+        model = ds.task.build_model(0)
+        for k in range(serial.n_configs):
+            for c in range(len(serial.checkpoints)):
+                set_flat_params(model, serial.params[k, c])
+                oracle = client_error_rates(model, ds.eval_clients, ds.task)
+                assert np.array_equal(serial.errors[k, c], oracle)
 
 
 class _Sentinel(Exception):
