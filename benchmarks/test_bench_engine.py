@@ -23,9 +23,12 @@ N_WORKERS = 4
 
 
 def build_bank(executor):
+    # Workers map the configs of a serial build; the default (fused) build
+    # runs in-process whatever the executor.
     ds = load_dataset("cifar10", "test", seed=0)
     return ConfigBank.build(
-        ds, SPACE, n_configs=N_CONFIGS, max_rounds=9, seed=0, executor=executor
+        ds, SPACE, n_configs=N_CONFIGS, max_rounds=9, seed=0, executor=executor,
+        cohort_mode="serial",
     )
 
 

@@ -63,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "cohort training: per-client serial (the reference) or fused "
-            "lockstep slabs (default: $REPRO_COHORT_VECTOR, else serial)"
+            "lockstep slabs (default: $REPRO_COHORT_VECTOR, else serial "
+            "tuning runs and fused bank builds)"
         ),
     )
     return parser

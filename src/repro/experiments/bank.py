@@ -38,8 +38,9 @@ def _build_config_task(payload, k: int):
     ``payload`` rides fork inheritance (datasets are not picklable); the
     per-config trainer seed was drawn serially in the parent before
     dispatch, so results are bit-identical to the serial loop. Each
-    checkpoint is one :class:`~repro.fl.evaluation.StackedEvalEngine`
-    read in the dtype the trainer trains in (float64 on the serial path).
+    checkpoint is one single-row
+    :class:`~repro.fl.evaluation.StackedEvalEngine` read in the dtype the
+    trainer trains in (float64 on the serial path).
     """
     (
         dataset,
@@ -80,10 +81,17 @@ def _build_config_task(payload, k: int):
 def effective_build_mode(cohort_mode, executor) -> str:
     """The build path a bank build will *actually* take, as a cache-key label.
 
-    A fused build is one of two numerically different builds, chosen by
-    the executor, not the user: in-process it trains the config pool as
-    cross-config slabs ("fused"); under a multi-worker executor every
-    worker's trainer runs standalone on its own T=1 slab (labelled
+    With no cohort mode set (``None`` and ``$REPRO_COHORT_VECTOR``
+    unset), banks build "fused" in-process whatever the executor, so the
+    default bank never depends on the worker count. Trainers and tuning
+    runs default to serial instead. An explicit "serial" (argument,
+    ``--cohort-mode`` or environment) builds the per-config serial bank,
+    the oracle.
+
+    An explicit "fused" is one of two numerically different builds,
+    chosen by the executor, not the user: in-process it trains the config
+    pool as cross-config slabs ("fused"); under a multi-worker executor
+    every worker's trainer runs standalone on its own T=1 slab (labelled
     "vectorized", the key those builds have always carried). Keying both
     as "fused" would alias cross-config slab padding and per-trainer
     slabs under one entry, breaking the store's every-input-in-the-key
@@ -91,7 +99,9 @@ def effective_build_mode(cohort_mode, executor) -> str:
     """
     from repro.fl.cohort import resolve_cohort_mode
 
-    mode = resolve_cohort_mode(cohort_mode)
+    mode = resolve_cohort_mode(cohort_mode, default=None)
+    if mode is None:
+        return "fused"
     if mode == "fused" and getattr(executor, "n_workers", 1) > 1:
         return "vectorized"
     return mode
@@ -104,13 +114,11 @@ def _build_fused(
 
     All configs share the dataset's architecture, so the fused pool merges
     every same-schedule config's cohort into one slab pass and advances
-    the pool checkpoint to checkpoint in lockstep. Each checkpoint's
-    per-config snapshot is one fused evaluation sweep
-    (:meth:`FusedTrainerPool.evaluate`): the whole validation pool pushes
-    through a single inference slab instead of re-running the full pool
-    once per config. In float64 the rates are bit-identical per config to
-    the per-config build's, with each trainer owning its serially-pre-drawn
-    seed and RNG stream.
+    the pool checkpoint to checkpoint in lockstep. Each checkpoint then
+    scores the configs one per read pass (:meth:`FusedTrainerPool.evaluate`).
+    In float64 the rates are bit-identical per config to the serial oracle
+    on the build's own parameters, with each trainer owning its
+    serially-pre-drawn seed and RNG stream.
     """
     from repro.fl.fused import FusedTrainerPool
 
@@ -208,20 +216,24 @@ class ConfigBank:
         building banks for several datasets so cross-dataset comparisons
         refer to identical configurations.
 
-        ``executor`` (see :mod:`repro.engine.executor`) fans the per-config
-        training across worker processes. Configs are independent and every
-        trainer seed is drawn serially before dispatch, so the parallel
-        build is bit-identical to the serial one.
+        ``executor`` (see :mod:`repro.engine.executor`) fans a serial
+        build's per-config training across worker processes. Configs are
+        independent and every trainer seed is drawn serially before
+        dispatch, so the parallel build is bit-identical to the serial one.
 
         ``cohort_mode`` selects cohort training ("serial" per-client loops
         or "fused" lockstep slabs; ``None`` resolves from
-        ``$REPRO_COHORT_VECTOR``) — see :mod:`repro.fl.cohort`. An
-        in-process "fused" build (no multi-worker executor) advances the
-        whole config pool checkpoint to checkpoint as cross-config
-        parameter slabs (:class:`repro.fl.fused.FusedTrainerPool`), every
-        same-schedule config's cohort in lockstep. With a multi-worker
-        executor, process parallelism wins and each worker's trainer runs
-        on its own T=1 slab.
+        ``$REPRO_COHORT_VECTOR``) — see :func:`effective_build_mode`. An
+        in-process "fused" build advances the whole config pool checkpoint
+        to checkpoint as cross-config parameter slabs
+        (:class:`repro.fl.fused.FusedTrainerPool`), every same-schedule
+        config's cohort in lockstep, and scores one config per read pass.
+        It is the default: with no mode set, the build is in-process fused
+        whatever ``executor`` is. With an explicit "fused" and a
+        multi-worker executor, process parallelism wins and each worker's
+        trainer runs on its own T=1 slab. An explicit "serial" builds the
+        per-config serial bank, mapped over ``executor``: the reference
+        the fused builds are tested against.
 
         ``cohort_dtype`` selects the slab compute dtype of the build
         (``None`` resolves from ``$REPRO_DTYPE``; see
@@ -251,7 +263,8 @@ class ConfigBank:
         # Trainer seeds are drawn serially (one rng stream, config order)
         # regardless of how the training is executed.
         seeds = [int(rng.integers(0, 2**63 - 1)) for _ in configs]
-        if effective_build_mode(cohort_mode, executor) == "fused":
+        mode = effective_build_mode(cohort_mode, executor)
+        if mode == "fused":
             results = _build_fused(
                 dataset,
                 configs,
@@ -263,9 +276,11 @@ class ConfigBank:
                 cohort_dtype=cohort_dtype,
             )
         else:
+            # A "vectorized" build trains each worker's config on its own slab.
+            trainer_mode = "serial" if mode == "serial" else "fused"
             payload = (
                 dataset, configs, seeds, ckpts, clients_per_round, scheme, store_params,
-                cohort_mode, cohort_dtype,
+                trainer_mode, cohort_dtype,
             )
             results = executor.map(_build_config_task, range(n_configs), payload=payload)
         errors = np.empty((n_configs, len(ckpts), n_clients))
@@ -342,10 +357,12 @@ class ConfigBank:
 
         Requires ``store_params=True`` at build time. Used by the Figure-4
         heterogeneity experiment, which repartitions validation data while
-        keeping trained models fixed. Each checkpoint re-evaluates as one
-        cross-config :class:`~repro.fl.evaluation.StackedEvalEngine` sweep
-        in the default slab dtype (:func:`repro.nn.stacked.resolve_dtype`;
-        in float64, bit-identical per config to the serial oracle).
+        keeping trained models fixed. Every stored checkpoint is scored
+        one config per read pass, as the build scores it
+        (:meth:`repro.fl.fused.FusedTrainerPool.evaluate` says why), in
+        the default slab dtype
+        (:func:`repro.nn.stacked.resolve_dtype`; in float64, bit-identical
+        per config to the serial oracle).
         """
         if self.params is None:
             raise ValueError("bank was built without store_params=True")
@@ -353,10 +370,11 @@ class ConfigBank:
         model = dataset.task.build_model(0)
         errors = np.empty((self.n_configs, len(self.checkpoints), len(clients)))
         engine = StackedEvalEngine()
-        for c in range(len(self.checkpoints)):
-            errors[:, c, :] = engine.error_rates_many(
-                model, list(self.params[:, c]), clients, dataset.task
-            )
+        for k in range(self.n_configs):
+            for c in range(len(self.checkpoints)):
+                errors[k, c] = engine.error_rates_many(
+                    model, [self.params[k, c]], clients, dataset.task
+                )[0]
         sizes = np.array([cl.n for cl in clients], dtype=np.float64)
         return ConfigBank(
             dataset_name=self.dataset_name,

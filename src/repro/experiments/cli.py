@@ -164,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "cohort training path: 'serial' per-client loops (the reference) "
             "or 'fused' lockstep slabs (whole rungs/bank pools train as "
-            "cross-trial slabs; default: $REPRO_COHORT_VECTOR, else serial)"
+            "cross-trial slabs; default: $REPRO_COHORT_VECTOR, else serial "
+            "tuning runs and fused bank builds)"
         ),
     )
     parser.add_argument(

@@ -73,18 +73,25 @@ COHORT_VECTOR_ENV = "REPRO_COHORT_VECTOR"
 COHORT_MODES = ("serial", "fused")
 
 
-def resolve_cohort_mode(mode: Optional[str] = None) -> str:
+def resolve_cohort_mode(
+    mode: Optional[str] = None, default: Optional[str] = "serial"
+) -> Optional[str]:
     """Resolve an explicit or environment-provided cohort mode.
 
-    ``None`` consults ``$REPRO_COHORT_VECTOR`` (unset -> "serial", so slab
-    training is opt-in, like ``REPRO_WORKERS``/``REPRO_BANK_CACHE``).
-    Unknown values — explicit or from the environment — raise instead of
-    silently degrading to serial.
+    ``None`` consults ``$REPRO_COHORT_VECTOR``; unset resolves to
+    ``default``, "serial" unless the caller asks otherwise, so slab
+    training is opt-in like ``REPRO_WORKERS``/``REPRO_BANK_CACHE``. Bank
+    builds pass ``default=None`` to tell "unset" apart from an explicit
+    mode (:func:`repro.experiments.bank.effective_build_mode`). Unknown
+    values — explicit or from the environment — raise instead of silently
+    degrading to serial.
     """
     source = "cohort_mode"
     if mode is None:
         source = f"${COHORT_VECTOR_ENV}"
-        mode = os.environ.get(COHORT_VECTOR_ENV, "").strip().lower() or "serial"
+        mode = os.environ.get(COHORT_VECTOR_ENV, "").strip().lower() or default
+        if mode is None:
+            return None
     if mode not in COHORT_MODES:
         raise ValueError(
             f"{source} must be one of {COHORT_MODES} (lockstep slab training is "

@@ -12,8 +12,10 @@ Per-client rates come from one shared chunking and two scorers:
   client grouping plus the concatenated ``x``/``y`` arrays — depends only
   on the client pool and the chunk budget, never on the model, so it is
   built once per pool and cached (:func:`eval_chunk_plan`, a small LRU
-  keyed by the identity of the client objects; entries hold strong
-  references to their clients, which pins the ids the key is built from).
+  keyed by the identity of the client objects). A plan holds no
+  reference to its clients, only weak references whose callbacks drop
+  the entry when any client dies: a cached plan never keeps a dead pool
+  alive, and reference counting alone frees it.
 - **The read path.** :class:`StackedEvalEngine` is the only scorer
   production code calls: trial runners, the fused trainer pool and bank
   builds hand it k >= 1 parameter vectors, and it pushes the whole
@@ -30,6 +32,8 @@ Per-client rates come from one shared chunking and two scorers:
 
 from __future__ import annotations
 
+import functools
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -50,14 +54,14 @@ from repro.utils.stats import weighted_mean
 class EvalChunk:
     """One batched forward's worth of consecutive clients.
 
-    ``x``/``y`` are the chunk's examples in client order (the clients' own
-    arrays for single-client chunks; a read-only concatenated copy
-    otherwise). ``offsets[i]`` is client ``i``'s first row within the
-    chunk, so per-client error counting slices (or ``reduceat``s) the
-    chunk-level logits without re-deriving boundaries.
+    ``x``/``y`` are the chunk's examples in client order (the client's own
+    arrays for a single-client chunk; a read-only concatenated copy
+    otherwise). ``offsets[i]`` is the chunk's ``i``-th client's first row,
+    ``sizes[i]`` its example count, so per-client error counting slices
+    (or ``reduceat``s) the chunk-level logits without re-deriving
+    boundaries.
     """
 
-    clients: tuple
     x: np.ndarray
     y: np.ndarray
     offsets: np.ndarray
@@ -69,25 +73,25 @@ class EvalChunkPlan:
 
     Chunk boundaries use the same greedy grow-while-it-fits rule the
     chunked evaluator has always used, so rates computed through a plan
-    are bit-identical to the plan-free code it replaced.
+    are bit-identical to the plan-free code it replaced. The plan keeps
+    the clients' arrays, never the :class:`ClientData` objects.
     """
 
     def __init__(self, clients: Sequence[ClientData], max_chunk_examples: int):
         if max_chunk_examples < 1:
             raise ValueError(f"max_chunk_examples must be >= 1, got {max_chunk_examples}")
-        self.clients = tuple(clients)
         self.max_chunk_examples = int(max_chunk_examples)
-        self.n_clients = len(self.clients)
+        self.n_clients = len(clients)
         chunks: List[EvalChunk] = []
         i, n = 0, self.n_clients
         while i < n:
             # Grow the chunk while the next client fits the example budget.
             j = i + 1
-            total = self.clients[i].n
-            while j < n and total + self.clients[j].n <= max_chunk_examples:
-                total += self.clients[j].n
+            total = clients[i].n
+            while j < n and total + clients[j].n <= max_chunk_examples:
+                total += clients[j].n
                 j += 1
-            members = self.clients[i:j]
+            members = clients[i:j]
             sizes = np.array([c.n for c in members], dtype=np.int64)
             offsets = np.zeros(len(members), dtype=np.int64)
             np.cumsum(sizes[:-1], out=offsets[1:])
@@ -98,10 +102,11 @@ class EvalChunkPlan:
                 y = np.concatenate([c.y for c in members])
                 x.setflags(write=False)
                 y.setflags(write=False)
-            chunks.append(EvalChunk(members, x, y, offsets, sizes))
+            chunks.append(EvalChunk(x, y, offsets, sizes))
             i = j
         self.chunks = chunks
         self._inputs: Dict[np.dtype, List[np.ndarray]] = {}
+        self._client_refs: List[weakref.ref] = []
 
     def inputs(self, dtype) -> List[np.ndarray]:
         """Every chunk's ``x`` in ``dtype``, cast once per plan and dtype.
@@ -122,11 +127,16 @@ class EvalChunkPlan:
         return xs
 
 
-#: LRU of chunk plans. Keys are (budget, id(client_0), id(client_1), ...);
-#: cached plans hold strong references to their ClientData objects, so a
-#: live entry's ids can never be recycled onto different objects.
+#: LRU of chunk plans. Keys are (budget, id(client_0), id(client_1), ...).
+#: Each cached plan holds a weak reference to every client of its key,
+#: whose callback evicts the entry when that client dies, so no key
+#: outlives the objects its ids name.
 _PLAN_CACHE: "OrderedDict[tuple, EvalChunkPlan]" = OrderedDict()
 _PLAN_CACHE_CAPACITY = 16
+
+
+def _evict_plan(key: tuple, _ref) -> None:
+    _PLAN_CACHE.pop(key, None)
 
 
 def eval_chunk_plan(
@@ -142,6 +152,10 @@ def eval_chunk_plan(
     plan = _PLAN_CACHE.get(key)
     if plan is None:
         plan = EvalChunkPlan(clients, max_chunk_examples)
+        # The callback closes over the key only: a reference to the plan
+        # would make plan -> ref -> callback -> plan a cycle.
+        evict = functools.partial(_evict_plan, key)
+        plan._client_refs = [weakref.ref(c, evict) for c in clients]
         _PLAN_CACHE[key] = plan
         if len(_PLAN_CACHE) > _PLAN_CACHE_CAPACITY:
             _PLAN_CACHE.popitem(last=False)
@@ -174,7 +188,7 @@ def client_error_rates(
     rates = np.empty(plan.n_clients)
     pos = 0
     for chunk in plan.chunks:
-        members = chunk.clients
+        members = clients[pos : pos + len(chunk.sizes)]
         if len(members) == 1:
             n_err, n_tot = evaluate_client(model, members[0], task)
             rates[pos] = n_err / n_tot
@@ -265,7 +279,7 @@ def stacked_client_error_rates(
     rates = np.empty((k, plan.n_clients))
     pos = 0
     for chunk, x in zip(plan.chunks, plan.inputs(stacked.dtype)):
-        m = len(chunk.clients)
+        m = len(chunk.sizes)
         with np.errstate(over="ignore", invalid="ignore"):
             logits = stacked.forward_eval(x, k)
         errs, tots = counter(logits, chunk)

@@ -47,8 +47,7 @@ class FusedTrainerPool:
     of a rung and successive rungs of a tuning run reuse one allocation).
     :meth:`evaluate` is the matching read path: every trainer of a batch
     is scored on the validation pool through the pool's
-    :class:`~repro.fl.evaluation.StackedEvalEngine`, one inference slab
-    per architecture.
+    :class:`~repro.fl.evaluation.StackedEvalEngine`, one trainer per read.
 
     ``dtype`` is the pool's default slab compute dtype
     (:func:`repro.nn.stacked.resolve_dtype`); each group's slab is built
@@ -64,31 +63,24 @@ class FusedTrainerPool:
     def evaluate(self, trainers: Sequence[FederatedTrainer]) -> List[np.ndarray]:
         """Per-validation-client error rates for every trainer.
 
-        Trainers group by dataset and
-        :func:`~repro.nn.stacked.stack_signature`; each group, of one
-        trainer or many, is one :meth:`StackedEvalEngine.error_rates_many`
-        sweep in the pool's dtype. In float64 each row is bit-identical to
-        the serial :meth:`~repro.fl.trainer.FederatedTrainer.eval_error_rates`.
+        Each trainer is one single-row
+        :meth:`StackedEvalEngine.error_rates_many` read in the pool's dtype.
+        The copies of a k-row read are independent per-copy GEMMs, so a row
+        is the same either way, but the read's inference activations grow
+        with k: at ``small`` CIFAR10 the whole validation pool is one
+        720-example chunk, and a fresh process that makes one read peaks at
+        59 MiB max RSS with one config and 72 MiB with three. In float64
+        each row is bit-identical to the serial
+        :meth:`~repro.fl.trainer.FederatedTrainer.eval_error_rates`.
         """
         if self._eval_engine is None:
             self._eval_engine = StackedEvalEngine(dtype=self.dtype)
-        groups: Dict[tuple, List[int]] = {}
-        for i, trainer in enumerate(trainers):
-            key = (id(trainer.dataset), stack_signature(trainer.model))
-            groups.setdefault(key, []).append(i)
-        results: List[np.ndarray] = [None] * len(trainers)
-        for (_, signature), members in groups.items():
-            first = trainers[members[0]]
-            rates = self._eval_engine.error_rates_many(
-                first.model,
-                [trainers[i].params for i in members],
-                first.dataset.eval_clients,
-                first.dataset.task,
-                signature=signature,
-            )
-            for row, i in zip(rates, members):
-                results[i] = row
-        return results
+        return [
+            self._eval_engine.error_rates_many(
+                t.model, [t.params], t.dataset.eval_clients, t.dataset.task
+            )[0]
+            for t in trainers
+        ]
 
     # -- public API ----------------------------------------------------------
     def advance(self, trainers: Sequence[FederatedTrainer], rounds: Sequence[int]) -> None:

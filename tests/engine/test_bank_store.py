@@ -222,6 +222,15 @@ class TestCohortModeKeySeparation:
             assert pooled.bank_key_fields("cifar10") != in_process.bank_key_fields("cifar10")
         assert in_process.bank_key_fields("cifar10")["cohort_mode"] == "fused"
 
+    def test_unset_mode_keys_as_in_process_fused(self, tmp_path, monkeypatch):
+        """With no cohort mode set, banks build fused in-process under any
+        executor, so the key is the in-process fused one."""
+        monkeypatch.delenv("REPRO_COHORT_VECTOR", raising=False)
+        fused = self.context_for(tmp_path, "fused").bank_key_fields("cifar10")
+        for n_workers in (1, 2):
+            ctx = self.context_for(tmp_path, None, n_workers=n_workers)
+            assert ctx.bank_key_fields("cifar10") == fused
+
     def test_modes_never_share_entries(self, tmp_path):
         serial_ctx = self.context_for(tmp_path, "serial")
         fused_ctx = self.context_for(tmp_path, "fused")

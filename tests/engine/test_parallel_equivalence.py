@@ -44,14 +44,28 @@ def cifar():
 
 @needs_fork
 class TestBankBuildEquivalence:
-    def test_bank_build_identical(self, cifar):
+    @staticmethod
+    def assert_same_bank(a, b):
+        assert np.array_equal(a.errors, b.errors)
+        assert np.array_equal(a.params, b.params)
+        assert a.configs == b.configs
+        assert a.checkpoints == b.checkpoints
+
+    def test_bank_build_identical(self, cifar, monkeypatch):
+        # No cohort mode set: the default (in-process fused) build must not
+        # depend on the executor it is handed.
+        monkeypatch.delenv("REPRO_COHORT_VECTOR", raising=False)
         kwargs = dict(n_configs=4, max_rounds=9, seed=7, store_params=True)
         serial = ConfigBank.build(cifar, SPACE, executor=SerialExecutor(), **kwargs)
         parallel = ConfigBank.build(cifar, SPACE, executor=ProcessExecutor(2), **kwargs)
-        assert np.array_equal(serial.errors, parallel.errors)
-        assert np.array_equal(serial.params, parallel.params)
-        assert serial.configs == parallel.configs
-        assert serial.checkpoints == parallel.checkpoints
+        self.assert_same_bank(serial, parallel)
+
+    def test_serial_bank_build_identical_across_workers(self, cifar):
+        # An explicit serial build maps its configs over the workers.
+        kwargs = dict(n_configs=4, max_rounds=9, seed=7, store_params=True, cohort_mode="serial")
+        serial = ConfigBank.build(cifar, SPACE, executor=SerialExecutor(), **kwargs)
+        parallel = ConfigBank.build(cifar, SPACE, executor=ProcessExecutor(2), **kwargs)
+        self.assert_same_bank(serial, parallel)
 
 
 class TestAdvanceManyEquivalence:

@@ -13,6 +13,8 @@ draw.
 """
 
 import contextlib
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -253,11 +255,52 @@ class TestChunkPlanCache:
         assert eval_chunk_plan(ds.eval_clients, 4096) is a
         assert eval_chunk_plan(ds.eval_clients, 64) is not a
         assert eval_chunk_plan(list(ds.eval_clients), 4096) is a  # identity of clients, not list
-        total = sum(len(c.clients) for c in a.chunks)
+        total = sum(len(c.sizes) for c in a.chunks)
         assert total == len(ds.eval_clients)
         for chunk in a.chunks:
-            if len(chunk.clients) > 1:
+            if len(chunk.sizes) > 1:
                 assert not chunk.x.flags.writeable
+
+
+    def test_plan_dies_with_its_pool(self):
+        # A cached plan holds no reference to its clients: once the dataset
+        # is dropped, its clients die and their plan leaves the cache.
+        from repro.fl import evaluation
+
+        ds = mlp_dataset(seed=21)
+        model = ds.task.build_model(0)
+        StackedEvalEngine().error_rates_many(
+            model, [get_flat_params(model)], ds.eval_clients, ds.task
+        )
+        plan = weakref.ref(eval_chunk_plan(ds.eval_clients))
+        client = weakref.ref(ds.eval_clients[0])
+        ids = {id(c) for c in ds.eval_clients}
+        del ds
+        gc.collect()
+        assert client() is None
+        assert plan() is None
+        assert not any(ids & set(key[1:]) for key in evaluation._PLAN_CACHE)
+
+    def test_dead_plan_freed_without_gc(self):
+        # Eviction and freeing are plain reference counting: no cycle
+        # through the plan is left for the cyclic collector, whether the
+        # plan leaves the cache with its clients or before them.
+        from repro.fl import evaluation
+
+        clients = [ClientData(c.x, c.y) for c in mlp_dataset(seed=22).eval_clients]
+        gc.disable()
+        try:
+            plan = weakref.ref(eval_chunk_plan(clients))
+            del clients
+            assert plan() is None
+
+            clients = [ClientData(c.x, c.y) for c in mlp_dataset(seed=23).eval_clients]
+            plan = weakref.ref(eval_chunk_plan(clients))
+            evaluation._PLAN_CACHE.clear()
+            assert plan() is None
+            assert eval_chunk_plan(clients) is eval_chunk_plan(list(clients))
+        finally:
+            gc.enable()
 
 
 class TestRunnerEvalWeights:

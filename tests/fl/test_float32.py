@@ -265,9 +265,12 @@ class TestBankKeys:
     @pytest.mark.parametrize(
         "kwargs, digest",
         [
-            ({}, "c21cf47cd8f496ed586a"),
-            ({"cohort_dtype": "float32"}, "42936e303ee57588a51b"),
+            ({"cohort_mode": "serial"}, "c21cf47cd8f496ed586a"),
+            ({"cohort_mode": "serial", "cohort_dtype": "float32"}, "42936e303ee57588a51b"),
             ({"cohort_mode": "fused"}, "8e842141ab21b0739c79"),
+            # No mode set: banks build fused, and key as fused builds.
+            ({}, "8e842141ab21b0739c79"),
+            ({"cohort_dtype": "float32"}, "e60db758739ada73706f"),
         ],
     )
     def test_bank_key_digests_are_pinned(self, monkeypatch, kwargs, digest):

@@ -404,14 +404,15 @@ class TestFusedBankBuild:
         assert serial.configs == fused.configs
         np.testing.assert_allclose(fused.errors, serial.errors, rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(fused.params, serial.params, rtol=RTOL, atol=1e-8)
-        # The serial build reads every checkpoint in float64: bit for bit
-        # the serial oracle on the stored parameters.
+        # Both builds read every checkpoint in float64: bit for bit the
+        # serial oracle on the build's own stored parameters.
         model = ds.task.build_model(0)
-        for k in range(serial.n_configs):
-            for c in range(len(serial.checkpoints)):
-                set_flat_params(model, serial.params[k, c])
-                oracle = client_error_rates(model, ds.eval_clients, ds.task)
-                assert np.array_equal(serial.errors[k, c], oracle)
+        for bank in (serial, fused):
+            for k in range(bank.n_configs):
+                for c in range(len(bank.checkpoints)):
+                    set_flat_params(model, bank.params[k, c])
+                    oracle = client_error_rates(model, ds.eval_clients, ds.task)
+                    assert np.array_equal(bank.errors[k, c], oracle)
 
 
 class _Sentinel(Exception):
