@@ -97,6 +97,7 @@ ALLOWLIST: Dict[str, str] = {
     "experiments/fig_methods.py::_preemptible.handler": "SIGTERM/SIGINT preemption of a sweep",
     "service/daemon.py::TuningService.request_drain": "SIGTERM/SIGINT drain of the service",
     "service/daemon.py::TuningService.drain_and_wait": "SIGTERM/SIGINT drain of the service",
+    "service/daemon.py::TuningService._preempt": "SIGTERM/SIGINT drain of the service",
     "service/daemon.py::TuningService._heartbeat_active": "lease heartbeats of jobs that outlive a poll",
     "service/queue.py::JobQueue.fail": "a job whose execution raised",
     "service/queue.py::JobQueue.release": "a job handed back on drain",

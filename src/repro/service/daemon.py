@@ -16,7 +16,9 @@ Liveness and crash-safety split cleanly:
 - **Job threads** only execute: checkpoint + stream + result write happen
   inside :func:`repro.service.worker.execute_job`; exceptions map to the
   queue's fail/quarantine path, and the checkpoint file makes any re-run
-  bit-identical.
+  bit-identical. A job thread that ends wakes the main loop, which leases
+  the freed slot at once: ``poll_interval`` bounds only how long
+  heartbeats and expiry sweeps wait, never a slot refill or a drain exit.
 
 Graceful drain: SIGTERM and SIGINT (handled identically, the PR 7 → PR 9
 contract) stop leasing, ask every active tuner to preempt
@@ -62,7 +64,7 @@ class TuningService:
         :class:`~repro.service.queue.JobQueue`).
     heartbeat_interval : seconds between lease renewals; default a third
         of the lease so two missed beats still keep the lease alive.
-    poll_interval : main-loop tick.
+    poll_interval : longest main-loop wait; a job ending wakes it early.
     """
 
     def __init__(
@@ -96,6 +98,7 @@ class TuningService:
         self.clock = clock
         self.worker_id = f"daemon-{os.getpid()}"
         self._active: Dict[str, Dict] = {}  # job_id -> {job, thread, handle}
+        self._wake = threading.Event()  # set by an ending job and by request_drain
         self._drain_signum: Optional[int] = None
         self._prev_handlers: Dict[int, object] = {}
 
@@ -103,9 +106,15 @@ class TuningService:
     def request_drain(self, signum: int = signal.SIGTERM) -> None:
         """Begin graceful drain: stop leasing, preempt active tuners.
 
-        Callable from a signal handler or any thread; idempotent (the
-        first signal wins the exit code).
+        Callable from any thread; idempotent (the first signal wins the
+        exit code).
         """
+        self._preempt(signum)
+        self._wake.set()
+
+    def _preempt(self, signum: int) -> None:
+        # The signal handler: it runs on the main loop's thread, where
+        # setting the wake event could deadlock on the event's own lock.
         if self._drain_signum is None:
             self._drain_signum = int(signum)
         for entry in list(self._active.values()):
@@ -118,7 +127,7 @@ class TuningService:
             return  # signal handlers are main-thread-only; drain stays callable
         for signum in (signal.SIGTERM, signal.SIGINT):
             self._prev_handlers[signum] = signal.signal(
-                signum, lambda s, frame: self.request_drain(s)
+                signum, lambda s, frame: self._preempt(s)
             )
 
     def _restore_signals(self) -> None:
@@ -150,11 +159,12 @@ class TuningService:
                 self.queue.fail(job_id, self.worker_id, error)
             except (StaleLeaseError, KeyError):
                 pass
-
-    def _reap_finished(self) -> None:
-        for job_id in list(self._active):
-            if not self._active[job_id]["thread"].is_alive():
+        finally:
+            # Free the slot (unless a newer thread holds the job after
+            # this one lost its lease), then wake the main loop.
+            if self._active.get(job_id, {}).get("thread") is threading.current_thread():
                 del self._active[job_id]
+            self._wake.set()
 
     def _fill_slots(self) -> None:
         while self._drain_signum is None and len(self._active) < self.n_slots:
@@ -201,20 +211,20 @@ class TuningService:
         last_beat = self.clock()
         try:
             while True:
+                self._wake.clear()
                 self.queue.recover_expired()
-                self._reap_finished()
                 self._fill_slots()
                 now = self.clock()
                 if now - last_beat >= self.heartbeat_interval:
                     self._heartbeat_active()
                     last_beat = now
                 if self._drain_signum is not None:
-                    self.request_drain(self._drain_signum)  # reach late tuners
+                    self._preempt(self._drain_signum)  # reach late tuners
                     if not self._active:
                         raise SystemExit(128 + self._drain_signum)
                 elif once and self._idle():
                     return
-                time.sleep(self.poll_interval)
+                self._wake.wait(self.poll_interval)
         finally:
             self._restore_signals()
 
@@ -227,4 +237,3 @@ class TuningService:
         for entry in list(self._active.values()):
             remaining = max(0.0, deadline - self.clock())
             entry["thread"].join(timeout=remaining)
-        self._reap_finished()

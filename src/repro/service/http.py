@@ -17,7 +17,8 @@ Routes (JSON in, JSON out):
 - ``POST /jobs``                   — submit; body
   ``{"spec": {...}, "tenant": "...", "job_id": "..."}`` (tenant and
   job_id optional); returns ``{"job_id": ...}``. Re-posting an explicit
-  job_id is idempotent.
+  job_id is idempotent. Bodies over :data:`MAX_BODY_BYTES` (413) and bad
+  ``Content-Length`` values (400) are refused unread, closing the connection.
 
 Built on ``http.server.ThreadingHTTPServer`` — no third-party framework,
 per the repo's no-new-dependencies rule.
@@ -34,6 +35,9 @@ from urllib.parse import parse_qs, urlparse
 from repro.service.queue import JobQueue
 from repro.service.store import ExperimentStore
 from repro.service.worker import result_path
+
+#: Largest ``POST /jobs`` body (bytes) the front end reads.
+MAX_BODY_BYTES = 1 << 20
 
 
 class ServiceAPI:
@@ -113,11 +117,13 @@ class _Handler(BaseHTTPRequestHandler):
     def api(self) -> ServiceAPI:
         return self.server.api  # type: ignore[attr-defined]
 
-    def _reply(self, status: int, payload: dict) -> None:
+    def _reply(self, status: int, payload: dict, close: bool = False) -> None:
         data = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if close:  # the unread body leaves the stream unframed
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
@@ -146,10 +152,14 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [p for p in url.path.split("/") if p]
         if parts != ["jobs"]:
             return self._reply(404, {"error": f"no route {url.path!r}"})
+        length = self.headers.get("Content-Length", "0")
+        length = int(length) if length.isdecimal() else -1
+        if not 0 <= length <= MAX_BODY_BYTES:  # refuse unread
+            return self._reply(413 if length > 0 else 400, {
+                "error": f"Content-Length must be 0..{MAX_BODY_BYTES} bytes"}, close=True)
         try:
-            length = int(self.headers.get("Content-Length", "0"))
             body = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, TypeError):
+        except ValueError:
             return self._reply(400, {"error": "body must be valid JSON"})
         return self._reply(*self.api.submit(body))
 

@@ -16,6 +16,9 @@ a LEASE that never hit disk simply expires nowhere (the job is still
 PENDING after replay), and a DONE that never hit disk re-runs the job —
 which the checkpoint/resume contract makes bit-identical.
 
+Readers tail the log: :meth:`Journal.replay` returns the entries past a
+byte offset and records in :attr:`Journal.offset` where to pick up next.
+
 Multi-process access (the REST front end submitting while the daemon
 leases) is serialized by an ``fcntl.flock`` file lock around each
 read-modify-append cycle (see :class:`FileLock`).
@@ -27,7 +30,7 @@ import json
 import os
 import threading
 import warnings
-from typing import Dict, Iterator, List
+from typing import Dict, List, Tuple
 
 try:  # POSIX; the CI/dev platform. Non-POSIX degrades to no locking.
     import fcntl
@@ -82,45 +85,50 @@ class Journal:
     log. A corrupt line *before* the tail — disk damage rather than a torn
     append — is also skipped with a warning: the queue's at-least-once
     semantics tolerate lost transitions (lease expiry re-drives liveness),
-    which beats refusing to load the whole queue.
+    which beats refusing to load the whole queue (a tailing reader warns
+    about each such line once, as it passes it).
     """
 
     def __init__(self, path: str):
         self.path = str(path)
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
+        self.offset = 0  # byte just past the last committed line replayed
 
-    def append(self, entry: Dict) -> None:
-        """Durably append one entry (the commit point of a transition)."""
-        line = json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
+    def append(self, entry: Dict) -> Tuple[int, int]:
+        """Durably append one entry (the commit point of a transition);
+        returns the ``(start, end)`` byte span of its line."""
+        line = (json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n").encode()
         with open(self.path, "a+b") as fh:
             fh.seek(0, os.SEEK_END)
-            size = fh.tell()
-            if size:
-                fh.seek(size - 1)
+            start = fh.tell()
+            if start:
+                fh.seek(start - 1)
                 if fh.read(1) != b"\n":
                     # A previous process died mid-append. Seal the torn
                     # fragment as its own (corrupt, skipped) line so this
                     # entry doesn't merge into it and get lost with it.
                     fh.write(b"\n")
-            fh.write(line.encode("utf-8"))
+                    start += 1
+            fh.write(line)
             fh.flush()
             os.fsync(fh.fileno())
+        return start, start + len(line)
 
-    def replay(self) -> List[Dict]:
-        """All committed entries, in append order (empty if no file yet)."""
-        return list(self._iter_entries())
-
-    def _iter_entries(self) -> Iterator[Dict]:
+    def replay(self, start: int = 0) -> List[Dict]:
+        """The entries committed from byte ``start`` on, in append order
+        (empty if no file yet). Sets :attr:`offset` to the byte just past
+        the last committed line: a torn tail stays unconsumed, so every
+        replay that reaches it warns again until an append seals it."""
         try:
-            fh = open(self.path, "r", encoding="utf-8")
+            with open(self.path, "rb") as fh:
+                fh.seek(start)
+                data = fh.read()
         except FileNotFoundError:
-            return
-        with fh:
-            lines = fh.read().split("\n")
-        # A well-formed journal ends with "\n", so split() yields a final
-        # empty string; anything else in the last slot is a torn append.
-        torn = lines[-1]
+            data = b""
+        end = data.rfind(b"\n") + 1  # past the last commit marker
+        self.offset = start + end
+        torn = data[end:]
         if torn:
             warnings.warn(
                 f"journal {self.path} ends with a torn entry "
@@ -129,17 +137,18 @@ class Journal:
                 RuntimeWarning,
                 stacklevel=3,
             )
+        entries: List[Dict] = []
         bad = 0
-        for line in lines[:-1]:
+        for line in data[:end].split(b"\n"):
             if not line:
                 continue
             try:
-                entry = json.loads(line)
+                entry = json.loads(line.decode("utf-8"))
             except ValueError:
                 bad += 1
                 continue
             if isinstance(entry, dict):
-                yield entry
+                entries.append(entry)
             else:
                 bad += 1
         if bad:
@@ -150,3 +159,4 @@ class Journal:
                 RuntimeWarning,
                 stacklevel=3,
             )
+        return entries

@@ -17,9 +17,11 @@ checkpoint/resume contract makes the re-run bit-identical. Lease expiry is
 its traceback, out of the way of its sibling tenants.
 
 Cross-process writers (the REST front end submitting while the daemon
-leases) serialize on an ``flock`` file lock; every mutating op re-replays
-the journal under the lock, so each process always acts on the latest
-committed state.
+leases) serialize on an ``flock`` file lock. Every op first catches up
+under the lock, reading only what was appended since this instance last
+looked: it keeps a cursor ``(st_dev, st_ino, offset)`` into the journal,
+and its own appends advance it in place. A missing, replaced (new inode)
+or shrunk journal resets the cursor to a full replay, as on construction.
 
 Fairness: ``lease()`` rotates round-robin over tenants with pending work,
 so one tenant's deep backlog cannot starve another's single job. The
@@ -29,9 +31,9 @@ preference, not a durability invariant.
 
 from __future__ import annotations
 
-import itertools
+import os
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.service.journal import FileLock, Journal
 
@@ -80,8 +82,6 @@ class JobQueue:
         max_job_failures: int = 3,
         clock: Callable[[], float] = time.time,
     ):
-        import os
-
         self.root = str(root)
         os.makedirs(self.root, exist_ok=True)
         self.lease_duration = float(lease_duration)
@@ -93,63 +93,88 @@ class JobQueue:
         self.clock = clock
         self.journal = Journal(os.path.join(self.root, "queue.jsonl"))
         self.lock = FileLock(os.path.join(self.root, "queue.lock"))
-        self._jobs: Dict[str, Dict] = {}
-        self._order: List[str] = []  # submission order, for deterministic scans
+        self._cursor: Optional[Tuple[int, int, int]] = None
         self._rr_cursor = 0          # in-memory tenant rotation (fairness only)
         self.reload()
 
     # -- state reconstruction ---------------------------------------------------
     def reload(self) -> None:
-        """Rebuild in-memory state by replaying the journal.
+        """Catch up with the journal: apply the entries committed since
+        this instance last looked (a full replay the first time, or when
+        the journal is missing, replaced or shrunk).
 
-        Called under the lock before every mutating op, so concurrent
-        processes (REST submitter, daemon) always see each other's
-        committed transitions.
+        Called under the lock before every op, so concurrent processes
+        (REST submitter, daemon) always see each other's committed
+        transitions.
         """
-        jobs: Dict[str, Dict] = {}
-        order: List[str] = []
-        for entry in self.journal.replay():
-            op = entry.get("op")
-            job_id = entry.get("job_id")
-            if op == "submit":
-                if job_id in jobs:
-                    continue  # duplicate submit (at-least-once REST retry)
-                jobs[job_id] = {
-                    "job_id": job_id,
-                    "tenant": entry.get("tenant", "default"),
-                    "spec": entry.get("spec", {}),
-                    "state": PENDING,
-                    "worker": None,
-                    "lease_expires": None,
-                    "failures": 0,
-                    "error": None,
-                }
-                order.append(job_id)
-                continue
-            job = jobs.get(job_id)
-            if job is None:
-                continue  # transition for a lost submit; at-least-once tolerates
-            if op == "lease":
-                job.update(state=LEASED, worker=entry.get("worker"),
-                           lease_expires=entry.get("expires"))
-            elif op == "running":
-                job["state"] = RUNNING
-            elif op == "heartbeat":
-                job["lease_expires"] = entry.get("expires")
-            elif op == "expire" or op == "release":
-                job.update(state=PENDING, worker=None, lease_expires=None)
-            elif op == "done":
-                job.update(state=DONE, worker=None, lease_expires=None)
-            elif op == "fail":
-                job.update(state=FAILED, worker=None, lease_expires=None,
-                           failures=job["failures"] + 1, error=entry.get("error"))
-            elif op == "requeue":
-                job.update(state=PENDING, worker=None, lease_expires=None)
-            elif op == "quarantine":
-                job.update(state=QUARANTINED, worker=None, lease_expires=None,
-                           failures=job["failures"] + 1, error=entry.get("error"))
-        self._jobs = jobs
-        self._order = order
+        try:
+            st = os.stat(self.journal.path)
+        except FileNotFoundError:
+            st = None
+        cursor, self._cursor = self._cursor, None  # a replay that raises re-reads all
+        if st is None or cursor is None or cursor[:2] != (st.st_dev, st.st_ino) \
+                or st.st_size < cursor[2]:
+            self._jobs: Dict[str, Dict] = {}
+            self._order: List[str] = []  # submission order, for deterministic scans
+            self._next_seq = 1           # the first free default id is j{_next_seq:04d}
+            cursor = None
+        if st is not None:
+            for entry in self.journal.replay(cursor[2] if cursor else 0):
+                self._apply(entry)
+            self._cursor = (st.st_dev, st.st_ino, self.journal.offset)
+
+    def _apply(self, entry: Dict) -> None:
+        """Apply one committed journal entry to the in-memory state."""
+        op = entry.get("op")
+        job_id = entry.get("job_id")
+        if op == "submit":
+            if job_id in self._jobs:
+                return  # duplicate submit (at-least-once REST retry)
+            self._jobs[job_id] = {
+                "job_id": job_id,
+                "tenant": entry.get("tenant", "default"),
+                "spec": entry.get("spec", {}),
+                "state": PENDING,
+                "worker": None,
+                "lease_expires": None,
+                "failures": 0,
+                "error": None,
+            }
+            self._order.append(job_id)
+            # Ids are never removed: the first free default id only moves forward.
+            while f"j{self._next_seq:04d}" in self._jobs:
+                self._next_seq += 1
+            return
+        job = self._jobs.get(job_id)
+        if job is None:
+            return  # transition for a lost submit; at-least-once tolerates
+        if op == "lease":
+            job.update(state=LEASED, worker=entry.get("worker"),
+                       lease_expires=entry.get("expires"))
+        elif op == "running":
+            job["state"] = RUNNING
+        elif op == "heartbeat":
+            job["lease_expires"] = entry.get("expires")
+        elif op in ("expire", "release", "requeue"):
+            job.update(state=PENDING, worker=None, lease_expires=None)
+        elif op == "done":
+            job.update(state=DONE, worker=None, lease_expires=None)
+        elif op == "fail":
+            job.update(state=FAILED, worker=None, lease_expires=None,
+                       failures=job["failures"] + 1, error=entry.get("error"))
+        elif op == "quarantine":
+            job.update(state=QUARANTINED, worker=None, lease_expires=None,
+                       failures=job["failures"] + 1, error=entry.get("error"))
+
+    def _commit(self, entry: Dict) -> None:
+        """Append ``entry`` and apply it (the caller holds the lock and is
+        caught up). An append that sealed a torn tail first, or began a new
+        journal, reloads instead, to read the sealed line as others do."""
+        start, end = self.journal.append(entry)
+        if self._cursor is None or start != self._cursor[2]:
+            return self.reload()
+        self._apply(entry)
+        self._cursor = self._cursor[:2] + (end,)
 
     # -- submission -------------------------------------------------------------
     def submit(self, spec: Dict, tenant: str = "default",
@@ -164,18 +189,13 @@ class JobQueue:
         with self.lock:
             self.reload()
             if job_id is None:
-                taken = {j for j in self._jobs}
-                job_id = next(
-                    jid for jid in (f"j{n:04d}" for n in itertools.count(1))
-                    if jid not in taken
-                )
+                job_id = f"j{self._next_seq:04d}"
             elif job_id in self._jobs:
                 return job_id
-            self.journal.append({
+            self._commit({
                 "op": "submit", "job_id": job_id, "tenant": str(tenant),
                 "spec": spec,
             })
-            self.reload()
         return job_id
 
     # -- leasing ----------------------------------------------------------------
@@ -191,12 +211,10 @@ class JobQueue:
             job = self._jobs[job_id]
             if job["state"] in _HELD and job["lease_expires"] is not None \
                     and job["lease_expires"] <= now:
-                self.journal.append({
+                self._commit({
                     "op": "expire", "job_id": job_id, "worker": job["worker"],
                 })
                 swept += 1
-        if swept:
-            self.reload()
         return swept
 
     def recover_expired(self) -> int:
@@ -225,13 +243,12 @@ class JobQueue:
             self._rr_cursor += 1
             job = next(j for j in runnable if j["tenant"] == tenant)
             if job["state"] == FAILED:
-                self.journal.append({"op": "requeue", "job_id": job["job_id"]})
+                self._commit({"op": "requeue", "job_id": job["job_id"]})
             expires = self.clock() + self.lease_duration
-            self.journal.append({
+            self._commit({
                 "op": "lease", "job_id": job["job_id"], "worker": str(worker),
                 "expires": expires,
             })
-            self.reload()
             return dict(self._jobs[job["job_id"]])
 
     def _held_job_locked(self, job_id: str, worker: str) -> Dict:
@@ -246,46 +263,35 @@ class JobQueue:
             )
         if job["lease_expires"] is not None and job["lease_expires"] <= self.clock():
             # Expired but not yet swept: same outcome for this worker.
-            self.journal.append({"op": "expire", "job_id": job_id,
-                                 "worker": job["worker"]})
-            self.reload()
+            self._commit({"op": "expire", "job_id": job_id,
+                          "worker": job["worker"]})
             raise StaleLeaseError(
                 f"worker {worker!r}'s lease on job {job_id!r} expired"
             )
         return job
 
-    def heartbeat(self, job_id: str, worker: str) -> float:
-        """Renew the worker's lease; returns the new expiry time."""
+    def _commit_held(self, op: str, job_id: str, worker: str, **fields) -> None:
+        """Commit ``op`` on a job that ``worker`` must still hold."""
         with self.lock:
             self.reload()
             self._held_job_locked(job_id, worker)
-            expires = self.clock() + self.lease_duration
-            self.journal.append({
-                "op": "heartbeat", "job_id": job_id, "worker": worker,
-                "expires": expires,
-            })
-            self.reload()
-            return expires
+            self._commit({"op": op, "job_id": job_id, "worker": worker, **fields})
+
+    def heartbeat(self, job_id: str, worker: str) -> float:
+        """Renew the worker's lease; returns the new expiry time."""
+        expires = self.clock() + self.lease_duration
+        self._commit_held("heartbeat", job_id, worker, expires=expires)
+        return expires
 
     def mark_running(self, job_id: str, worker: str) -> None:
         """Record that execution began (LEASED → RUNNING)."""
-        with self.lock:
-            self.reload()
-            self._held_job_locked(job_id, worker)
-            self.journal.append({"op": "running", "job_id": job_id,
-                                 "worker": worker})
-            self.reload()
+        self._commit_held("running", job_id, worker)
 
     # -- completion -------------------------------------------------------------
     def complete(self, job_id: str, worker: str) -> None:
         """Commit success (→ DONE). The result must already be persisted —
         DONE is the journal's promise that it exists."""
-        with self.lock:
-            self.reload()
-            self._held_job_locked(job_id, worker)
-            self.journal.append({"op": "done", "job_id": job_id,
-                                 "worker": worker})
-            self.reload()
+        self._commit_held("done", job_id, worker)
 
     def fail(self, job_id: str, worker: str, error: str,
              retryable: bool = True) -> str:
@@ -296,22 +302,16 @@ class JobQueue:
             self.reload()
             job = self._held_job_locked(job_id, worker)
             poison = (not retryable) or job["failures"] + 1 >= self.max_job_failures
-            self.journal.append({
+            self._commit({
                 "op": "quarantine" if poison else "fail",
                 "job_id": job_id, "worker": worker, "error": str(error),
             })
-            self.reload()
             return self._jobs[job_id]["state"]
 
     def release(self, job_id: str, worker: str) -> None:
         """Give the job back (→ PENDING) without counting a failure — the
         graceful-drain path: the worker checkpointed and is exiting."""
-        with self.lock:
-            self.reload()
-            self._held_job_locked(job_id, worker)
-            self.journal.append({"op": "release", "job_id": job_id,
-                                 "worker": worker})
-            self.reload()
+        self._commit_held("release", job_id, worker)
 
     # -- inspection -------------------------------------------------------------
     def job(self, job_id: str) -> Optional[Dict]:

@@ -19,6 +19,7 @@ from repro.service import (
     JobSpec,
     TuningService,
 )
+from repro.service import daemon
 
 TINY = dict(dataset="cifar10", method="rs", setting="noisy", preset="test",
             k=2, n_bank_configs=2, total_budget=18)
@@ -158,3 +159,61 @@ class TestGracefulDrain:
             os.path.join(svc.root, "results", f"{job_id}.json"), "rb"
         ).read()
         assert out == ref_bytes
+
+
+class TestPromptRefill:
+    """A job ending or a drain request wakes the main loop: ``poll_interval``
+    (5 s here) bounds heartbeats and sweeps, never a slot refill or an exit."""
+
+    def test_freed_slot_is_leased_without_waiting_out_the_tick(
+            self, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(daemon, "execute_job",
+                            lambda job, root, store, handle: ran.append(job["job_id"]))
+        svc = make_service(tmp_path, n_slots=1, poll_interval=5.0)
+        ids = [svc.queue.submit({"note": i}) for i in range(3)]
+        start = time.monotonic()
+        svc.run(once=True)
+        assert time.monotonic() - start < 5.0  # one tick per job would be 15 s
+        assert ran == ids
+        assert [svc.queue.job(j)["state"] for j in ids] == [DONE] * 3
+
+    def test_drain_mid_job_exits_without_waiting_out_the_tick(
+            self, tmp_path, monkeypatch):
+        started = threading.Event()
+
+        class Tuner:
+            def __init__(self):
+                self.preempted = threading.Event()
+
+            def request_preempt(self, signum=None):
+                self.preempted.set()
+
+        def execute_job(job, root, store, handle):
+            tuner = handle["tuner"] = Tuner()
+            started.set()
+            assert tuner.preempted.wait(30)
+            raise SystemExit(128 + signal.SIGTERM)  # checkpointed and exited
+
+        monkeypatch.setattr(daemon, "execute_job", execute_job)
+        svc = make_service(tmp_path, n_slots=1, poll_interval=5.0)
+        job_id = svc.queue.submit({"note": 0})
+        exit_code = []
+
+        def runner():
+            try:
+                svc.run()
+            except SystemExit as exc:
+                exit_code.append(exc.code)
+
+        thread = threading.Thread(target=runner, daemon=True)
+        thread.start()
+        assert started.wait(30)
+        start = time.monotonic()
+        svc.request_drain(signal.SIGTERM)
+        thread.join(timeout=30)
+        # The loop began its 5 s wait just before the job started: an
+        # exit on the tick would take ~5 s from here.
+        assert time.monotonic() - start < 2.5
+        assert exit_code == [128 + signal.SIGTERM]
+        assert svc.queue.job(job_id)["state"] == PENDING

@@ -11,7 +11,7 @@ import urllib.request
 import pytest
 
 from repro.service import JobSpec, TuningService
-from repro.service.http import ServiceAPI, make_server
+from repro.service.http import MAX_BODY_BYTES, ServiceAPI, make_server
 
 TINY = dict(dataset="cifar10", method="rs", setting="noisy", preset="test",
             k=2, n_bank_configs=2, total_budget=18)
@@ -148,6 +148,54 @@ class TestLiveServer:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(req, timeout=10)
         assert excinfo.value.code == 400
+
+    def _post_headers_only(self, base, length):
+        """POST /jobs with a header block and no body: a server that tried
+        to read the declared body would stall past the socket timeout."""
+        host, port = base[len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(
+                f"POST /jobs HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode()
+            )
+            reply = b""
+            while True:  # the server closes the connection after replying
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        return head.decode("latin-1"), json.loads(body)
+
+    @pytest.mark.parametrize("length", ["-1", "-4096", "twelve"])
+    def test_bad_content_length_is_400_unread(self, served, length):
+        _, base = served
+        head, body = self._post_headers_only(base, length)
+        assert head.startswith("HTTP/1.1 400")
+        assert "Connection: close" in head
+        assert "Content-Length" in body["error"]
+        assert self._get(f"{base}/health")[0] == 200
+
+    def test_oversize_body_is_413_unread(self, served):
+        _, base = served
+        head, body = self._post_headers_only(base, MAX_BODY_BYTES + 1)
+        assert head.startswith("HTTP/1.1 413")
+        assert "Connection: close" in head
+        assert str(MAX_BODY_BYTES) in body["error"]
+        assert self._get(f"{base}/health")[1]["counts"]["PENDING"] == 0
+
+    def test_body_at_the_cap_is_read(self, served):
+        _, base = served
+        payload = json.dumps({"spec": tiny_spec(), "pad": ""}).encode()
+        payload = payload[:-2] + b" " * (MAX_BODY_BYTES - len(payload)) + b'"}'
+        assert len(payload) == MAX_BODY_BYTES
+        req = urllib.request.Request(
+            f"{base}/jobs", data=payload,
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(req, timeout=10) as resp:
+            assert resp.status == 201
 
     def test_one_socket_write_per_reply_on_reused_connection(self, tmp_path):
         """Headers and body must leave in one send: two small writes per

@@ -20,6 +20,30 @@ class TestJournal:
             journal.append(entry)
         assert journal.replay() == entries
 
+    def test_replay_from_offset_returns_only_later_entries(self, tmp_path):
+        journal = Journal(str(tmp_path / "j.jsonl"))
+        spans = [journal.append({"op": "a", "n": i}) for i in range(3)]
+        assert [span[0] for span in spans[1:]] == [span[1] for span in spans[:-1]]
+        assert journal.replay() == [{"op": "a", "n": i} for i in range(3)]
+        assert journal.offset == spans[-1][1] == os.path.getsize(journal.path)
+        assert journal.replay(spans[1][0]) == [{"op": "a", "n": 1}, {"op": "a", "n": 2}]
+        assert journal.replay(journal.offset) == []
+        assert journal.offset == spans[-1][1]
+
+    def test_torn_tail_is_left_unconsumed(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        journal = Journal(path)
+        _, end = journal.append({"op": "a"})
+        with open(path, "a") as fh:
+            fh.write('{"op": "torn"')
+        with pytest.warns(RuntimeWarning, match="torn entry"):
+            assert journal.replay() == [{"op": "a"}]
+        assert journal.offset == end  # the next replay starts at the fragment
+        start, _ = journal.append({"op": "b"})
+        assert start == end + len('{"op": "torn"') + 1  # sealed, then appended
+        with pytest.warns(RuntimeWarning, match="corrupt entr"):
+            assert journal.replay(end) == [{"op": "b"}]
+
     def test_append_creates_parent_directory(self, tmp_path):
         journal = Journal(str(tmp_path / "deep" / "er" / "j.jsonl"))
         journal.append({"op": "a"})

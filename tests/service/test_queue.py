@@ -2,6 +2,7 @@
 recovery, poison quarantine, fairness, and cross-process consistency."""
 
 import os
+import warnings
 
 import pytest
 
@@ -49,6 +50,16 @@ class TestSubmit:
         assert queue.submit(SPEC) == "j0001"
         assert queue.submit(SPEC) == "j0002"
         assert queue.submit(SPEC) == "j0003"
+
+    def test_default_ids_skip_colliding_explicit_ids(self, queue, tmp_path):
+        assert queue.submit(SPEC, job_id="j0002") == "j0002"
+        assert queue.submit(SPEC) == "j0001"
+        assert queue.submit(SPEC) == "j0003"  # past the explicit j0002
+        assert queue.submit(SPEC, job_id="j0005") == "j0005"
+        assert queue.submit(SPEC) == "j0004"
+        assert queue.submit(SPEC) == "j0006"
+        # A fresh instance's full replay lands on the same next id.
+        assert JobQueue(str(tmp_path / "q")).submit(SPEC) == "j0007"
 
     def test_explicit_id_is_idempotent(self, queue):
         assert queue.submit(SPEC, job_id="mine") == "mine"
@@ -257,3 +268,72 @@ class TestCrossProcessConsistency:
             q2 = JobQueue(root, clock=clock)
             job = q2.job(job_id)
         assert job["state"] == PENDING  # the torn DONE never committed
+
+
+class TestJournalCursor:
+    """Each instance tails the journal from its own cursor and rebuilds
+    by full replay when the file it was reading is gone, replaced or
+    shrunk."""
+
+    def test_corrupt_line_warns_once_per_instance(self, tmp_path, clock):
+        root = str(tmp_path / "q")
+        q1 = JobQueue(root, clock=clock)
+        q1.submit(SPEC)
+        with open(os.path.join(root, "queue.jsonl"), "a") as fh:
+            fh.write("@@not json@@\n")
+        with pytest.warns(RuntimeWarning, match="corrupt entr"):
+            q1.submit(SPEC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # past the cursor: silent now
+            q1.lease("w1")
+            assert len(q1.jobs()) == 2
+        with pytest.warns(RuntimeWarning, match="corrupt entr"):
+            assert len(JobQueue(root, clock=clock).jobs()) == 2
+
+    def test_torn_tail_warns_on_every_op_until_sealed(self, tmp_path, clock):
+        root = str(tmp_path / "q")
+        q1 = JobQueue(root, clock=clock)
+        job_id = q1.submit(SPEC)
+        with open(os.path.join(root, "queue.jsonl"), "a") as fh:
+            fh.write('{"op": "done", "job_id": "j0001"')  # torn: no newline
+        for _ in range(2):  # the cursor stays before the torn entry
+            with pytest.warns(RuntimeWarning, match="torn entry"):
+                assert q1.job(job_id)["state"] == PENDING
+        # The next op warns once more, then its append seals the fragment
+        # as a corrupt line, which the queue reads past (warning) once.
+        with pytest.warns(RuntimeWarning) as record:
+            q1.submit(SPEC)
+        messages = " ".join(str(w.message) for w in record)
+        assert "torn entry" in messages and "corrupt entr" in messages
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [j["state"] for j in q1.jobs()] == [PENDING, PENDING]
+
+    def test_missing_journal_resets_state(self, tmp_path, clock):
+        root = str(tmp_path / "q")
+        q1 = JobQueue(root, clock=clock)
+        q1.submit(SPEC)
+        os.remove(os.path.join(root, "queue.jsonl"))
+        assert q1.jobs() == []
+        assert q1.submit(SPEC) == "j0001"
+
+    @pytest.mark.parametrize("how", ["shrunk", "replaced"])
+    def test_restored_older_journal_is_replayed_in_full(self, tmp_path, clock, how):
+        root = str(tmp_path / "q")
+        path = os.path.join(root, "queue.jsonl")
+        q1 = JobQueue(root, clock=clock)
+        q1.submit(SPEC)
+        with open(path, "rb") as fh:
+            backup = fh.read()
+        q1.lease("w1")
+        q1.submit(SPEC)
+        if how == "shrunk":
+            os.truncate(path, len(backup))
+        else:  # same length as the live journal: only the inode differs
+            size = os.path.getsize(path)
+            with open(path + ".bak", "wb") as fh:
+                fh.write(backup + b"\n" * (size - len(backup)))
+            os.replace(path + ".bak", path)
+        assert q1.jobs() == JobQueue(root, clock=clock).jobs()
+        assert [j["state"] for j in q1.jobs()] == [PENDING]
+        assert q1.submit(SPEC) == "j0002"
