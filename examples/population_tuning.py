@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "cohort training: per-client serial (the reference) or fused "
-            "lockstep slabs (default: $REPRO_COHORT_VECTOR, else serial)"
+            "lockstep slabs (default: $REPRO_COHORT_VECTOR, else fused)"
         ),
     )
     return parser

@@ -288,12 +288,12 @@ class FederatedTrialRunner(TrialRunner):
     """Live runner: every trial is a real :class:`FederatedTrainer`.
 
     Per-trial seeds derive deterministically from the runner seed and the
-    trial id, so a tuning run is reproducible end-to-end. With
-    ``cohort_mode="fused"``, :meth:`advance_many` hands the batch to a
+    trial id, so a tuning run is reproducible end-to-end. In fused mode
+    (the default), :meth:`advance_many` hands the batch to a
     :class:`repro.fl.fused.FusedTrainerPool`, which trains every
-    same-architecture, same-schedule bucket of trials as one cross-trial
-    parameter slab — whole Hyperband rungs train as a few lockstep
-    mega-cohorts in this process. Every read, of one trial or a whole
+    same-architecture, same-schedule bucket of trials on one cross-trial
+    parameter slab, in passes of whole trials within one activation byte
+    budget. Every read, of one trial or a whole
     rung, is one stacked inference sweep (:meth:`error_rates_many`).
     The runner is single-process: process
     parallelism maps whole tuning runs

@@ -25,9 +25,10 @@ same-architecture configurations concurrently:
 
 Both are exactly the workload the fused engine was built for: a
 population is a permanent rung. Every training step is one
-``BaseTuner.train_trials`` batch — which ``cohort_mode="fused"`` trains
-as one :class:`~repro.fl.cohort.SlabTrainer` slab pass per local step
-schedule (members keep their batch size and epochs for life) — and every scoring pass is one ``observe_many``/``error_rates_many``
+``BaseTuner.train_trials`` batch — which fused mode trains on one
+:class:`~repro.fl.cohort.SlabTrainer` slab per local step schedule, in
+passes of whole members (members keep their batch size and epochs for
+life) — and every scoring pass is one ``observe_many``/``error_rates_many``
 batch, stacked through one inference slab. Exploit is an in-slab row
 copy and explore a per-row hyperparameter-vector edit
 (:func:`repro.nn.optim.copy_slab_rows` / :func:`~repro.nn.optim.perturb_rows`

@@ -11,9 +11,10 @@ The engine is the execution substrate underneath every online experiment:
   The experiment drivers map whole tuning runs through it (every
   fig8/15/16 cell and figfaults point is an independent, seeded run;
   :func:`repro.experiments.fig_methods.run_sweep`), and
-  :meth:`repro.experiments.bank.ConfigBank.build` maps bank configs.
-  Inside a run, ``cohort_mode="fused"`` trains each ``advance_many``
-  batch in-process as cross-trial parameter slabs (:mod:`repro.fl.fused`).
+  :meth:`repro.experiments.bank.ConfigBank.build` maps a serial build's
+  configs. Inside a run, fused mode (the default) trains each
+  ``advance_many`` batch in-process as cross-trial parameter slabs
+  (:mod:`repro.fl.fused`).
 - :mod:`repro.engine.bank_store` — :class:`BankStore`, a disk-backed
   memo of built configuration banks keyed by the full build signature
   ``(dataset, preset, seed, n_configs, max_rounds, format_version, ...)``.

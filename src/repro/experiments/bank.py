@@ -26,6 +26,7 @@ import numpy as np
 from repro.core.evaluator import Trial, TrialRunner, config_to_trainer
 from repro.core.search_space import SearchSpace
 from repro.datasets.base import FederatedDataset
+from repro.fl.cohort import resolve_cohort_mode
 from repro.fl.evaluation import StackedEvalEngine
 from repro.utils.rng import SeedLike, as_rng
 
@@ -33,26 +34,15 @@ BANK_ID_KEY = "_bank_id"
 
 
 def _build_config_task(payload, k: int):
-    """Train config ``k`` through every checkpoint (worker task).
+    """Train config ``k`` serially through every checkpoint (worker task).
 
     ``payload`` rides fork inheritance (datasets are not picklable); the
     per-config trainer seed was drawn serially in the parent before
     dispatch, so results are bit-identical to the serial loop. Each
-    checkpoint is one single-row
-    :class:`~repro.fl.evaluation.StackedEvalEngine` read in the dtype the
-    trainer trains in (float64 on the serial path).
+    checkpoint is one single-row float64
+    :class:`~repro.fl.evaluation.StackedEvalEngine` read.
     """
-    (
-        dataset,
-        configs,
-        seeds,
-        ckpts,
-        clients_per_round,
-        scheme,
-        store_params,
-        cohort_mode,
-        cohort_dtype,
-    ) = payload
+    dataset, configs, seeds, ckpts, clients_per_round, scheme, store_params = payload
     cfg = configs[k]
     trainer = config_to_trainer(
         {key: v for key, v in cfg.items() if key != BANK_ID_KEY},
@@ -60,12 +50,9 @@ def _build_config_task(payload, k: int):
         clients_per_round=clients_per_round,
         scheme=scheme,
         seed=seeds[k],
-        cohort_mode=cohort_mode,
-        cohort_dtype=cohort_dtype,
+        cohort_mode="serial",
     )
-    engine = StackedEvalEngine(
-        dtype=trainer.cohort_dtype if trainer.cohort_mode == "fused" else np.float64
-    )
+    engine = StackedEvalEngine(dtype=np.float64)
     errors = np.empty((len(ckpts), dataset.num_eval_clients))
     params = np.empty((len(ckpts), trainer.params.size)) if store_params else None
     for c, rounds in enumerate(ckpts):
@@ -78,43 +65,15 @@ def _build_config_task(payload, k: int):
     return errors, params
 
 
-def effective_build_mode(cohort_mode, executor) -> str:
-    """The build path a bank build will *actually* take, as a cache-key label.
-
-    With no cohort mode set (``None`` and ``$REPRO_COHORT_VECTOR``
-    unset), banks build "fused" in-process whatever the executor, so the
-    default bank never depends on the worker count. Trainers and tuning
-    runs default to serial instead. An explicit "serial" (argument,
-    ``--cohort-mode`` or environment) builds the per-config serial bank,
-    the oracle.
-
-    An explicit "fused" is one of two numerically different builds,
-    chosen by the executor, not the user: in-process it trains the config
-    pool as cross-config slabs ("fused"); under a multi-worker executor
-    every worker's trainer runs standalone on its own T=1 slab (labelled
-    "vectorized", the key those builds have always carried). Keying both
-    as "fused" would alias cross-config slab padding and per-trainer
-    slabs under one entry, breaking the store's every-input-in-the-key
-    contract.
-    """
-    from repro.fl.cohort import resolve_cohort_mode
-
-    mode = resolve_cohort_mode(cohort_mode, default=None)
-    if mode is None:
-        return "fused"
-    if mode == "fused" and getattr(executor, "n_workers", 1) > 1:
-        return "vectorized"
-    return mode
-
-
 def _build_fused(
     dataset, configs, seeds, ckpts, clients_per_round, scheme, store_params, cohort_dtype=None
 ):
     """Train the whole config pool as cross-config slabs.
 
-    All configs share the dataset's architecture, so the fused pool merges
-    every same-schedule config's cohort into one slab pass and advances
-    the pool checkpoint to checkpoint in lockstep. Each checkpoint then
+    All configs share the dataset's architecture, so the fused pool trains
+    every same-schedule config's cohort on one slab, in passes of whole
+    configs within :data:`repro.fl.fused.PASS_BYTES`, and advances the
+    pool checkpoint to checkpoint. Each checkpoint then
     scores the configs one per read pass (:meth:`FusedTrainerPool.evaluate`).
     In float64 the rates are bit-identical per config to the serial oracle
     on the build's own parameters, with each trainer owning its
@@ -221,19 +180,15 @@ class ConfigBank:
         independent and every trainer seed is drawn serially before
         dispatch, so the parallel build is bit-identical to the serial one.
 
-        ``cohort_mode`` selects cohort training ("serial" per-client loops
-        or "fused" lockstep slabs; ``None`` resolves from
-        ``$REPRO_COHORT_VECTOR``) — see :func:`effective_build_mode`. An
-        in-process "fused" build advances the whole config pool checkpoint
-        to checkpoint as cross-config parameter slabs
-        (:class:`repro.fl.fused.FusedTrainerPool`), every same-schedule
-        config's cohort in lockstep, and scores one config per read pass.
-        It is the default: with no mode set, the build is in-process fused
-        whatever ``executor`` is. With an explicit "fused" and a
-        multi-worker executor, process parallelism wins and each worker's
-        trainer runs on its own T=1 slab. An explicit "serial" builds the
-        per-config serial bank, mapped over ``executor``: the reference
-        the fused builds are tested against.
+        ``cohort_mode`` selects cohort training (``None`` resolves from
+        ``$REPRO_COHORT_VECTOR``, default "fused";
+        :func:`repro.fl.cohort.resolve_cohort_mode`). A "fused" build runs
+        in-process whatever ``executor`` is: it advances the whole config
+        pool checkpoint to checkpoint as cross-config parameter slabs
+        (:class:`repro.fl.fused.FusedTrainerPool`) and scores one config
+        per read pass. "serial" builds the per-config serial bank, mapped
+        over ``executor``: the reference the fused builds are tested
+        against.
 
         ``cohort_dtype`` selects the slab compute dtype of the build
         (``None`` resolves from ``$REPRO_DTYPE``; see
@@ -263,8 +218,7 @@ class ConfigBank:
         # Trainer seeds are drawn serially (one rng stream, config order)
         # regardless of how the training is executed.
         seeds = [int(rng.integers(0, 2**63 - 1)) for _ in configs]
-        mode = effective_build_mode(cohort_mode, executor)
-        if mode == "fused":
+        if resolve_cohort_mode(cohort_mode) == "fused":
             results = _build_fused(
                 dataset,
                 configs,
@@ -276,12 +230,7 @@ class ConfigBank:
                 cohort_dtype=cohort_dtype,
             )
         else:
-            # A "vectorized" build trains each worker's config on its own slab.
-            trainer_mode = "serial" if mode == "serial" else "fused"
-            payload = (
-                dataset, configs, seeds, ckpts, clients_per_round, scheme, store_params,
-                trainer_mode, cohort_dtype,
-            )
+            payload = (dataset, configs, seeds, ckpts, clients_per_round, scheme, store_params)
             results = executor.map(_build_config_task, range(n_configs), payload=payload)
         errors = np.empty((n_configs, len(ckpts), n_clients))
         params_store = None

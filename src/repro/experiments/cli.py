@@ -163,9 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "cohort training path: 'serial' per-client loops (the reference) "
-            "or 'fused' lockstep slabs (whole rungs/bank pools train as "
-            "cross-trial slabs; default: $REPRO_COHORT_VECTOR, else serial "
-            "tuning runs and fused bank builds)"
+            "or 'fused' lockstep slabs (rungs/bank pools train as cross-trial "
+            "slabs; default: $REPRO_COHORT_VECTOR, else fused)"
         ),
     )
     parser.add_argument(

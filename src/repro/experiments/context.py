@@ -21,7 +21,7 @@ from repro.utils.rng import RngFactory
 # REPRO_BANK_CACHE — directory for the disk-backed bank store.
 # REPRO_WORKERS — worker-process count for bank builds and sweep runs.
 # REPRO_COHORT_VECTOR — cohort mode, "serial" or "fused" (repro.fl.cohort); unset
-#   trains tuning runs serially and builds banks fused.
+#   is fused, for tuning runs and bank builds alike.
 # REPRO_DTYPE — slab compute dtype ("float64"/"float32"; repro.nn.stacked.resolve_dtype).
 # REPRO_CHECKPOINT_DIR — directory for tuning-run checkpoints (repro.engine.checkpoint).
 # REPRO_FAULTS — fault-injection spec, e.g. "dropout=0.1,straggler=0.05,seed=3"
@@ -69,14 +69,12 @@ class ExperimentContext:
         :meth:`bank` builds and whole tuning runs in the sweep drivers
         (:func:`repro.experiments.fig_methods.run_sweep`).
     cohort_mode : "serial" or "fused" cohort training for every trainer
-        this context builds (``$REPRO_COHORT_VECTOR`` when unset; see
-        :mod:`repro.fl.cohort`). "fused" trains tuner rungs and in-process
-        bank builds as cross-trial slabs (:mod:`repro.fl.fused`). Unset,
-        tuning runs train serially but banks build fused in-process
-        (:func:`repro.experiments.bank.effective_build_mode`); an explicit
-        "serial" builds serial banks too. A fused build's mode joins the
-        bank-store cache key, since lockstep padding can perturb results
-        at float tolerance.
+        this context builds (``$REPRO_COHORT_VECTOR`` when unset, else
+        fused; see :mod:`repro.fl.cohort`). "fused" trains tuner rungs and
+        bank builds as cross-trial slabs (:mod:`repro.fl.fused`), bank
+        builds in-process under any executor; "serial" is the per-client
+        reference. A fused build's mode joins the bank-store cache key,
+        since lockstep padding can perturb results at float tolerance.
     cohort_dtype : slab compute dtype ("float64" or "float32") for every
         trainer this context builds (``$REPRO_DTYPE`` when unset; see
         :func:`repro.nn.stacked.resolve_dtype`). float32 halves slab
@@ -122,8 +120,6 @@ class ExperimentContext:
         self.clients_per_round = clients_per_round
         self.eta = eta
         self.cohort_mode = resolve_cohort_mode(cohort_mode)
-        # None when no mode is set: banks then take the default fused build.
-        self.bank_mode = resolve_cohort_mode(cohort_mode, default=None)
         self.cohort_dtype = resolve_dtype(cohort_dtype)
         self.rngs = RngFactory(seed)
         self.space: SearchSpace = paper_space(batch_sizes=BATCH_CHOICES[preset])
@@ -189,23 +185,16 @@ class ExperimentContext:
     def bank_key_fields(self, name: str, store_params: bool = False) -> Dict:
         """The :class:`BankStore` key a bank build of ``name`` maps to.
 
-        Keys carry the build path the executor selects
-        (:func:`repro.experiments.bank.effective_build_mode`): an
-        in-process fused build trains cross-config slabs, a fused build
-        under a multi-worker executor trains one slab per worker trainer,
-        and the two never share an entry. Serial builds carry no mode
-        field. With no cohort mode set, banks build fused in-process
-        under any executor and key as such. The same conditional-field
-        pattern stamps the slab dtype:
-        a float32 build can never alias a float64 cache entry.
+        A fused build (in-process under any executor) keys with
+        ``cohort_mode="fused"``; serial builds carry no mode field. The
+        same conditional-field pattern stamps the slab dtype: a float32
+        build can never alias a float64 cache entry.
         """
         from repro.engine.bank_store import BankStore
-        from repro.experiments.bank import effective_build_mode
 
         extra = {}
-        mode = effective_build_mode(self.bank_mode, self.executor)
-        if mode != "serial":
-            extra["cohort_mode"] = mode
+        if self.cohort_mode != "serial":
+            extra["cohort_mode"] = self.cohort_mode
         if self.cohort_dtype.name != "float64":
             extra["cohort_dtype"] = self.cohort_dtype.name
         return BankStore.key_fields(
@@ -240,7 +229,7 @@ class ExperimentContext:
             configs=self.shared_configs,
             store_params=store_params,
             executor=self.executor,
-            cohort_mode=self.bank_mode,
+            cohort_mode=self.cohort_mode,
             cohort_dtype=self.cohort_dtype,
         )
 

@@ -43,7 +43,7 @@ def run_figure13(
             eta=ctx.eta,
             clients_per_round=ctx.clients_per_round,
             seed=ctx.rngs.make(f"fig13-{span}"),
-            cohort_mode=ctx.bank_mode,
+            cohort_mode=ctx.cohort_mode,
             cohort_dtype=ctx.cohort_dtype,
         )
         noiseless_best = bank.best_full_error()

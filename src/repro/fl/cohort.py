@@ -16,8 +16,8 @@ FedProx mu broadcast per slab row via the per-row vector form of
 :func:`~repro.nn.optim.fused_sgd_step`). One round function drives it,
 :func:`repro.fl.trainer.run_slab_round`: a standalone
 ``FederatedTrainer(cohort_mode="fused")`` calls it with itself (T=1), a
-:class:`repro.fl.fused.FusedTrainerPool` with every trial of a tuner rung
-that shares a local step schedule (a ``(T*C, P)`` slab).
+:class:`repro.fl.fused.FusedTrainerPool` with each pass of whole trials
+of a tuner rung that share a local step schedule (a ``(T*C, P)`` slab).
 
 Equivalence contract (asserted in ``tests/fl/test_cohort.py`` and
 ``tests/fl/test_fused.py``):
@@ -66,32 +66,25 @@ from repro.nn.stacked import (
 )
 
 #: Environment switch for the default cohort mode: unset (or empty) and
-#: "serial" -> serial, "fused" -> fused. Anything else is an error (not a
+#: "fused" -> fused, "serial" -> serial. Anything else is an error (not a
 #: silent fallback).
 COHORT_VECTOR_ENV = "REPRO_COHORT_VECTOR"
 
 COHORT_MODES = ("serial", "fused")
 
 
-def resolve_cohort_mode(
-    mode: Optional[str] = None, default: Optional[str] = "serial"
-) -> Optional[str]:
+def resolve_cohort_mode(mode: Optional[str] = None) -> str:
     """Resolve an explicit or environment-provided cohort mode.
 
     ``None`` consults ``$REPRO_COHORT_VECTOR``; unset resolves to
-    ``default``, "serial" unless the caller asks otherwise, so slab
-    training is opt-in like ``REPRO_WORKERS``/``REPRO_BANK_CACHE``. Bank
-    builds pass ``default=None`` to tell "unset" apart from an explicit
-    mode (:func:`repro.experiments.bank.effective_build_mode`). Unknown
-    values — explicit or from the environment — raise instead of silently
-    degrading to serial.
+    "fused", lockstep slab training. "serial" is the per-client reference
+    the slab paths are tested against. Unknown values — explicit or from
+    the environment — raise instead of silently degrading.
     """
     source = "cohort_mode"
     if mode is None:
         source = f"${COHORT_VECTOR_ENV}"
-        mode = os.environ.get(COHORT_VECTOR_ENV, "").strip().lower() or default
-        if mode is None:
-            return None
+        mode = os.environ.get(COHORT_VECTOR_ENV, "").strip().lower() or "fused"
     if mode not in COHORT_MODES:
         raise ValueError(
             f"{source} must be one of {COHORT_MODES} (lockstep slab training is "

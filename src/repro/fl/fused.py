@@ -14,6 +14,18 @@ every row to the widest batch and runs as long as the smallest one, which
 measured slower than training the buckets one after another on the paper's
 CNN and LSTM rungs (the paper's search space tunes ``batch_size``).
 
+A bucket trains in passes of *whole trials*, so the slab's activations
+stay within one byte budget, :data:`PASS_BYTES`. A trial's share is its
+cohort rows x batch width x the model's per-example activation bytes
+(:func:`example_activation_bytes`, from the stacked layer shapes alone, so
+the cut never depends on the machine). A pass takes trials in bucket order
+while their shares fit, and always at least one; the pool's slab holds the
+largest pass, not the whole bucket. A trial's cohort is never split, so
+the per-trainer pre-draws and the divergence rerun are those of one big
+pass: tiling only regroups independent rows. The paper's CNN and LSTM
+train one trial per pass from the ``test`` preset up; a pool of small MLP
+trials still fits in one pass.
+
 Equivalence is inherited from :class:`repro.fl.cohort.SlabTrainer` and is
 *per trainer*: each trainer samples its cohort and pre-draws its batch
 permutations from its own RNG stream in serial order, so results are
@@ -37,7 +49,36 @@ import numpy as np
 from repro.fl.cohort import SlabTrainer
 from repro.fl.evaluation import StackedEvalEngine
 from repro.fl.trainer import FederatedTrainer, run_slab_round
-from repro.nn.stacked import resolve_dtype, stack_signature
+from repro.nn.stacked import StackedConv2D, StackedLSTM, StackedModel, resolve_dtype, stack_signature
+
+#: Activation bytes one slab pass may hold (see the module docstring). At
+#: the smallest batch (4), a ``test``-preset trial of ten clients estimates
+#: 0.98 MiB on the CIFAR10 CNN and 0.40 MiB on the StackOverflow LSTM, so
+#: each trains alone; the five-trial MLP pools of ``tests/fl/test_fused.py``
+#: estimate 30 KiB and train as one pass.
+PASS_BYTES = 1 << 19
+
+
+def example_activation_bytes(model: StackedModel, example: np.ndarray) -> int:
+    """Training activation bytes one example holds in a slab pass.
+
+    Every layer's output, plus what a layer keeps beside it for its
+    backward: a convolution's unfolded patch rows and an LSTM's per-step
+    gates, cell and hidden states (eight hidden widths per step and
+    layer). Shapes come from a one-copy inference sweep of ``example``;
+    bytes are at the slab's itemsize.
+    """
+    elements = 0
+    h, shared = example[None], True
+    with np.errstate(all="ignore"):  # slab rows are scratch: only shapes count
+        for layer in model.layers:
+            h, shared = layer.eval_forward(h, 1, shared)
+            elements += h.size
+            if isinstance(layer, StackedConv2D):
+                elements += h.size // layer.out_channels * layer.in_channels * layer.kernel_size**2
+            elif isinstance(layer, StackedLSTM):
+                elements += 8 * h.size * layer.num_layers
+    return elements * model.dtype.itemsize
 
 
 class FusedTrainerPool:
@@ -58,6 +99,7 @@ class FusedTrainerPool:
     def __init__(self, dtype=None) -> None:
         self.dtype = resolve_dtype(dtype)
         self._slabs: Dict[tuple, SlabTrainer] = {}
+        self._example_bytes: Dict[tuple, int] = {}
         self._eval_engine: Optional[StackedEvalEngine] = None
 
     def evaluate(self, trainers: Sequence[FederatedTrainer]) -> List[np.ndarray]:
@@ -86,9 +128,10 @@ class FusedTrainerPool:
     def advance(self, trainers: Sequence[FederatedTrainer], rounds: Sequence[int]) -> None:
         """Advance ``trainers[i]`` by ``rounds[i]`` rounds, fusing where possible.
 
-        Trainers are bucketed by architecture signature, loss, slab dtype
-        and local step schedule; each bucket — of one trainer or many —
-        trains as one pass over the pool's slab for that architecture.
+        Trainers with rounds to train are bucketed by architecture
+        signature, loss, slab dtype and local step schedule; each bucket
+        trains in passes of whole trials within :data:`PASS_BYTES` over
+        the pool's slab for that architecture.
         A diverged trial reruns its round serially (see
         :func:`~repro.fl.trainer.run_slab_round`); any exception from
         building or training a slab propagates.
@@ -100,6 +143,8 @@ class FusedTrainerPool:
                 raise ValueError(f"rounds must be >= 0, got {r}")
         buckets: Dict[tuple, List[int]] = {}
         for i, trainer in enumerate(trainers):
+            if rounds[i] == 0:
+                continue
             dtype_name = np.dtype(getattr(trainer, "cohort_dtype", self.dtype)).name
             slab_key = (stack_signature(trainer.model), trainer.dataset.task.loss_fn, dtype_name)
             schedule = (trainer.local.batch_size, trainer.local.epochs)
@@ -113,20 +158,33 @@ class FusedTrainerPool:
     def _advance_bucket(
         self, trainers: List[FederatedTrainer], rounds: List[int], key: tuple
     ) -> None:
+        first = trainers[0]
         slab = self._slabs.get(key)
         if slab is None:
             slab = SlabTrainer(
-                trainers[0].dataset.task,
-                trainers[0].model,
-                sum(t.clients_per_round for t in trainers),
-                dtype=getattr(trainers[0], "cohort_dtype", self.dtype),
+                first.dataset.task,
+                first.model,
+                first.clients_per_round,
+                dtype=getattr(first, "cohort_dtype", self.dtype),
             )
             self._slabs[key] = slab
-        remaining = list(rounds)
-        while True:
-            active = [i for i, r in enumerate(remaining) if r > 0]
-            if not active:
-                return
-            run_slab_round([trainers[i] for i in active], slab)
-            for i in active:
-                remaining[i] -= 1
+            self._example_bytes[key] = example_activation_bytes(
+                slab.stacked_model, first.dataset.train_clients[0].x[0]
+            )
+        # Whole trials per pass, in bucket order; train_groups grows the
+        # slab to the largest pass.
+        example_bytes = self._example_bytes[key]
+        passes: List[List[int]] = []
+        used = 0
+        for i, t in enumerate(trainers):
+            share = t.clients_per_round * t.local.batch_size * example_bytes
+            if not passes or used + share > PASS_BYTES:
+                passes.append([])
+                used = 0
+            passes[-1].append(i)
+            used += share
+        for members in passes:
+            remaining = {i: rounds[i] for i in members}
+            while remaining:
+                run_slab_round([trainers[i] for i in remaining], slab)
+                remaining = {i: r - 1 for i, r in remaining.items() if r > 1}

@@ -76,7 +76,7 @@ class FederatedTrainer:
         trainer's own T=1 slab for a standalone ``run_round``, or a
         cross-trial slab when a :class:`repro.fl.fused.FusedTrainerPool`
         (via the trial runners' ``advance_many``) drives the round.
-        ``None`` resolves from ``$REPRO_COHORT_VECTOR`` (default serial).
+        ``None`` resolves from ``$REPRO_COHORT_VECTOR`` (default fused).
         Fused mode raises ``ValueError`` at construction for a model or
         loss without stacked kernels; a round whose client diverges
         reruns that round serially.
@@ -382,8 +382,8 @@ def run_slab_round(trainers: Sequence[FederatedTrainer], slab: SlabTrainer) -> N
     The serial round phase for phase, per trainer: sample cohort -> local
     training (one slab pass for all of them) -> aggregate + server step.
     A standalone trainer passes ``[self]`` and its own slab; a
-    :class:`repro.fl.fused.FusedTrainerPool` passes every trainer of a
-    schedule bucket and the pool's slab.
+    :class:`repro.fl.fused.FusedTrainerPool` passes the trainers of one
+    pass of a schedule bucket and the pool's slab.
 
     A trainer whose group ``train_groups`` flags as diverged (non-finite
     client loss) reruns the round serially from its RNG snapshot; any

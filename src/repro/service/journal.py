@@ -7,7 +7,8 @@ reconstructible by replay, no matter where a crash lands:
 - A crash *before* the append loses the transition entirely: the journal
   still describes the previous consistent state.
 - A crash *mid-append* leaves a torn final line, which replay detects and
-  drops (the newline is the commit marker).
+  drops (the newline is the commit marker). The next append seals the
+  fragment with a NUL before the newline, so it never parses.
 - A crash *after* the append is the normal case: replay reproduces the
   transition.
 
@@ -106,10 +107,12 @@ class Journal:
                 fh.seek(start - 1)
                 if fh.read(1) != b"\n":
                     # A previous process died mid-append. Seal the torn
-                    # fragment as its own (corrupt, skipped) line so this
-                    # entry doesn't merge into it and get lost with it.
-                    fh.write(b"\n")
-                    start += 1
+                    # fragment as its own corrupt, skipped line so this
+                    # entry doesn't merge into it and get lost with it. The
+                    # NUL (never valid in JSON) keeps a fragment that is
+                    # already a whole entry from committing after the fact.
+                    fh.write(b"\x00\n")
+                    start += 2
             fh.write(line)
             fh.flush()
             os.fsync(fh.fileno())

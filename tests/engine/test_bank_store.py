@@ -175,16 +175,14 @@ class TestFormatVersion:
 
 
 class TestCohortModeKeySeparation:
-    """Each build path gets its own cache entry: serial (no mode field),
-    in-process fused (cross-config slabs), and fused under a multi-worker
-    executor (one T=1 slab per worker trainer, key label "vectorized")."""
+    """Each build path gets its own cache entry: serial (no mode field)
+    and fused (cross-config slabs, in-process under any executor)."""
 
     def context_for(self, tmp_path, mode, n_workers=1):
         from repro.experiments import ExperimentContext
 
         # n_workers defaults to 1 (not None) so an ambient REPRO_WORKERS —
-        # e.g. the nightly CI full job — cannot flip an in-process fused
-        # context into the worker-built (vectorized-keyed) regime.
+        # e.g. the nightly CI full job — does not pick the executor.
         return ExperimentContext(
             preset="test",
             seed=0,
@@ -194,32 +192,28 @@ class TestCohortModeKeySeparation:
             n_workers=n_workers,
         )
 
-    def test_three_modes_three_cache_paths(self, tmp_path):
+    def test_two_modes_two_cache_paths(self, tmp_path):
         contexts = {
             "serial": self.context_for(tmp_path, "serial"),
             "fused": self.context_for(tmp_path, "fused"),
             "fused-workers": self.context_for(tmp_path, "fused", n_workers=2),
         }
-        if contexts["fused-workers"].executor.n_workers < 2:
-            pytest.skip("needs fork start method")
         paths = {
             m: ctx.bank_store.path_for(ctx.bank_key_fields("cifar10")) for m, ctx in contexts.items()
         }
-        assert len(set(paths.values())) == 3
+        assert paths["fused-workers"] == paths["fused"] != paths["serial"]
 
     def test_serial_key_has_no_cohort_field(self, tmp_path):
         ctx = self.context_for(tmp_path, "serial")
         assert "cohort_mode" not in ctx.bank_key_fields("cifar10")
 
-    def test_fused_with_workers_keys_as_vectorized(self, tmp_path):
-        """A multi-worker executor makes a fused build train one slab per
-        worker trainer instead of cross-config slabs, so the key must say
-        so — a 'fused' entry must never hold worker-built contents."""
+    def test_fused_with_workers_keys_as_in_process(self, tmp_path):
+        """An explicit fused build trains cross-config slabs in-process
+        whatever the executor, so a multi-worker context keys as the
+        in-process one."""
         pooled = self.context_for(tmp_path, "fused", n_workers=2)
         in_process = self.context_for(tmp_path, "fused")
-        if pooled.executor.n_workers > 1:  # fork available on this platform
-            assert pooled.bank_key_fields("cifar10")["cohort_mode"] == "vectorized"
-            assert pooled.bank_key_fields("cifar10") != in_process.bank_key_fields("cifar10")
+        assert pooled.bank_key_fields("cifar10") == in_process.bank_key_fields("cifar10")
         assert in_process.bank_key_fields("cifar10")["cohort_mode"] == "fused"
 
     def test_unset_mode_keys_as_in_process_fused(self, tmp_path, monkeypatch):
@@ -241,9 +235,6 @@ class TestCohortModeKeySeparation:
         assert np.array_equal(
             store.get(serial_ctx.bank_key_fields("cifar10")).errors, make_bank(seed=1).errors
         )
-        pooled_ctx = self.context_for(tmp_path, "fused", n_workers=2)
-        if pooled_ctx.executor.n_workers > 1:
-            assert store.get(pooled_ctx.bank_key_fields("cifar10")) is None
 
 
 class TestConcurrentWriters:

@@ -241,6 +241,29 @@ class TestKillResumeBitIdentity:
     def test_cohort_modes(self, tmp_path, dataset, method, mode):
         kill_resume_roundtrip(tmp_path, dataset, method, NOISES["plain"], mode=mode)
 
+    @pytest.mark.parametrize("method", ("rs", "hb", "fedex"))
+    def test_serial_checkpoint_resumes_under_default_mode(
+        self, tmp_path, dataset, method, monkeypatch
+    ):
+        """Checkpoints carry no cohort mode, and float64 serial and fused
+        runs are bit-identical: a run killed under ``cohort_mode="serial"``
+        resumes in the default (fused) mode onto the serial trajectory and
+        writes the same final checkpoint state, bit for bit."""
+        monkeypatch.delenv("REPRO_COHORT_VECTOR", raising=False)
+        monkeypatch.delenv("REPRO_DTYPE", raising=False)  # a float64 contract
+        noise = NOISES["plain"]
+        ref_path, path = str(tmp_path / "ref.ckpt"), str(tmp_path / f"{method}.ckpt")
+        reference = build_tuner(method, dataset, noise, mode="serial")
+        ref_result = reference.run(checkpoint=RunCheckpointer(ref_path))
+        killed = build_tuner(method, dataset, noise, mode="serial")
+        run_until_killed(killed, RunCheckpointer(path), kill_after=2)
+        resumed = build_tuner(method, dataset, noise, mode=None)
+        assert resumed.runner.cohort_mode == "fused"
+        resume_checkpoint(resumed, path)
+        result = resumed.run(checkpoint=RunCheckpointer(path))
+        assert_identical_outcome(result, ref_result, resumed, reference)
+        assert_tree_equal(load_checkpoint(path), load_checkpoint(ref_path), "checkpoint")
+
     @pytest.mark.slow
     @pytest.mark.parametrize("kill_after", (1, 3, 5, 8, 13))
     @pytest.mark.parametrize("method", ("hb", "fedex", "rs-two-stage"))

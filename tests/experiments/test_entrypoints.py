@@ -52,7 +52,7 @@ class TestResolveCohortModeRejections:
 
     @pytest.mark.parametrize(
         "raw,expected",
-        [("", "serial"), ("serial", "serial"), ("fused", "fused"), ("FUSED", "fused")],
+        [("", "fused"), ("serial", "serial"), ("fused", "fused"), ("FUSED", "fused")],
     )
     def test_env_accepted_values(self, raw, expected, monkeypatch):
         monkeypatch.setenv(COHORT_VECTOR_ENV, raw)

@@ -115,8 +115,8 @@ class TestResolveCohortMode:
 
     def test_env_default(self, monkeypatch):
         monkeypatch.delenv(COHORT_VECTOR_ENV, raising=False)
-        assert resolve_cohort_mode(None) == "serial"
-        for raw, expected in (("", "serial"), ("serial", "serial"), ("fused", "fused"), (" Fused ", "fused")):
+        assert resolve_cohort_mode(None) == "fused"
+        for raw, expected in (("", "fused"), ("serial", "serial"), ("fused", "fused"), (" Fused ", "fused")):
             monkeypatch.setenv(COHORT_VECTOR_ENV, raw)
             assert resolve_cohort_mode(None) == expected
 

@@ -10,12 +10,14 @@ must split into per-slab groups rather than fuse incorrectly, and trials
 with different local step schedules must never share a slab pass.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import repro.fl.cohort as cohort_module
+import repro.fl.fused as fused_module
 from repro.core import FederatedTrialRunner, Hyperband, NoiseConfig, RandomSearch
 from repro.core.search_space import paper_space
 from repro.datasets import load_dataset
@@ -284,12 +286,114 @@ class TestFusedTrainerPool:
             pool.advance([make_trainer(ds, "fused")], [-1])
 
 
+class TestPassTiling:
+    """A bucket trains in passes of whole trials within one activation
+    byte budget (``repro.fl.fused.PASS_BYTES``). Tiling only regroups
+    independent rows, so a one-trial-per-pass bucket ends bit-identical
+    to the untiled pass and to serial ``t.run(n)``."""
+
+    @staticmethod
+    def advance_spied(monkeypatch, trainers, rounds):
+        """Advance on a fresh pool; return it and the trials of each pass."""
+        passes = []
+        train_groups = SlabTrainer.train_groups
+
+        def spy(self, groups, outs):
+            passes.append(len(groups))
+            return train_groups(self, groups, outs)
+
+        monkeypatch.setattr(SlabTrainer, "train_groups", spy)
+        pool = FusedTrainerPool()
+        pool.advance(trainers, rounds)
+        monkeypatch.setattr(SlabTrainer, "train_groups", train_groups)
+        return pool, passes
+
+    def test_one_trial_passes_match_untiled_and_serial(self, monkeypatch):
+        ds = mlp_dataset(n_lo=16, n_hi=16)
+        hps = TestFusedTrainerPool.HPS
+        rounds = [3, 1, 4, 2]
+        serial = [make_trainer(ds, "serial", seed=40 + i, **h) for i, h in enumerate(hps)]
+        untiled = [make_trainer(ds, "fused", seed=40 + i, **h) for i, h in enumerate(hps)]
+        tiled = [make_trainer(ds, "fused", seed=40 + i, **h) for i, h in enumerate(hps)]
+        for t, r in zip(serial, rounds):
+            t.run(r)
+        _, untiled_passes = self.advance_spied(monkeypatch, untiled, rounds)
+        assert untiled_passes == [4, 3, 2, 1]  # one pass; trials retire as they finish
+        monkeypatch.setattr(fused_module, "PASS_BYTES", 1)
+        pool, tiled_passes = self.advance_spied(monkeypatch, tiled, rounds)
+        assert tiled_passes == [1] * sum(rounds)
+        (slab,) = pool._slabs.values()
+        assert slab.capacity == 5  # the largest pass, one cohort
+        assert_pairs_equal(serial, untiled, exact=True)
+        assert_pairs_equal(serial, tiled, exact=True)
+
+    def test_passes_fill_in_bucket_order(self, monkeypatch):
+        """Trials join the open pass while their estimated bytes fit, and
+        an oversize trial still gets a pass of its own."""
+        ds = mlp_dataset(n_lo=16, n_hi=16)
+        trainers = [make_trainer(ds, "fused", seed=i) for i in range(5)]
+        per_trial = 5 * 8 * fused_module.example_activation_bytes(
+            StackedModel(trainers[0].model, 1), ds.train_clients[0].x[0]
+        )
+        monkeypatch.setattr(fused_module, "PASS_BYTES", 2 * per_trial)
+        _, passes = self.advance_spied(monkeypatch, trainers, [1] * 5)
+        assert passes == [2, 2, 1]
+        monkeypatch.setattr(fused_module, "PASS_BYTES", per_trial - 1)
+        _, passes = self.advance_spied(monkeypatch, trainers, [1] * 5)
+        assert passes == [1] * 5
+
+    @pytest.mark.parametrize("name", ["cifar10", "stackoverflow"])
+    def test_paper_models_train_one_trial_per_pass(self, name, monkeypatch):
+        """At the ``test`` preset's cohort of ten and its smallest batch,
+        the CNN and the LSTM already train one trial per pass."""
+        ds = load_dataset(name, "test", seed=0)
+        trainers = [
+            FederatedTrainer(
+                ds,
+                FedAdam(lr=3e-2, beta1=0.9, beta2=0.99),
+                LocalTrainingConfig(lr=0.05, batch_size=4),
+                clients_per_round=10,
+                seed=i,
+                cohort_mode="fused",
+            )
+            for i in range(3)
+        ]
+        pool, passes = self.advance_spied(monkeypatch, trainers, [1] * 3)
+        assert passes == [1, 1, 1]
+        (slab,) = pool._slabs.values()
+        assert slab.capacity == 10
+
+    def test_default_rung_peaks_within_twice_serial(self, cifar_test, monkeypatch):
+        """A default-mode random-search run of one k=4 rung (``test``
+        CIFAR10, training and evaluation) peaks no higher than twice its
+        serial run under tracemalloc: the slab holds one trial's cohort,
+        not the rung's (untiled, the pool peaked at three times serial)."""
+        monkeypatch.delenv(cohort_module.COHORT_VECTOR_ENV, raising=False)
+
+        def peak(mode):
+            runner = FederatedTrialRunner(cifar_test, max_rounds=3, seed=1, cohort_mode=mode)
+            tuner = RandomSearch(SPACE, runner, NoiseConfig(), n_configs=4, total_budget=12)
+            tracemalloc.start()
+            try:
+                tuner.run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(None) <= 2 * peak("serial")
+
+
+@pytest.fixture(scope="module")
+def cifar_test():
+    return load_dataset("cifar10", "test", seed=0)
+
+
 SPACE = paper_space(batch_sizes=(4, 8, 16))
 
 
 class TestTrialFusedRunner:
     """``FederatedTrialRunner(cohort_mode="fused")`` — the one spelling of
-    the trial-fused runner — against the default serial runner."""
+    the trial-fused runner — against the serial runner."""
 
     def run_both(self, ds, cfgs, rounds, max_rounds=9, seed=2):
         def run(runner):
@@ -297,7 +401,9 @@ class TestTrialFusedRunner:
             consumed = runner.advance_many([(t, rounds) for t in trials])
             return trials, consumed
 
-        st, sc = run(FederatedTrialRunner(ds, max_rounds=max_rounds, seed=seed))
+        st, sc = run(
+            FederatedTrialRunner(ds, max_rounds=max_rounds, seed=seed, cohort_mode="serial")
+        )
         ft, fc = run(
             FederatedTrialRunner(ds, max_rounds=max_rounds, seed=seed, cohort_mode="fused")
         )
@@ -327,7 +433,7 @@ class TestTrialFusedRunner:
         runner = FederatedTrialRunner(ds, max_rounds=9, seed=3, cohort_mode="fused")
         trial = runner.create(SPACE.sample(np.random.default_rng(7)))
         assert runner.advance(trial, 4) == 4
-        serial = FederatedTrialRunner(ds, max_rounds=9, seed=3)
+        serial = FederatedTrialRunner(ds, max_rounds=9, seed=3, cohort_mode="serial")
         strial = serial.create(dict(trial.config))
         serial.advance(strial, 4)
         np.testing.assert_allclose(
@@ -497,10 +603,11 @@ class TestEveryRegisteredModelStacks:
         assert supports_stacking(ds.task.build_model(0)), name
 
     @pytest.mark.parametrize("name", DATASET_NAMES)
-    def test_effective_mode_is_vectorized(self, name):
-        """Every registered model builds under ``cohort_mode="fused"``
+    def test_effective_mode_is_vectorized(self, name, monkeypatch):
+        """With no cohort mode set, every registered model builds fused
         (which raises for a model without stacked kernels) and trains its
         round on its own lockstep slab."""
+        monkeypatch.delenv(cohort_module.COHORT_VECTOR_ENV, raising=False)
         ds = load_dataset(name, "test", seed=0)
         t = FederatedTrainer(
             ds,
@@ -508,8 +615,8 @@ class TestEveryRegisteredModelStacks:
             LocalTrainingConfig(lr=0.1, momentum=0.9, batch_size=4, epochs=1),
             clients_per_round=3,
             seed=1,
-            cohort_mode="fused",
         )
+        assert t.cohort_mode == "fused", name
         t.run(1)
         assert t._slab is not None, name
         assert t.rounds_completed == 1

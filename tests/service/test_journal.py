@@ -40,7 +40,7 @@ class TestJournal:
             assert journal.replay() == [{"op": "a"}]
         assert journal.offset == end  # the next replay starts at the fragment
         start, _ = journal.append({"op": "b"})
-        assert start == end + len('{"op": "torn"') + 1  # sealed, then appended
+        assert start == end + len('{"op": "torn"') + 2  # sealed with NUL + newline
         with pytest.warns(RuntimeWarning, match="corrupt entr"):
             assert journal.replay(end) == [{"op": "b"}]
 
@@ -98,6 +98,17 @@ class TestJournal:
         journal.append({"op": "a"})
         with open(path, "a") as fh:
             fh.write('{"op": "torn"')
+        journal.append({"op": "b"})
+        with pytest.warns(RuntimeWarning, match="corrupt entr"):
+            assert journal.replay() == [{"op": "a"}, {"op": "b"}]
+
+
+    def test_sealed_tail_never_parses_even_when_whole_json(self, tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        journal = Journal(path)
+        journal.append({"op": "a"})
+        with open(path, "a") as fh:
+            fh.write(json.dumps({"op": "almost"}))  # a whole entry, no newline
         journal.append({"op": "b"})
         with pytest.warns(RuntimeWarning, match="corrupt entr"):
             assert journal.replay() == [{"op": "a"}, {"op": "b"}]

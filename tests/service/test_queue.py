@@ -309,6 +309,22 @@ class TestJournalCursor:
             warnings.simplefilter("error")
             assert [j["state"] for j in q1.jobs()] == [PENDING, PENDING]
 
+    def test_sealed_whole_done_entry_stays_uncommitted(self, tmp_path, clock):
+        """A torn DONE that is already a whole JSON entry (cut just before
+        its newline) must not commit when an unrelated append seals it:
+        the job stays PENDING for the writer and for a fresh replay."""
+        root = str(tmp_path / "q")
+        q1 = JobQueue(root, clock=clock)
+        job_id = q1.submit(SPEC)
+        with open(os.path.join(root, "queue.jsonl"), "a") as fh:
+            fh.write('{"op": "done", "job_id": "j0001"}')  # torn: no newline
+        with pytest.warns(RuntimeWarning) as record:  # torn, then sealed
+            q1.submit(SPEC)
+        assert "corrupt entr" in " ".join(str(w.message) for w in record)
+        assert q1.job(job_id)["state"] == PENDING
+        with pytest.warns(RuntimeWarning, match="corrupt entr"):
+            assert JobQueue(root, clock=clock).job(job_id)["state"] == PENDING
+
     def test_missing_journal_resets_state(self, tmp_path, clock):
         root = str(tmp_path / "q")
         q1 = JobQueue(root, clock=clock)
