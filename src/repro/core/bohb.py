@@ -76,8 +76,8 @@ class BOHB(Hyperband):
                 return model.suggest()
         return self.space.sample(self.rng)
 
-    def _observe(self, trial: Trial, budget_used, in_hand) -> float:
-        noisy = super()._observe(trial, budget_used, in_hand)
+    def _observe(self, trial: Trial, budget_used, evaluation, in_hand) -> float:
+        noisy = super()._observe(trial, budget_used, evaluation, in_hand)
         self._model_for(trial.rounds).tell(trial.config, noisy)
         return noisy
 

@@ -7,10 +7,13 @@ precomputed configuration bank (:class:`repro.experiments.bank.BankTrialRunner`
 — the paper's own bootstrap methodology).
 
 Reads are stateless: a runner keeps no per-trial rates, so every read
-scores the trial's model as it is now. The live runner scores through
-one :class:`repro.fl.evaluation.StackedEvalEngine` for batches and single
-trials alike; tuners keep the rates of the batch they observe in hand
-(:meth:`repro.core.tuner.BaseTuner.observe_many`).
+scores the trial's model as it is now. A read covers the whole validation
+pool or a given set of its clients — a noisy release's cohort
+(:meth:`repro.core.tuner.BaseTuner.observe_many` draws the cohorts first).
+The live runner scores through one
+:class:`repro.fl.evaluation.StackedEvalEngine` for batches and single
+trials alike, on the clients asked for only; runners that hold full-pool
+rates anyway (the bank and synthetic runners) slice them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.datasets.base import FederatedDataset
-from repro.fl.evaluation import federated_error
+from repro.fl.evaluation import EvalChunkPlan, StackedEvalEngine, federated_error
 from repro.fl.server import FedAdam
 from repro.fl.trainer import FederatedTrainer, LocalTrainingConfig
 from repro.utils.rng import SeedLike, as_rng
@@ -208,16 +211,22 @@ class TrialRunner:
         """Per-validation-client error rates at the trial's current state."""
         raise NotImplementedError
 
-    def error_rates_many(self, trials: Sequence[Trial]) -> List[np.ndarray]:
+    def error_rates_many(
+        self, trials: Sequence[Trial], clients: Optional[np.ndarray] = None
+    ) -> List[np.ndarray]:
         """Batch :meth:`error_rates`: rate vectors for many trials at once.
 
-        Returns exactly what ``[self.error_rates(t) for t in trials]``
-        would (that serial loop is the default implementation — evaluation
-        consumes no RNG, so ordering is free). Runners with batched
-        evaluation engines override this to score whole tuner rungs in one
-        stacked sweep; results must stay bit-identical per trial.
+        ``clients`` — sorted validation-client indices to score, or
+        ``None`` for the whole pool. Returns exactly what
+        ``[self.error_rates(t)[clients] for t in trials]`` would (that
+        serial loop is the default implementation — evaluation consumes no
+        RNG, so ordering is free). Runners with batched evaluation engines
+        override this to score whole tuner rungs in one stacked sweep, on
+        the asked-for clients only; results must stay bit-identical per
+        trial and client.
         """
-        return [self.error_rates(trial) for trial in trials]
+        rows = [self.error_rates(trial) for trial in trials]
+        return rows if clients is None else [row[clients] for row in rows]
 
     def full_error(self, trial: Trial, scheme: str = "weighted") -> float:
         """Full-pool validation error (Eq. 2, S = [N_val]) — reporting only;
@@ -427,13 +436,18 @@ class FederatedTrialRunner(TrialRunner):
     def error_rates(self, trial: Trial) -> np.ndarray:
         return self._read([trial])[0]
 
-    def error_rates_many(self, trials: Sequence[Trial]) -> List[np.ndarray]:
-        return self._read(trials)
+    def error_rates_many(
+        self, trials: Sequence[Trial], clients: Optional[np.ndarray] = None
+    ) -> List[np.ndarray]:
+        return self._read(trials, clients)
 
-    def _read(self, trials: Sequence[Trial]) -> List[np.ndarray]:
-        """Score every trial's current model through one
+    def _read(
+        self, trials: Sequence[Trial], clients: Optional[np.ndarray] = None
+    ) -> List[np.ndarray]:
+        """Score every trial's current model on ``clients`` (sorted pool
+        indices; ``None`` = the whole pool) through one
         :class:`~repro.fl.evaluation.StackedEvalEngine` sweep, bit-identical
-        per trial (in float64) to the serial
+        per trial and client (in float64) to the serial
         :meth:`~repro.fl.trainer.FederatedTrainer.eval_error_rates`.
 
         Reads compute in the dtype the trials train in: the slab dtype in
@@ -443,26 +457,38 @@ class FederatedTrialRunner(TrialRunner):
         all-wrong vector without scoring.
         """
         if self._eval_engine is None:
-            from repro.fl.evaluation import StackedEvalEngine
-
             fused = self.cohort_mode == "fused"
             self._eval_engine = StackedEvalEngine(
                 dtype=self.cohort_dtype if fused else np.float64
             )
+        pool = self.dataset.eval_clients
         pending = {t.trial_id: t.state for t in trials if not t.failed}
         scored = {}
         if pending:
             trainers = list(pending.values())
+            if clients is None:
+                scored_clients, plan = pool, None
+            else:
+                # A cohort's plan serves this read only (see the
+                # repro.fl.evaluation docstring).
+                scored_clients = [pool[i] for i in clients]
+                plan = EvalChunkPlan(scored_clients)
             rows = self._eval_engine.error_rates_many(
                 trainers[0].model,
                 [trainer.params for trainer in trainers],
-                self.dataset.eval_clients,
+                scored_clients,
                 self.dataset.task,
+                plan=plan,
             )
             scored = dict(zip(pending, rows))
-        return [
-            self._quarantined_rates() if t.failed else scored[t.trial_id] for t in trials
-        ]
+        out = []
+        for t in trials:
+            if t.failed:
+                rates = self._quarantined_rates()
+                out.append(rates if clients is None else rates[clients])
+            else:
+                out.append(scored[t.trial_id])
+        return out
 
     def eval_weights(self, scheme: str) -> np.ndarray:
         """Full-pool weights, computed once per scheme and returned as a

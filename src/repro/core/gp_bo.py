@@ -100,8 +100,8 @@ class GPBO(RandomSearch):
         best = candidates[int(np.argmax(scores))]
         return self.space.from_unit_vector(best)
 
-    def _observe(self, trial, budget_used, in_hand) -> float:
-        noisy = super()._observe(trial, budget_used, in_hand)
+    def _observe(self, trial, budget_used, evaluation, in_hand) -> float:
+        noisy = super()._observe(trial, budget_used, evaluation, in_hand)
         self._xs.append(self.space.to_unit_vector(trial.config))
         self._ys.append(noisy)
         return noisy

@@ -8,9 +8,19 @@ A hyperparameter evaluation in cross-device FL is corrupted, in order, by:
 3. **Differential privacy** — Laplace noise is added to the released
    accuracy (scale ``M/(ε|S|)``, see :mod:`repro.core.privacy`).
 
-:class:`NoisyEvaluator` composes all three on top of a vector of per-client
-error rates, which is what both the live FL simulator and the precomputed
-configuration bank produce.
+:class:`NoisyEvaluator` composes all three. A release splits in two:
+
+- the **draw** (:meth:`NoisyEvaluator.draw`) picks the cohort, drops its
+  injected evaluation faults and draws the Laplace noise. For uniform
+  cohorts none of that reads a rate, so a tuner draws first and then
+  scores each trial on the clients of its cohort only;
+- the **release** (:meth:`NoisyEvaluator.release`) forms the weighted
+  mean of the cohort's rates, in cohort order, and adds the drawn noise.
+
+The accuracy-biased sampler weighs clients by their accuracy, so its draw
+takes the full pool's rates; :meth:`NoisyEvaluator.evaluate` and
+:meth:`NoisyEvaluator.evaluate_many` release from full-pool rate vectors,
+which is what the precomputed configuration bank holds.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from repro.core.privacy import PrivacyConfig, value_release_scale
+from repro.core.privacy import PrivacyConfig
 from repro.fl.sampling import BiasedSampler, UniformSampler, biased_weights
 from repro.utils.rng import SeedLike, as_rng
 from repro.utils.stats import weighted_mean
@@ -82,6 +92,15 @@ class NoisyEvaluation:
     error: float
     cohort: np.ndarray
     exact_subsampled_error: float
+
+
+@dataclass(frozen=True)
+class Draw:
+    """The rate-free half of one release: the clients that report, in
+    draw order, and the noise added to their accuracy (0.0 without DP)."""
+
+    cohort: np.ndarray
+    noise: float
 
 
 class NoisyEvaluator:
@@ -184,13 +203,39 @@ class NoisyEvaluator:
                 self.participation = ParticipationLog(self.n_clients)
             self.participation.load_state_dict(participation)
 
-    def sample_cohort(self, error_rates: np.ndarray) -> np.ndarray:
+    @property
+    def draws_need_rates(self) -> bool:
+        """True when a draw reads the full pool's rates: the accuracy-biased
+        sampler weighs every client by its accuracy."""
+        return self._biased is not None
+
+    def sample_cohort(self, error_rates: Optional[np.ndarray] = None) -> np.ndarray:
         """Draw the evaluation cohort (uniform, or accuracy-biased)."""
         size = self.noise.cohort_size(self.n_clients)
         if self._biased is not None:
             accuracies = 1.0 - np.asarray(error_rates, dtype=np.float64)
             return self._biased.sample(accuracies, size, self.rng)
         return self._uniform.sample(size, self.rng)
+
+    def draw(self, error_rates: Optional[np.ndarray] = None) -> Draw:
+        """Draw one release: cohort, injected eval faults, then DP noise —
+        the stream order :meth:`evaluate` has always used. ``error_rates``
+        (the full pool's) is read only when :attr:`draws_need_rates`."""
+        cohort = self._apply_eval_faults(self.sample_cohort(error_rates))
+        # The released accuracy is accuracy + noise, and the noise does not
+        # depend on the accuracy: a zero accuracy's release is the noise.
+        noise = self.privacy.noisy_accuracy(0.0, cohort.size, self.rng)
+        return Draw(cohort=cohort, noise=noise)
+
+    def release(self, draw: Draw, cohort_rates: np.ndarray) -> NoisyEvaluation:
+        """The noisy evaluation of ``draw`` given its cohort's error rates
+        (``cohort_rates[i]`` is client ``draw.cohort[i]``'s rate)."""
+        exact = weighted_mean(cohort_rates, self.weights[draw.cohort])
+        return NoisyEvaluation(
+            error=1.0 - float((1.0 - exact) + draw.noise),
+            cohort=draw.cohort,
+            exact_subsampled_error=exact,
+        )
 
     def evaluate(self, error_rates: np.ndarray) -> NoisyEvaluation:
         """Release one noisy evaluation of a config's per-client errors."""
@@ -199,42 +244,26 @@ class NoisyEvaluator:
             raise ValueError(
                 f"error_rates shape {error_rates.shape} != weights {self.weights.shape}"
             )
-        cohort = self.sample_cohort(error_rates)
-        cohort = self._apply_eval_faults(cohort)
-        exact = weighted_mean(error_rates[cohort], self.weights[cohort])
-        accuracy = 1.0 - exact
-        noisy_acc = self.privacy.noisy_accuracy(accuracy, cohort.size, self.rng)
-        return NoisyEvaluation(
-            error=1.0 - noisy_acc,
-            cohort=cohort,
-            exact_subsampled_error=exact,
-        )
+        draw = self.draw(error_rates)
+        return self.release(draw, error_rates[draw.cohort])
 
     def evaluate_many(self, rows: np.ndarray) -> List[NoisyEvaluation]:
         """One release per row of an ``(R, n)`` rate matrix, bit-identical
         to ``[self.evaluate(row) for row in rows]``.
 
-        This is the hot call of repeated-evaluation consumers: the bank
-        bootstrap scores a whole trial's K configs in one call, and robust
-        tuner resampling releases one config ``R`` times
-        (``np.broadcast_to(rates, (R, n))``). Per-call overhead
-        (validation, array coercion, weight lookups) is paid once, and RNG
-        draws batch where NumPy's stream semantics keep the batch exactly
-        equal to the serial loop:
-
-        - **biased, non-private** (the systems-heterogeneity sweeps): all
-          cohorts' Gumbel keys come from ONE ``rng.gumbel((R, n))`` call —
-          NumPy fills row-major with one uniform per variate, so the
-          stream is consumed exactly as R sequential ``gumbel(n)`` calls
-          consume it — followed by one row-wise ``argpartition``.
-        - **uniform** cohorts use ``Generator.choice(replace=False)``,
-          whose rejection sampling consumes a data-dependent number of
-          variates; and **DP** interleaves a Laplace draw after every
-          cohort draw. Both draw serially (stream order is the contract);
-          only the bookkeeping batches.
-        - under injected **evaluation faults** the realized cohort (and
-          with DP, the release's sensitivity) varies per row, so the
-          serial loop runs as is.
+        This is the hot call of the bank bootstrap, which scores a whole
+        trial's K configs in one call. Validation and array coercion are
+        paid once. The **biased, non-private, fault-free** case (the
+        systems-heterogeneity sweeps) also batches its RNG draws: all
+        cohorts' Gumbel keys come from ONE ``rng.gumbel((R, n))`` call —
+        NumPy fills row-major with one uniform per variate, so the stream
+        is consumed exactly as R sequential ``gumbel(n)`` calls consume
+        it — followed by one row-wise ``argpartition``. Every other case
+        draws row by row (:meth:`draw`): uniform cohorts use
+        ``Generator.choice(replace=False)``, whose rejection sampling
+        consumes a data-dependent number of variates, DP interleaves a
+        Laplace draw after every cohort draw, and injected evaluation
+        faults key each release's dropouts by its index.
 
         The per-row weighted means intentionally reuse
         :func:`~repro.utils.stats.weighted_mean` (one ``np.dot`` per row)
@@ -248,15 +277,12 @@ class NoisyEvaluator:
                 f"rows shape {rows.shape} != (R, {self.n_clients}) for weights "
                 f"{self.weights.shape}"
             )
-        n_rows = rows.shape[0]
-        if n_rows < 1:
+        if rows.shape[0] < 1:
             raise ValueError("rows must hold at least one rate vector")
-        if self._injects_eval_faults():
-            return [self.evaluate(row) for row in rows]
-        size = self.noise.cohort_size(self.n_clients)
-        private = self.privacy.enabled
-        noise_draws: Optional[np.ndarray] = None
-        if self._biased is not None and not private:
+        if self._biased is None or self.privacy.enabled or self._injects_eval_faults():
+            draws = [self.draw(row) for row in rows]
+        else:
+            size = self.noise.cohort_size(self.n_clients)
             # Row r's probabilities are exactly sample_cohort's for row r
             # (biased_weights normalises along the last axis).
             probs = biased_weights(1.0 - rows, self._biased.b, self._biased.delta)
@@ -266,32 +292,7 @@ class NoisyEvaluator:
                 # 0 is a -inf key, not a warning.
                 keys = np.log(probs) + gumbel
             cohorts = np.argpartition(-keys, size - 1, axis=1)[:, :size]
-        else:
-            cohorts = np.empty((n_rows, size), dtype=np.intp)
-            if private:
-                noise_draws = np.empty(n_rows)
-                scale = value_release_scale(
-                    self.privacy.epsilon, size, self.privacy.total_releases
-                )
-            for r in range(n_rows):
-                cohorts[r] = self.sample_cohort(rows[r])
-                if private:
-                    # Same stream position as evaluate()'s noisy_accuracy
-                    # (the Laplace draw does not depend on the accuracy).
-                    noise_draws[r] = self.rng.laplace(0.0, scale)
-        out: List[NoisyEvaluation] = []
-        for r in range(n_rows):
-            # Per-row copy: evaluate() hands out independent cohort
+            # Per-row copies: evaluate() hands out independent cohort
             # arrays, and a row view would alias (and pin) the whole batch.
-            cohort = cohorts[r].copy()
-            exact = weighted_mean(rows[r, cohort], self.weights[cohort])
-            accuracy = 1.0 - exact
-            noisy_acc = float(accuracy + noise_draws[r]) if private else float(accuracy)
-            out.append(
-                NoisyEvaluation(
-                    error=1.0 - noisy_acc,
-                    cohort=cohort,
-                    exact_subsampled_error=exact,
-                )
-            )
-        return out
+            draws = [Draw(cohort=cohort.copy(), noise=0.0) for cohort in cohorts]
+        return [self.release(draw, row[draw.cohort]) for draw, row in zip(draws, rows)]

@@ -19,7 +19,7 @@ privacy accounting so their true trade-offs are visible:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -71,18 +71,14 @@ class ResampledRandomSearch(RandomSearch):
         # Honest accounting: every resample is a separate DP release.
         return self.n_configs * self.n_resamples
 
-    def _evaluate_rates(self, rates: np.ndarray) -> NoisyEvaluation:
-        # One batched release of the same rates R times (bit-identical to
-        # the per-repeat loop; the biased-sampler path draws every cohort
-        # in a single RNG call).
-        evals = self.evaluator.evaluate_many(
-            np.broadcast_to(rates, (self.n_resamples, rates.size))
-        )
+    def _combine(self, evaluations: List[NoisyEvaluation]) -> NoisyEvaluation:
+        # The n_resamples releases of one trial, drawn back to back from the
+        # tuner's stream and scored on the union of their cohorts.
         agg = np.mean if self.aggregate == "mean" else np.median
         return NoisyEvaluation(
-            error=float(agg([e.error for e in evals])),
-            cohort=np.unique(np.concatenate([e.cohort for e in evals])),
-            exact_subsampled_error=float(agg([e.exact_subsampled_error for e in evals])),
+            error=float(agg([e.error for e in evaluations])),
+            cohort=np.unique(np.concatenate([e.cohort for e in evaluations])),
+            exact_subsampled_error=float(agg([e.exact_subsampled_error for e in evaluations])),
         )
 
 

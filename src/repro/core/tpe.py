@@ -207,8 +207,8 @@ class TPE(RandomSearch):
     def propose(self) -> Dict:
         return self.sampler.suggest()
 
-    def _observe(self, trial, budget_used, in_hand) -> float:
-        noisy = super()._observe(trial, budget_used, in_hand)
+    def _observe(self, trial, budget_used, evaluation, in_hand) -> float:
+        noisy = super()._observe(trial, budget_used, evaluation, in_hand)
         self.sampler.tell(trial.config, noisy)
         return noisy
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 import signal
 import threading
 from dataclasses import asdict
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.evaluator import Trial, TrialRunner
-from repro.core.noise import NoiseConfig, NoisyEvaluator
+from repro.core.noise import NoiseConfig, NoisyEvaluation, NoisyEvaluator
 from repro.core.privacy import PrivacyConfig
 from repro.core.results import CurvePoint, Observation, TuningResult
 from repro.core.search_space import SearchSpace
@@ -254,13 +254,13 @@ class BaseTuner:
         self.runner.advance_many(planned)
         return [trial for trial, _ in planned], snapshots
 
-    def _evaluate_rates(self, rates: np.ndarray):
-        """Hook: turn per-client error rates into one noisy evaluation.
+    #: Noisy releases drawn per observation; :meth:`_combine` folds them
+    #: into the one the tuner acts on (ResampledRandomSearch draws several).
+    n_resamples = 1
 
-        Robust tuner variants override this (e.g. averaging several
-        independent noisy evaluations — see :mod:`repro.core.robust`).
-        """
-        return self.evaluator.evaluate(rates)
+    def _combine(self, evaluations: List[NoisyEvaluation]) -> NoisyEvaluation:
+        """Hook: the observation made of one trial's releases."""
+        return evaluations[0]
 
     def observe(self, trial: Trial, budget_used: Optional[int] = None) -> float:
         """Noisily evaluate a trial, update the incumbent, record the curve.
@@ -273,34 +273,78 @@ class BaseTuner:
 
         Returns the noisy error the tuner should act on.
         """
-        rates = self.runner.error_rates(trial)
-        return self._observe(trial, budget_used, {trial.trial_id: rates})
+        return self.observe_many([(trial, budget_used)])[0]
 
     def observe_many(self, evaluations) -> List[float]:
         """Batch :meth:`observe` over ``[(trial, budget_used), ...]``.
 
-        Rate vectors for the whole batch are read once through
-        :meth:`TrialRunner.error_rates_many` — which stacked runners
-        score as one fused sweep — then each trial is observed in order
-        from the rates in hand. Evaluation consumes no tuner RNG, so noise
-        draws, incumbent updates, and curve points land exactly as in the
-        serial loop.
+        Every release of the batch is drawn first, in order
+        (:meth:`_release_many`), then each trial is observed in order.
+        Scoring consumes no tuner RNG and observing a release draws
+        nothing, so noise draws, incumbent updates and curve points land
+        exactly as in a trial-by-trial loop.
         """
         evaluations = list(evaluations)
-        trials = [trial for trial, _ in evaluations]
-        in_hand = {
-            trial.trial_id: rates
-            for trial, rates in zip(trials, self.runner.error_rates_many(trials))
-        }
-        return [self._observe(trial, used, in_hand) for trial, used in evaluations]
+        released, in_hand = self._release_many([trial for trial, _ in evaluations])
+        return [
+            self._observe(trial, used, evaluation, in_hand)
+            for (trial, used), evaluation in zip(evaluations, released)
+        ]
 
-    def _observe(self, trial: Trial, budget_used: Optional[int], in_hand: Dict) -> float:
-        """:meth:`observe` on rates already read: ``in_hand`` maps trial
-        ids to their current rate vectors and holds ``trial``'s. Every
+    def _release_many(
+        self, trials: List[Trial]
+    ) -> Tuple[List[NoisyEvaluation], Dict[int, np.ndarray]]:
+        """One observation per trial, each of :attr:`n_resamples` releases.
+
+        Returns the evaluations and the full-pool rate vectors read on the
+        way, keyed by trial id. Uniform cohorts are drawn before any rate
+        exists, and each trial is scored on the sorted union of its
+        cohorts only; trials with the same clients share one read, so a
+        noiseless batch, whose every cohort is the whole pool, stays one
+        full-pool read. The accuracy-biased sampler draws from the rates,
+        so it reads the full pool first.
+        """
+        evaluator = self.evaluator
+        m = self.n_resamples
+        if evaluator.draws_need_rates:
+            rows = self.runner.error_rates_many(trials)
+            released = [
+                self._combine(evaluator.evaluate_many(np.broadcast_to(row, (m, row.size))))
+                for row in rows
+            ]
+            return released, {t.trial_id: row for t, row in zip(trials, rows)}
+        draws = [[evaluator.draw() for _ in range(m)] for _ in trials]
+        groups: Dict[bytes, tuple] = {}
+        for i, trial_draws in enumerate(draws):
+            clients = np.unique(np.concatenate([d.cohort for d in trial_draws]))
+            groups.setdefault(clients.tobytes(), (clients, []))[1].append(i)
+        released = [None] * len(trials)
+        in_hand: Dict[int, np.ndarray] = {}
+        for clients, members in groups.values():
+            full = clients.size == evaluator.n_clients
+            rows = self.runner.error_rates_many(
+                [trials[i] for i in members], None if full else clients
+            )
+            for i, row in zip(members, rows):
+                if full:
+                    in_hand[trials[i].trial_id] = row
+                released[i] = self._combine(
+                    [evaluator.release(d, row[np.searchsorted(clients, d.cohort)]) for d in draws[i]]
+                )
+        return released, in_hand
+
+    def _observe(
+        self,
+        trial: Trial,
+        budget_used: Optional[int],
+        evaluation: NoisyEvaluation,
+        in_hand: Dict,
+    ) -> float:
+        """Record one released ``evaluation`` of ``trial``: ``in_hand``
+        maps trial ids to full-pool rate vectors already read. Every
         observation passes through here, so tuners that learn from their
         observations (TPE, BOHB, GP-BO) extend this method."""
         used = self.ledger.used if budget_used is None else budget_used
-        evaluation = self._evaluate_rates(in_hand[trial.trial_id])
         self.observations.append(
             Observation(
                 trial_id=trial.trial_id,
@@ -330,8 +374,8 @@ class BaseTuner:
         """The incumbent's full-pool error, memoized by ``(trial_id,
         rounds)``: the value only changes when the incumbent or its round
         count does. A stale memo is refreshed from the incumbent's rates
-        in ``in_hand`` when they are there, and by a runner read
-        otherwise."""
+        in ``in_hand`` when they are there, and by a full-pool runner read
+        otherwise — the only full read a run on uniform cohorts makes."""
         inc = self._incumbent
         memo = self._incumbent_full
         if memo is None or memo[0] != inc.trial_id or memo[1] != inc.rounds:

@@ -18,13 +18,21 @@ Per-client rates come from one shared chunking and two scorers:
   alive, and reference counting alone frees it.
 - **The read path.** :class:`StackedEvalEngine` is the only scorer
   production code calls: trial runners, the fused trainer pool and bank
-  builds hand it k >= 1 parameter vectors, and it pushes the whole
-  validation pool through one :class:`~repro.nn.stacked.StackedModel`
+  builds hand it k >= 1 parameter vectors and a list of clients, and it
+  pushes those clients through one :class:`~repro.nn.stacked.StackedModel`
   inference slab (:meth:`~repro.nn.stacked.StackedModel.forward_eval`),
   with per-copy error counts and the diverged-model → 1.0 convention
   applied per model. It holds no per-trial state. A float32 slab reads
   the plan's float32 copy of the features (:meth:`EvalChunkPlan.inputs`),
   so it computes in float32 throughout.
+- **Pools and cohorts.** The clients are either the whole validation pool
+  (bank builds, a noiseless tuner's rung, an incumbent's curve point),
+  whose plan comes from the cache, or one noisy release's cohort (its
+  sorted pool indices, :meth:`repro.core.tuner.BaseTuner.observe_many`).
+  A cohort's plan is built for its read and dropped: cohorts are many and
+  short-lived, and caching them would evict the pool's plan. Each client's
+  rate is its own integer error count over its own examples, so a cohort
+  read gives exactly the pool read's rates on those clients.
 - **The serial oracle.** :func:`client_error_rates` scores one serial
   model chunk by chunk. No library read path calls it; the tests hold
   every float64 engine row bit-identical to it.
@@ -77,7 +85,7 @@ class EvalChunkPlan:
     the clients' arrays, never the :class:`ClientData` objects.
     """
 
-    def __init__(self, clients: Sequence[ClientData], max_chunk_examples: int):
+    def __init__(self, clients: Sequence[ClientData], max_chunk_examples: int = 4096):
         if max_chunk_examples < 1:
             raise ValueError(f"max_chunk_examples must be >= 1, got {max_chunk_examples}")
         self.max_chunk_examples = int(max_chunk_examples)
@@ -331,6 +339,7 @@ class StackedEvalEngine:
         task: TaskSpec,
         max_chunk_examples: int = 4096,
         signature: Optional[tuple] = None,
+        plan: Optional[EvalChunkPlan] = None,
     ) -> np.ndarray:
         """``(T, n_clients)`` error rates for T parameter vectors at once.
 
@@ -338,6 +347,8 @@ class StackedEvalEngine:
         are irrelevant — every evaluated row is overwritten). Row ``t`` is
         bit-identical to :func:`client_error_rates` on a float64 model
         holding ``params_rows[t]`` when the engine computes in float64.
+        ``plan`` is the chunking of ``clients`` to read through (default:
+        the cached plan of ``clients``).
         """
         rows = len(params_rows)
         if rows == 0:
@@ -352,7 +363,12 @@ class StackedEvalEngine:
         for i, params in enumerate(params_rows):
             slab[i] = params
         return stacked_client_error_rates(
-            stacked, clients, task, n_models=rows, max_chunk_examples=max_chunk_examples
+            stacked,
+            clients,
+            task,
+            n_models=rows,
+            max_chunk_examples=max_chunk_examples,
+            plan=plan,
         )
 
 

@@ -168,12 +168,16 @@ class FusedTrainerPool:
                 dtype=getattr(first, "cohort_dtype", self.dtype),
             )
             self._slabs[key] = slab
-            self._example_bytes[key] = example_activation_bytes(
-                slab.stacked_model, first.dataset.train_clients[0].x[0]
-            )
+        # The slab key fixes the layers, not the examples: two text datasets
+        # with equal LSTM sizes share a slab but not a sequence length.
+        example = first.dataset.train_clients[0].x[0]
+        bytes_key = (key, example.shape)
+        example_bytes = self._example_bytes.get(bytes_key)
+        if example_bytes is None:
+            example_bytes = example_activation_bytes(slab.stacked_model, example)
+            self._example_bytes[bytes_key] = example_bytes
         # Whole trials per pass, in bucket order; train_groups grows the
         # slab to the largest pass.
-        example_bytes = self._example_bytes[key]
         passes: List[List[int]] = []
         used = 0
         for i, t in enumerate(trainers):

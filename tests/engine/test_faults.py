@@ -589,8 +589,8 @@ def run_until_killed(tuner, checkpoint, kill_after):
     orig = tuner._observe  # the path every observation takes
     seen = [0]
 
-    def observe(trial, budget_used, in_hand):
-        out = orig(trial, budget_used, in_hand)
+    def observe(*args):
+        out = orig(*args)
         seen[0] += 1
         if seen[0] >= kill_after:
             raise Killed()

@@ -8,8 +8,9 @@ per-copy logits per dgemm, integer-exact counts, and the diverged-model
 → 1.0 convention applied per copy. The chunk-plan cache must be invariant
 in the budget (same rates for any ``max_chunk_examples``), and
 ``NoisyEvaluator.evaluate_many`` over one config's rates repeated R times
-(robust RS resampling) must reproduce the serial per-repeat loop draw for
-draw.
+must reproduce the serial per-repeat loop draw for draw — and robust RS,
+which draws its R releases first and scores the union of their cohorts,
+must reproduce that.
 """
 
 import contextlib
@@ -24,6 +25,7 @@ from repro.core.evaluator import TrialRunner
 from repro.core.hyperband import Hyperband
 from repro.core.noise import NoisyEvaluator
 from repro.core.population import WeightSharingTuner
+from repro.core.tuner import BaseTuner
 from repro.core.search_space import paper_space
 from repro.core.tpe import TPE
 from repro.datasets import load_dataset
@@ -314,24 +316,51 @@ class TestRunnerEvalWeights:
         assert runner.eval_weights("uniform") is runner.eval_weights("uniform")
 
 class TestScoringCount:
-    """No cache and no rescoring: a tuning run scores exactly one row per
-    distinct ``(trial, rounds)`` it observes — the incumbent's full error
-    and the final report come from rates already in hand, so the final
-    report is the last curve point."""
+    """No cache and no rescoring: a tuning run scores each observation on
+    the clients of its cohort only, and reads the whole pool only when the
+    incumbent's full-error memo misses. So the (model, client) cells it
+    scores are exactly the sum of its cohort sizes plus the pool size per
+    memo miss, and the final report is the last curve point."""
+
+    POOL, COHORT = 9, 3
+
+    @staticmethod
+    def count_cells(monkeypatch):
+        """Record ``(rows, clients)`` of every engine read."""
+        reads = []
+        many = StackedEvalEngine.error_rates_many
+
+        def counting(self, template, params_rows, clients, *args, **kwargs):
+            reads.append((len(params_rows), len(clients)))
+            return many(self, template, params_rows, clients, *args, **kwargs)
+
+        monkeypatch.setattr(StackedEvalEngine, "error_rates_many", counting)
+        return reads
+
+    @staticmethod
+    def count_memo_misses(monkeypatch):
+        """Record the ``(trial_id, rounds)`` key of every incumbent
+        full-error lookup; the memo misses when the key changes."""
+        keys = []
+        full_error = BaseTuner._incumbent_full_error
+
+        def recording(self, in_hand):
+            keys.append((self._incumbent.trial_id, self._incumbent.rounds))
+            return full_error(self, in_hand)
+
+        monkeypatch.setattr(BaseTuner, "_incumbent_full_error", recording)
+        return keys
 
     @pytest.mark.parametrize("mode", ["serial", "fused"])
     @pytest.mark.parametrize("method", ["rs", "hb", "tpe", "fedex"])
     def test_one_row_per_observed_state(self, monkeypatch, method, mode):
-        rows = []
-        many = StackedEvalEngine.error_rates_many
-
-        def counting(self, template, params_rows, *args, **kwargs):
-            rows.append(len(params_rows))
-            return many(self, template, params_rows, *args, **kwargs)
-
-        monkeypatch.setattr(StackedEvalEngine, "error_rates_many", counting)
-        runner = FederatedTrialRunner(mlp_dataset(), max_rounds=9, seed=3, cohort_mode=mode)
-        noise = NoiseConfig(subsample=3)
+        """One cohort row per observation, one pool row per memo miss."""
+        reads = self.count_cells(monkeypatch)
+        keys = self.count_memo_misses(monkeypatch)
+        ds = mlp_dataset()
+        assert len(ds.eval_clients) == self.POOL
+        runner = FederatedTrialRunner(ds, max_rounds=9, seed=3, cohort_mode=mode)
+        noise = NoiseConfig(subsample=self.COHORT)
         if method == "rs":
             tuner = RandomSearch(SPACE, runner, noise, n_configs=5, total_budget=30, seed=1)
         elif method == "hb":
@@ -347,14 +376,37 @@ class TestScoringCount:
                 SPACE, runner, noise, population_size=4, total_budget=35, seed=3
             )
         result = tuner.run()
-        observed = [(o.trial_id, o.rounds) for o in result.observations]
-        assert sum(rows) == len(observed)
+        misses = sum(1 for i, key in enumerate(keys) if i == 0 or key != keys[i - 1])
+        cells = sum(rows * clients for rows, clients in reads)
+        assert cells == self.COHORT * len(result.observations) + self.POOL * misses
+        # Every full-pool read is one incumbent's curve point.
+        assert sorted({clients for _, clients in reads}) == [self.COHORT, self.POOL]
+        assert [rows for rows, clients in reads if clients == self.POOL] == [1] * misses
         assert result.final_full_error == result.curve[-1].full_error
+        observed = [(o.trial_id, o.rounds) for o in result.observations]
         # FedEx's truncated last step hands one arm a zero-round grant and
-        # observes it again at an unchanged round count: after the
-        # weight-sharing rewrite that is a new model, so a new row.
+        # observes it again at an unchanged round count.
         if method != "fedex":
             assert len(set(observed)) == len(observed)
+
+    def test_two_stage_rescores_one_cohort_per_finalist(self, monkeypatch):
+        """Stage 2 of two-stage RS re-evaluates each finalist on a fresh
+        cohort, not on the whole pool."""
+        from repro.core.robust import TwoStageRandomSearch
+
+        reads = self.count_cells(monkeypatch)
+        keys = self.count_memo_misses(monkeypatch)
+        runner = FederatedTrialRunner(mlp_dataset(), max_rounds=6, seed=3)
+        tuner = TwoStageRandomSearch(
+            SPACE, runner, NoiseConfig(subsample=self.COHORT), n_configs=6,
+            n_finalists=3, total_budget=36, seed=1,
+        )
+        result = tuner.run()
+        assert len(result.observations) == 6 + 3
+        misses = sum(1 for i, key in enumerate(keys) if i == 0 or key != keys[i - 1])
+        cells = sum(rows * clients for rows, clients in reads)
+        assert cells == self.COHORT * (6 + 3) + self.POOL * misses
+        assert [clients for _, clients in reads].count(self.POOL) == misses
 
 
 class TestTunerBatchEquivalence:
@@ -367,8 +419,8 @@ class TestTunerBatchEquivalence:
         def run(serial_eval):
             runner = FederatedTrialRunner(ds, max_rounds=9, seed=3)
             if serial_eval:
-                runner.error_rates_many = lambda trials: TrialRunner.error_rates_many(
-                    runner, trials
+                runner.error_rates_many = lambda trials, clients=None: (
+                    TrialRunner.error_rates_many(runner, trials, clients)
                 )
             hb = Hyperband(SPACE, runner, NoiseConfig(subsample=3), total_budget=60, seed=1)
             return hb.run()
@@ -418,36 +470,66 @@ class TestEvaluateRepeated:
             serial_eval.rng.bit_generator.state == batch_eval.rng.bit_generator.state
         )
 
-    def test_resampled_rs_matches_serial_resampling(self):
+    def test_resampled_rs_matches_serial_resampling(self, monkeypatch):
+        """Resampled RS draws its m releases of a trial back to back and
+        scores them on the union of their cohorts; that must equal
+        ``evaluate_many`` over the trial's full-pool rates repeated m
+        times, for uniform, DP and biased cohorts."""
+        from repro.core.noise import NoisyEvaluation
         from repro.core.robust import ResampledRandomSearch
 
         ds = mlp_dataset()
+        reads = []
+        many = StackedEvalEngine.error_rates_many
 
-        def run(patched):
+        def counting(self, template, params_rows, clients, *args, **kwargs):
+            reads.append(len(clients))
+            return many(self, template, params_rows, clients, *args, **kwargs)
+
+        monkeypatch.setattr(StackedEvalEngine, "error_rates_many", counting)
+
+        def full_pool_resample(rs, trials):
+            rows = rs.runner.error_rates_many(trials)
+            released = []
+            for rates in rows:
+                evals = rs.evaluator.evaluate_many(
+                    np.broadcast_to(rates, (rs.n_resamples, rates.size))
+                )
+                released.append(
+                    NoisyEvaluation(
+                        error=float(np.mean([e.error for e in evals])),
+                        cohort=np.unique(np.concatenate([e.cohort for e in evals])),
+                        exact_subsampled_error=float(
+                            np.mean([e.exact_subsampled_error for e in evals])
+                        ),
+                    )
+                )
+            return released, {t.trial_id: row for t, row in zip(trials, rows)}
+
+        def run(noise, reference):
             runner = FederatedTrialRunner(ds, max_rounds=6, seed=3)
             rs = ResampledRandomSearch(
-                SPACE, runner, NoiseConfig(subsample=3), n_configs=3,
-                n_resamples=3, total_budget=18, seed=1,
+                SPACE, runner, noise, n_configs=3, n_resamples=3, total_budget=18, seed=1,
             )
-            if patched:
-                # Force the pre-batching per-repeat loop.
-                rs._evaluate_rates = lambda rates: _serial_resample(rs, rates)
-            return rs.run()
+            if reference:
+                rs._release_many = lambda trials: full_pool_resample(rs, trials)
+            return rs, rs.run()
 
-        def _serial_resample(rs, rates):
-            from repro.core.noise import NoisyEvaluation
-
-            evals = [rs.evaluator.evaluate(rates) for _ in range(rs.n_resamples)]
-            agg = np.mean
-            return NoisyEvaluation(
-                error=float(agg([e.error for e in evals])),
-                cohort=np.unique(np.concatenate([e.cohort for e in evals])),
-                exact_subsampled_error=float(agg([e.exact_subsampled_error for e in evals])),
-            )
-
-        a, b = run(True), run(False)
-        assert [o.noisy_error for o in a.observations] == [o.noisy_error for o in b.observations]
-        assert a.final_full_error == b.final_full_error
+        for noise in (
+            NoiseConfig(subsample=3),
+            NoiseConfig(subsample=3, epsilon=1.0, scheme="uniform"),
+            NoiseConfig(subsample=3, bias_b=2.0),
+        ):
+            reads.clear()
+            rs, a = run(noise, reference=False)
+            # Uniform draws read cohort unions (plus the pool for incumbent
+            # curve points); the biased sampler reads the pool to draw.
+            assert (min(reads) < len(ds.eval_clients)) == (noise.bias_b == 0)
+            ref, b = run(noise, reference=True)
+            assert a.observations == b.observations
+            assert a.curve == b.curve
+            assert a.final_full_error == b.final_full_error
+            assert rs.rng.bit_generator.state == ref.rng.bit_generator.state
 
     def test_input_validation(self):
         rates, weights = self._rates_weights()

@@ -363,6 +363,29 @@ class TestPassTiling:
         (slab,) = pool._slabs.values()
         assert slab.capacity == 10
 
+    def test_activation_estimate_keyed_by_example_shape(self):
+        """Two text datasets with equal LSTM sizes share a slab, but their
+        sequences differ in length, and so do their per-example bytes."""
+        from repro.datasets.text import make_stackoverflow_like
+
+        pool = FusedTrainerPool()
+        for seq_len in (8, 16):
+            ds = make_stackoverflow_like(
+                n_train_clients=4, n_eval_clients=2, mean_sequences=4, seq_len=seq_len, seed=0
+            )
+            trainer = FederatedTrainer(
+                ds,
+                FedAdam(lr=3e-2, beta1=0.9, beta2=0.99),
+                LocalTrainingConfig(lr=0.05, batch_size=4),
+                clients_per_round=2,
+                seed=0,
+                cohort_mode="fused",
+            )
+            pool.advance([trainer], [1])
+        assert len(pool._slabs) == 1
+        short, long = pool._example_bytes.values()
+        assert long > short
+
     def test_default_rung_peaks_within_twice_serial(self, cifar_test, monkeypatch):
         """A default-mode random-search run of one k=4 rung (``test``
         CIFAR10, training and evaluation) peaks no higher than twice its
