@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.datasets.base import FederatedDataset
-from repro.fl.evaluation import EvalChunkPlan, StackedEvalEngine, federated_error
+from repro.fl.evaluation import StackedEvalEngine, federated_error
 from repro.fl.server import FedAdam
 from repro.fl.trainer import FederatedTrainer, LocalTrainingConfig
 from repro.utils.rng import SeedLike, as_rng
@@ -466,19 +466,11 @@ class FederatedTrialRunner(TrialRunner):
         scored = {}
         if pending:
             trainers = list(pending.values())
-            if clients is None:
-                scored_clients, plan = pool, None
-            else:
-                # A cohort's plan serves this read only (see the
-                # repro.fl.evaluation docstring).
-                scored_clients = [pool[i] for i in clients]
-                plan = EvalChunkPlan(scored_clients)
             rows = self._eval_engine.error_rates_many(
                 trainers[0].model,
                 [trainer.params for trainer in trainers],
-                scored_clients,
+                pool if clients is None else [pool[i] for i in clients],
                 self.dataset.task,
-                plan=plan,
             )
             scored = dict(zip(pending, rows))
         out = []

@@ -300,7 +300,7 @@ class ConfigBank:
         return self.errors[:, c, :].min(axis=1)
 
     def reevaluate(
-        self, dataset: FederatedDataset, eval_clients: Optional[list] = None
+        self, dataset: FederatedDataset, eval_clients: Optional[list] = None, dtype=None
     ) -> "ConfigBank":
         """Recompute the error tensor on a replacement validation pool.
 
@@ -309,16 +309,17 @@ class ConfigBank:
         keeping trained models fixed. Every stored checkpoint is scored
         one config per read pass, as the build scores it
         (:meth:`repro.fl.fused.FusedTrainerPool.evaluate` says why), in
-        the default slab dtype
-        (:func:`repro.nn.stacked.resolve_dtype`; in float64, bit-identical
-        per config to the serial oracle).
+        ``dtype`` (:func:`repro.nn.stacked.resolve_dtype`; in float64,
+        bit-identical per config to the serial oracle). Pass the dtype
+        the build read in, so the new rows are comparable to the bank's
+        own.
         """
         if self.params is None:
             raise ValueError("bank was built without store_params=True")
         clients = eval_clients if eval_clients is not None else dataset.eval_clients
         model = dataset.task.build_model(0)
         errors = np.empty((self.n_configs, len(self.checkpoints), len(clients)))
-        engine = StackedEvalEngine()
+        engine = StackedEvalEngine(dtype=dtype)
         for k in range(self.n_configs):
             for c in range(len(self.checkpoints)):
                 errors[k, c] = engine.error_rates_many(

@@ -41,11 +41,14 @@ def run_figure4(
     """
     dataset = ctx.dataset(dataset_name)
     bank = ctx.bank(dataset_name, store_params=True)
+    # Re-read in the dtype the bank's own (p = 0) rows were read in: a
+    # fused build reads in the context's slab dtype, a serial one in float64.
+    dtype = ctx.cohort_dtype if ctx.cohort_mode == "fused" else np.float64
     records: List[Record] = []
     for p in p_levels:
         repart_rng = ctx.rngs.make(f"fig4-repartition-{p}")
         eval_clients = iid_repartition(dataset.eval_clients, p, repart_rng)
-        bank_p = bank.reevaluate(dataset, eval_clients) if p > 0 else bank
+        bank_p = bank.reevaluate(dataset, eval_clients, dtype=dtype) if p > 0 else bank
         n_eval = bank_p.errors.shape[2]
         grid = counts if counts is not None else subsample_grid(n_eval)
         for count in grid:

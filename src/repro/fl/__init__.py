@@ -25,7 +25,6 @@ from repro.fl.evaluation import (
     client_error_rates,
     eval_chunk_plan,
     federated_error,
-    stacked_client_error_rates,
     tail_error,
 )
 
@@ -50,6 +49,5 @@ __all__ = [
     "client_error_rates",
     "eval_chunk_plan",
     "federated_error",
-    "stacked_client_error_rates",
     "tail_error",
 ]

@@ -4,35 +4,31 @@ Implements Eq. 2 of the paper: the validation objective is a weighted sum
 of per-client error rates, over either the full validation pool
 (``S = [N_val]``) or a subsampled cohort.
 
-Per-client rates come from one shared chunking and two scorers:
+Per-client rates come from one chunking and two scorers:
 
-- **Chunk-plan cache.** Evaluating a pool of many small clients wants
-  batched forward passes, so consecutive clients are concatenated into
-  chunks of up to ``max_chunk_examples`` examples. The chunk *plan* — the
-  client grouping plus the concatenated ``x``/``y`` arrays — depends only
-  on the client pool and the chunk budget, never on the model, so it is
-  built once per pool and cached (:func:`eval_chunk_plan`, a small LRU
-  keyed by the identity of the client objects). A plan holds no
-  reference to its clients, only weak references whose callbacks drop
-  the entry when any client dies: a cached plan never keeps a dead pool
-  alive, and reference counting alone frees it.
+- **Chunk plans.** Evaluating many small clients wants batched forward
+  passes, so consecutive clients are concatenated into chunks of up to
+  :data:`CHUNK_EXAMPLES` examples. The chunk *plan* — the client grouping
+  plus the concatenated ``x``/``y`` arrays — is a pure function of the
+  clients and that budget, never of the model. Every read builds its
+  own plan (:func:`eval_chunk_plan`) and drops it when it returns: a
+  plan costs a fraction of a millisecond at the benchmark's pool sizes,
+  and nothing outlives the read that made it.
 - **The read path.** :class:`StackedEvalEngine` is the only scorer
-  production code calls: trial runners, the fused trainer pool and bank
-  builds hand it k >= 1 parameter vectors and a list of clients, and it
-  pushes those clients through one :class:`~repro.nn.stacked.StackedModel`
-  inference slab (:meth:`~repro.nn.stacked.StackedModel.forward_eval`),
-  with per-copy error counts and the diverged-model → 1.0 convention
-  applied per model. It holds no per-trial state. A float32 slab reads
-  the plan's float32 copy of the features (:meth:`EvalChunkPlan.inputs`),
-  so it computes in float32 throughout.
-- **Pools and cohorts.** The clients are either the whole validation pool
-  (bank builds, a noiseless tuner's rung, an incumbent's curve point),
-  whose plan comes from the cache, or one noisy release's cohort (its
-  sorted pool indices, :meth:`repro.core.tuner.BaseTuner.observe_many`).
-  A cohort's plan is built for its read and dropped: cohorts are many and
-  short-lived, and caching them would evict the pool's plan. Each client's
-  rate is its own integer error count over its own examples, so a cohort
-  read gives exactly the pool read's rates on those clients.
+  production code calls and holds the only stacked inference loop:
+  trial runners, the fused trainer pool and bank builds hand it k >= 1
+  parameter vectors and a list of clients — the whole validation pool
+  (bank builds, a noiseless tuner's rung, an incumbent's curve point) or
+  one noisy release's cohort (its sorted pool indices,
+  :meth:`repro.core.tuner.BaseTuner.observe_many`). It pushes those
+  clients through one :class:`~repro.nn.stacked.StackedModel` inference
+  slab (:meth:`~repro.nn.stacked.StackedModel.forward_eval`), with
+  per-copy error counts and the diverged-model → 1.0 convention applied
+  per model. The slab is its only state. A float32 slab reads a float32
+  copy of the features (:meth:`EvalChunkPlan.inputs`), so it computes in
+  float32 throughout. Each client's rate is its own integer error count
+  over its own examples, so a cohort read gives exactly the pool read's
+  rates on those clients.
 - **The serial oracle.** :func:`client_error_rates` scores one serial
   model chunk by chunk. No library read path calls it; the tests hold
   every float64 engine row bit-identical to it.
@@ -40,9 +36,6 @@ Per-client rates come from one shared chunking and two scorers:
 
 from __future__ import annotations
 
-import functools
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -56,6 +49,11 @@ from repro.utils.stats import weighted_mean
 
 
 # -- evaluation chunk plans ----------------------------------------------------
+
+#: Example budget of one evaluation chunk: consecutive clients share one
+#: batched forward while their examples fit. A client larger than the
+#: budget gets a chunk of its own.
+CHUNK_EXAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -77,18 +75,15 @@ class EvalChunk:
 
 
 class EvalChunkPlan:
-    """The full chunking of one client pool under one example budget.
+    """The chunking of a list of clients under :data:`CHUNK_EXAMPLES`.
 
     Chunk boundaries use the same greedy grow-while-it-fits rule the
-    chunked evaluator has always used, so rates computed through a plan
-    are bit-identical to the plan-free code it replaced. The plan keeps
-    the clients' arrays, never the :class:`ClientData` objects.
+    chunked evaluator has always used, so the serial oracle and the
+    engine see identical chunks. The plan keeps the clients' arrays,
+    never the :class:`ClientData` objects.
     """
 
-    def __init__(self, clients: Sequence[ClientData], max_chunk_examples: int = 4096):
-        if max_chunk_examples < 1:
-            raise ValueError(f"max_chunk_examples must be >= 1, got {max_chunk_examples}")
-        self.max_chunk_examples = int(max_chunk_examples)
+    def __init__(self, clients: Sequence[ClientData]):
         self.n_clients = len(clients)
         chunks: List[EvalChunk] = []
         i, n = 0, self.n_clients
@@ -96,7 +91,7 @@ class EvalChunkPlan:
             # Grow the chunk while the next client fits the example budget.
             j = i + 1
             total = clients[i].n
-            while j < n and total + clients[j].n <= max_chunk_examples:
+            while j < n and total + clients[j].n <= CHUNK_EXAMPLES:
                 total += clients[j].n
                 j += 1
             members = clients[i:j]
@@ -113,86 +108,45 @@ class EvalChunkPlan:
             chunks.append(EvalChunk(x, y, offsets, sizes))
             i = j
         self.chunks = chunks
-        self._inputs: Dict[np.dtype, List[np.ndarray]] = {}
-        self._client_refs: List[weakref.ref] = []
 
     def inputs(self, dtype) -> List[np.ndarray]:
-        """Every chunk's ``x`` in ``dtype``, cast once per plan and dtype.
+        """Every chunk's ``x`` in ``dtype``.
 
         A float32 inference slab fed float64 features would upcast at its
         first matmul and run in float64 from there on. Float features are
         cast; integer token ids pass through, and a float64 slab reads the
         chunks' own arrays.
         """
-        dtype = np.dtype(dtype)
-        xs = self._inputs.get(dtype)
-        if xs is None:
-            xs = [
-                c.x.astype(dtype, copy=False) if c.x.dtype.kind == "f" else c.x
-                for c in self.chunks
-            ]
-            self._inputs[dtype] = xs
-        return xs
+        return [
+            c.x.astype(dtype, copy=False) if c.x.dtype.kind == "f" else c.x
+            for c in self.chunks
+        ]
 
 
-#: LRU of chunk plans. Keys are (budget, id(client_0), id(client_1), ...).
-#: Each cached plan holds a weak reference to every client of its key,
-#: whose callback evicts the entry when that client dies, so no key
-#: outlives the objects its ids name.
-_PLAN_CACHE: "OrderedDict[tuple, EvalChunkPlan]" = OrderedDict()
-_PLAN_CACHE_CAPACITY = 16
+def eval_chunk_plan(clients: Sequence[ClientData]) -> EvalChunkPlan:
+    """A fresh :class:`EvalChunkPlan` of ``clients`` for one read.
 
-
-def _evict_plan(key: tuple, _ref) -> None:
-    _PLAN_CACHE.pop(key, None)
-
-
-def eval_chunk_plan(
-    clients: Sequence[ClientData], max_chunk_examples: int = 4096
-) -> EvalChunkPlan:
-    """The (cached) :class:`EvalChunkPlan` for ``clients``.
-
-    Client feature/label arrays are treated as immutable, as everywhere in
-    the simulator; mutating one in place would go unnoticed by a cached
-    plan's concatenated copies.
+    Every read builds its plan here, so the plan's concatenated copies
+    live exactly as long as the read that scores them.
     """
-    key = (int(max_chunk_examples),) + tuple(map(id, clients))
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = EvalChunkPlan(clients, max_chunk_examples)
-        # The callback closes over the key only: a reference to the plan
-        # would make plan -> ref -> callback -> plan a cycle.
-        evict = functools.partial(_evict_plan, key)
-        plan._client_refs = [weakref.ref(c, evict) for c in clients]
-        _PLAN_CACHE[key] = plan
-        if len(_PLAN_CACHE) > _PLAN_CACHE_CAPACITY:
-            _PLAN_CACHE.popitem(last=False)
-    else:
-        _PLAN_CACHE.move_to_end(key)
-    return plan
+    return EvalChunkPlan(clients)
 
 
 # -- per-client error rates ----------------------------------------------------
 
 
 def client_error_rates(
-    model: Module,
-    clients: Sequence[ClientData],
-    task: TaskSpec,
-    max_chunk_examples: int = 4096,
-    plan: Optional[EvalChunkPlan] = None,
+    model: Module, clients: Sequence[ClientData], task: TaskSpec
 ) -> np.ndarray:
     """Per-client error rates of ``model`` (each in [0, 1]).
 
-    Clients are evaluated in batched forward passes over the pool's cached
-    :class:`EvalChunkPlan` (pass ``plan`` to skip the cache lookup), which
-    removes both the per-client layer overhead and the per-call
-    concatenation cost on pools of small clients. Error counts (and the
-    diverged-model convention of :func:`repro.fl.client.evaluate_client`)
-    are still applied per client.
+    Clients are evaluated in batched forward passes over their
+    :class:`EvalChunkPlan`, which removes both the per-client layer
+    overhead and the per-call concatenation cost on pools of small
+    clients. Error counts (and the diverged-model convention of
+    :func:`repro.fl.client.evaluate_client`) are still applied per client.
     """
-    if plan is None:
-        plan = eval_chunk_plan(clients, max_chunk_examples)
+    plan = eval_chunk_plan(clients)
     rates = np.empty(plan.n_clients)
     pos = 0
     for chunk in plan.chunks:
@@ -258,78 +212,27 @@ def _finite_per_client(logits: np.ndarray, chunk: EvalChunk) -> np.ndarray:
     return np.add.reduceat(bad, chunk.offsets, axis=-1) == 0
 
 
-def stacked_client_error_rates(
-    stacked: StackedModel,
-    clients: Sequence[ClientData],
-    task: TaskSpec,
-    n_models: Optional[int] = None,
-    max_chunk_examples: int = 4096,
-    plan: Optional[EvalChunkPlan] = None,
-) -> np.ndarray:
-    """Per-client error rates of the slab's leading ``n_models`` copies.
-
-    Returns ``(n_models, n_clients)``; row ``t`` is bit-identical to
-    :func:`client_error_rates` on the serial model holding ``slab[t]``:
-    chunks come from the same shared plan, each copy's logits match the
-    serial forward per dgemm, counts are integer-exact, and a copy whose
-    logits go non-finite on a client scores 1.0 there — per copy, not per
-    chunk.
-    """
-    counter = STACKED_ERROR_COUNTERS.get(task.error_fn)
-    if counter is None:
-        raise ValueError(
-            f"error_fn {getattr(task.error_fn, '__name__', task.error_fn)!r} has no "
-            "stacked error counter (see STACKED_ERROR_COUNTERS)"
-        )
-    k = stacked.n_copies if n_models is None else n_models
-    if plan is None:
-        plan = eval_chunk_plan(clients, max_chunk_examples)
-    rates = np.empty((k, plan.n_clients))
-    pos = 0
-    for chunk, x in zip(plan.chunks, plan.inputs(stacked.dtype)):
-        m = len(chunk.sizes)
-        with np.errstate(over="ignore", invalid="ignore"):
-            logits = stacked.forward_eval(x, k)
-        errs, tots = counter(logits, chunk)
-        block = errs / tots
-        np.copyto(block, 1.0, where=~_finite_per_client(logits, chunk))
-        rates[:, pos : pos + m] = block
-        pos += m
-    return rates
-
-
 class StackedEvalEngine:
     """The one production read path: per-client error rates of many
     same-architecture parameter vectors at once.
 
     Every evaluation a tuning run, a bank build or a bank re-evaluation
     makes scores through :meth:`error_rates_many`, for any number of
-    vectors k >= 1. The engine owns its inference slabs, cached per
-    architecture signature and grown in place as batches get larger; one
-    engine per runner, pool or build is the intended granularity. It
-    keeps no per-trial state, so a read always scores the parameters it
-    is given.
+    vectors k >= 1. The engine's only state is one inference slab,
+    rebuilt when the architecture changes or a read needs more rows:
+    every production engine (one per runner, fused pool, bank build or
+    re-evaluation) reads one architecture. It keeps no per-trial state,
+    so a read always scores the parameters it is given.
 
     ``dtype`` fixes the slab compute dtype
     (:func:`repro.nn.stacked.resolve_dtype`): callers pass the dtype their
     trainers train in, float64 for the serial path.
     """
 
-    _CAPACITY = 8  # distinct architectures kept
-
     def __init__(self, dtype=None) -> None:
         self.dtype = resolve_dtype(dtype)
-        self._models: "OrderedDict[tuple, StackedModel]" = OrderedDict()
-
-    def _model_for(self, template: Module, signature: tuple, rows: int) -> StackedModel:
-        cached = self._models.get(signature)
-        if cached is None or cached.n_copies < rows:
-            cached = StackedModel(template, rows, dtype=self.dtype)
-            self._models[signature] = cached
-            if len(self._models) > self._CAPACITY:
-                self._models.popitem(last=False)
-        self._models.move_to_end(signature)
-        return cached
+        self._model: Optional[StackedModel] = None
+        self._signature: Optional[tuple] = None
 
     def error_rates_many(
         self,
@@ -337,39 +240,51 @@ class StackedEvalEngine:
         params_rows: Sequence[np.ndarray],
         clients: Sequence[ClientData],
         task: TaskSpec,
-        max_chunk_examples: int = 4096,
-        signature: Optional[tuple] = None,
-        plan: Optional[EvalChunkPlan] = None,
     ) -> np.ndarray:
         """``(T, n_clients)`` error rates for T parameter vectors at once.
 
         ``template`` supplies the architecture (its own parameter values
         are irrelevant — every evaluated row is overwritten). Row ``t`` is
         bit-identical to :func:`client_error_rates` on a float64 model
-        holding ``params_rows[t]`` when the engine computes in float64.
-        ``plan`` is the chunking of ``clients`` to read through (default:
-        the cached plan of ``clients``).
+        holding ``params_rows[t]`` when the engine computes in float64:
+        both read the same chunk plan, each copy's logits match the serial
+        forward per dgemm, counts are integer-exact, and a copy whose
+        logits go non-finite on a client scores 1.0 there — per copy, not
+        per chunk.
         """
-        rows = len(params_rows)
-        if rows == 0:
+        counter = STACKED_ERROR_COUNTERS.get(task.error_fn)
+        if counter is None:
+            raise ValueError(
+                f"error_fn {getattr(task.error_fn, '__name__', task.error_fn)!r} has no "
+                "stacked error counter (see STACKED_ERROR_COUNTERS)"
+            )
+        k = len(params_rows)
+        if k == 0:
             return np.empty((0, len(clients)))
-        sig = signature if signature is not None else stack_signature(template)
+        sig = stack_signature(template)
         if sig is None:
             raise ValueError(
                 f"model {type(template).__name__} has no stacked inference kernels"
             )
-        stacked = self._model_for(template, sig, rows)
-        slab = stacked.slab
+        if self._model is None or sig != self._signature or self._model.n_copies < k:
+            self._model = StackedModel(template, k, dtype=self.dtype)
+            self._signature = sig
+        stacked = self._model
         for i, params in enumerate(params_rows):
-            slab[i] = params
-        return stacked_client_error_rates(
-            stacked,
-            clients,
-            task,
-            n_models=rows,
-            max_chunk_examples=max_chunk_examples,
-            plan=plan,
-        )
+            stacked.slab[i] = params
+        plan = eval_chunk_plan(clients)
+        rates = np.empty((k, plan.n_clients))
+        pos = 0
+        for chunk, x in zip(plan.chunks, plan.inputs(self.dtype)):
+            m = len(chunk.sizes)
+            with np.errstate(over="ignore", invalid="ignore"):
+                logits = stacked.forward_eval(x, k)
+            errs, tots = counter(logits, chunk)
+            block = errs / tots
+            np.copyto(block, 1.0, where=~_finite_per_client(logits, chunk))
+            rates[:, pos : pos + m] = block
+            pos += m
+        return rates
 
 
 # -- aggregation ---------------------------------------------------------------

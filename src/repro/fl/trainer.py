@@ -356,24 +356,19 @@ class FederatedTrainer:
             self.participation.load_state_dict(participation)
 
     # -- evaluation conveniences --------------------------------------------
-    def eval_error_rates(self, max_chunk_examples: int = 4096) -> np.ndarray:
+    def eval_error_rates(self) -> np.ndarray:
         """Per-validation-client error rates of the current global model.
 
         This is the serial oracle, in float64: chunked batched forwards
-        over the pool's cached :class:`~repro.fl.evaluation.EvalChunkPlan`
-        (shared with the stacked engine, so both see identical chunk
-        boundaries). Production reads — ``TrialRunner.error_rates_many``,
-        ``FusedTrainerPool.evaluate``, bank builds — score through
+        over the same :class:`~repro.fl.evaluation.EvalChunkPlan` chunking
+        the stacked engine reads. Production reads —
+        ``TrialRunner.error_rates_many``, ``FusedTrainerPool.evaluate``,
+        bank builds — score through
         :class:`~repro.fl.evaluation.StackedEvalEngine`; the tests hold
         them bit-identical to this method.
         """
         set_flat_params(self.model, self.params)
-        return client_error_rates(
-            self.model,
-            self.dataset.eval_clients,
-            self.dataset.task,
-            max_chunk_examples=max_chunk_examples,
-        )
+        return client_error_rates(self.model, self.dataset.eval_clients, self.dataset.task)
 
 
 def run_slab_round(trainers: Sequence[FederatedTrainer], slab: SlabTrainer) -> None:

@@ -5,8 +5,9 @@ Every production read — trial runners' ``error_rates``/``error_rates_many``,
 ``StackedEvalEngine`` and must be *bit-identical* per trial (in float64)
 to the serial oracle ``client_error_rates`` on the unstacked models: same chunk plan, same
 per-copy logits per dgemm, integer-exact counts, and the diverged-model
-→ 1.0 convention applied per copy. The chunk-plan cache must be invariant
-in the budget (same rates for any ``max_chunk_examples``), and
+→ 1.0 convention applied per copy. Rates must be invariant in the chunk
+budget (same rates for any ``CHUNK_EXAMPLES``), a read's chunk plan must
+die with the read, and
 ``NoisyEvaluator.evaluate_many`` over one config's rates repeated R times
 must reproduce the serial per-repeat loop draw for draw — and robust RS,
 which draws its R releases first and scores the union of their cohorts,
@@ -31,12 +32,8 @@ from repro.core.tpe import TPE
 from repro.datasets import load_dataset
 from repro.datasets.base import ClientData, FederatedDataset, TaskSpec, classification_error
 from repro.fl import FusedTrainerPool
-from repro.fl.evaluation import (
-    StackedEvalEngine,
-    client_error_rates,
-    eval_chunk_plan,
-    stacked_client_error_rates,
-)
+from repro.fl import evaluation
+from repro.fl.evaluation import StackedEvalEngine, client_error_rates
 from repro.nn import (
     make_mlp,
     resolve_dtype,
@@ -45,7 +42,6 @@ from repro.nn import (
     supports_stacking,
 )
 from repro.nn.module import get_flat_params, set_flat_params
-from repro.nn.stacked import StackedModel
 
 SPACE = paper_space()
 
@@ -125,7 +121,7 @@ class TestStackedVsSerial:
         set_flat_params(model, trial.state.params)
         reference = client_error_rates(model, ds.eval_clients, ds.task)
         assert np.array_equal(runner.error_rates(trial), reference)
-        assert len(runner._eval_engine._models) == 1  # scored by the engine
+        assert runner._eval_engine._model is not None  # scored by the engine
 
     def test_serial_runner_evaluates_on_its_own_slab(self):
         """The eval engine stacks a serial rung's trials on a slab of its
@@ -140,7 +136,7 @@ class TestStackedVsSerial:
         for ref, got in zip(reference, runner.error_rates_many(trials)):
             assert np.array_equal(ref, got)
         # Actually went through the stacked engine.
-        assert runner._eval_engine is not None and len(runner._eval_engine._models) == 1
+        assert runner._eval_engine is not None and runner._eval_engine._model is not None
 
 
 def _slab_overflow(dtype=None):
@@ -170,12 +166,10 @@ class TestDivergedConvention:
     def test_stacked_rates_direct_nonfinite_per_copy(self):
         ds = mlp_dataset()
         models = [ds.task.build_model(s) for s in range(3)]
-        stacked = StackedModel(models[0], 3)
-        for i, m in enumerate(models):
-            stacked.slab[i] = get_flat_params(m)
+        rows = [get_flat_params(m) for m in models]
+        rows[2] = np.full_like(rows[2], 1e300)
         with _slab_overflow():
-            stacked.slab[2] = 1e300
-        rates = stacked_client_error_rates(stacked, ds.eval_clients, ds.task)
+            rates = StackedEvalEngine().error_rates_many(models[0], rows, ds.eval_clients, ds.task)
         for i, m in enumerate(models[:2]):
             assert np.array_equal(rates[i], client_error_rates(m, ds.eval_clients, ds.task))
         assert np.all(rates[2] == 1.0)
@@ -195,10 +189,10 @@ class TestDivergedConvention:
             error_fn=top1_error,
         )
         model = task.build_model(0)
-        stacked = StackedModel(model, 2)
-        stacked.slab[:] = get_flat_params(model)
         with pytest.raises(ValueError, match="top1_error"):
-            stacked_client_error_rates(stacked, ds.eval_clients, task)
+            StackedEvalEngine().error_rates_many(
+                model, [get_flat_params(model)] * 2, ds.eval_clients, task
+            )
         assert np.array_equal(
             client_error_rates(model, ds.eval_clients, task),
             client_error_rates(model, ds.eval_clients, ds.task),
@@ -233,74 +227,51 @@ class TestMixedArchitectures:
 
 
 class TestChunkPlanCache:
-    def test_rates_invariant_in_chunk_budget(self):
+    """Chunk plans are not cached: rates do not depend on the budget, and
+    no plan outlives the read that built it."""
+
+    def test_rates_invariant_in_chunk_budget(self, monkeypatch):
         ds = mlp_dataset()
         model = ds.task.build_model(0)
-        reference = client_error_rates(model, ds.eval_clients, ds.task, max_chunk_examples=4096)
+        reference = client_error_rates(model, ds.eval_clients, ds.task)
+        engine = StackedEvalEngine()
+        rows = [get_flat_params(model)] * 2
         for budget in (1, 17, 64, 10_000):
-            assert np.array_equal(
-                client_error_rates(model, ds.eval_clients, ds.task, max_chunk_examples=budget),
-                reference,
-            )
-        stacked = StackedModel(model, 2)
-        stacked.slab[:] = get_flat_params(model)
-        for budget in (1, 17, 64, 10_000):
-            rates = stacked_client_error_rates(
-                stacked, ds.eval_clients, ds.task, max_chunk_examples=budget
-            )
+            monkeypatch.setattr(evaluation, "CHUNK_EXAMPLES", budget)
+            if budget == 1:
+                chunks = evaluation.eval_chunk_plan(ds.eval_clients).chunks
+                assert len(chunks) == len(ds.eval_clients)
+            assert np.array_equal(client_error_rates(model, ds.eval_clients, ds.task), reference)
+            rates = engine.error_rates_many(model, rows, ds.eval_clients, ds.task)
             assert np.array_equal(rates[0], reference)
             assert np.array_equal(rates[1], reference)
 
-    def test_plan_cached_per_pool_and_budget(self):
+    def test_dead_plan_freed_without_gc(self, monkeypatch):
+        """Nothing caches a chunk plan: each read builds its own, and
+        reference counting alone frees it once the read returns, with no
+        cycle through it left for the cyclic collector."""
         ds = mlp_dataset()
-        a = eval_chunk_plan(ds.eval_clients, 4096)
-        assert eval_chunk_plan(ds.eval_clients, 4096) is a
-        assert eval_chunk_plan(ds.eval_clients, 64) is not a
-        assert eval_chunk_plan(list(ds.eval_clients), 4096) is a  # identity of clients, not list
-        total = sum(len(c.sizes) for c in a.chunks)
-        assert total == len(ds.eval_clients)
-        for chunk in a.chunks:
-            if len(chunk.sizes) > 1:
-                assert not chunk.x.flags.writeable
-
-
-    def test_plan_dies_with_its_pool(self):
-        # A cached plan holds no reference to its clients: once the dataset
-        # is dropped, its clients die and their plan leaves the cache.
-        from repro.fl import evaluation
-
-        ds = mlp_dataset(seed=21)
         model = ds.task.build_model(0)
-        StackedEvalEngine().error_rates_many(
-            model, [get_flat_params(model)], ds.eval_clients, ds.task
-        )
-        plan = weakref.ref(eval_chunk_plan(ds.eval_clients))
-        client = weakref.ref(ds.eval_clients[0])
-        ids = {id(c) for c in ds.eval_clients}
-        del ds
-        gc.collect()
-        assert client() is None
-        assert plan() is None
-        assert not any(ids & set(key[1:]) for key in evaluation._PLAN_CACHE)
+        plans = []
+        build = evaluation.eval_chunk_plan
 
-    def test_dead_plan_freed_without_gc(self):
-        # Eviction and freeing are plain reference counting: no cycle
-        # through the plan is left for the cyclic collector, whether the
-        # plan leaves the cache with its clients or before them.
-        from repro.fl import evaluation
+        def capturing(clients):
+            plan = build(clients)
+            assert sum(len(c.sizes) for c in plan.chunks) == len(clients)
+            assert all(not c.x.flags.writeable for c in plan.chunks if len(c.sizes) > 1)
+            plans.append(weakref.ref(plan))
+            return plan
 
-        clients = [ClientData(c.x, c.y) for c in mlp_dataset(seed=22).eval_clients]
+        monkeypatch.setattr(evaluation, "eval_chunk_plan", capturing)
+        engine = StackedEvalEngine()
+        params = [get_flat_params(model)]
         gc.disable()
         try:
-            plan = weakref.ref(eval_chunk_plan(clients))
-            del clients
-            assert plan() is None
-
-            clients = [ClientData(c.x, c.y) for c in mlp_dataset(seed=23).eval_clients]
-            plan = weakref.ref(eval_chunk_plan(clients))
-            evaluation._PLAN_CACHE.clear()
-            assert plan() is None
-            assert eval_chunk_plan(clients) is eval_chunk_plan(list(clients))
+            engine.error_rates_many(model, params, ds.eval_clients, ds.task)
+            engine.error_rates_many(model, params, ds.eval_clients[:3], ds.task)
+            client_error_rates(model, ds.eval_clients, ds.task)
+            assert len(plans) == 3
+            assert all(plan() is None for plan in plans)
         finally:
             gc.enable()
 

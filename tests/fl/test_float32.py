@@ -27,7 +27,7 @@ from repro.datasets import load_dataset
 from repro.datasets.base import ClientData, FederatedDataset, TaskSpec, classification_error
 from repro.fl import FedAdam, FederatedTrainer, LocalTrainingConfig
 from repro.fl.cohort import SlabTrainer
-from repro.fl.evaluation import eval_chunk_plan, stacked_client_error_rates
+from repro.fl.evaluation import StackedEvalEngine, eval_chunk_plan
 from repro.fl.fused import FusedTrainerPool
 from repro.nn import make_mlp, softmax_cross_entropy
 from repro.nn.module import get_flat_params
@@ -157,27 +157,27 @@ class TestFloat32Tolerance:
 
 
 class TestFloat32Evaluation:
-    def test_stacked_eval_computes_in_float32(self):
-        """Float features are cast to the slab dtype once per plan, so a
-        float32 inference slab never upcasts to float64 at its first
+    def test_stacked_eval_computes_in_float32(self, monkeypatch):
+        """Float features are cast to the slab dtype by the read's plan, so
+        a float32 inference slab never upcasts to float64 at its first
         layer; its rates track the float64 slab's."""
         ds = load_dataset("cifar10", "test", seed=0)
         template = ds.task.build_model(0)
         plan = eval_chunk_plan(ds.eval_clients)
         assert plan.inputs(np.float64)[0] is plan.chunks[0].x
-        x32 = plan.inputs(np.float32)
-        assert plan.inputs(np.float32) is x32
-        assert x32[0].dtype == np.float32
-        slabs = {}
-        for dtype in ("float64", "float32"):
-            stacked = StackedModel(template, 4, dtype=dtype)
-            stacked.slab[:] = get_flat_params(template) * np.arange(1, 5)[:, None]
-            slabs[dtype] = stacked
+        assert plan.inputs(np.float32)[0].dtype == np.float32
+        rows = [get_flat_params(template) * s for s in range(1, 5)]
+        clients, task = ds.eval_clients, ds.task
+        r64 = StackedEvalEngine(dtype="float64").error_rates_many(template, rows, clients, task)
         logits = []
-        forward_eval = slabs["float32"].forward_eval
-        slabs["float32"].forward_eval = lambda x, k: logits.append(forward_eval(x, k)) or logits[-1]
-        r64 = stacked_client_error_rates(slabs["float64"], ds.eval_clients, ds.task, plan=plan)
-        r32 = stacked_client_error_rates(slabs["float32"], ds.eval_clients, ds.task, plan=plan)
+        forward_eval = StackedModel.forward_eval
+
+        def recording(self, x, k):
+            logits.append(forward_eval(self, x, k))
+            return logits[-1]
+
+        monkeypatch.setattr(StackedModel, "forward_eval", recording)
+        r32 = StackedEvalEngine(dtype="float32").error_rates_many(template, rows, clients, task)
         assert logits and all(out.dtype == np.float32 for out in logits)
         # Rates are exact counts; float32 may flip a near-tied argmax.
         np.testing.assert_allclose(r32, r64, atol=0.02)
@@ -354,3 +354,34 @@ class TestBankKeys:
             RandomSearch(space, FederatedTrialRunner(ds, max_rounds=4), seed=0),
             state,
         )
+
+
+class TestFigure4ReadDtype:
+    @pytest.mark.parametrize(
+        "mode, dtype, env, expected",
+        [("fused", "float32", None, np.float32), ("serial", None, "float32", np.float64)],
+    )
+    def test_reevaluate_reads_in_the_build_dtype(self, monkeypatch, mode, dtype, env, expected):
+        """Figure 4 re-reads its p > 0 pools in the dtype the bank's own
+        (p = 0) rows were read in: the context's slab dtype for a fused
+        build, float64 for a serial one, whatever ``REPRO_DTYPE`` says."""
+        from repro.experiments import ExperimentContext, run_figure4
+
+        if env is None:
+            monkeypatch.delenv(DTYPE_ENV, raising=False)
+        else:
+            monkeypatch.setenv(DTYPE_ENV, env)
+        ctx = ExperimentContext(
+            preset="test", n_bank_configs=2, cohort_mode=mode, cohort_dtype=dtype
+        )
+        ctx.bank("cifar10", store_params=True)
+        dtypes = []
+        many = StackedEvalEngine.error_rates_many
+
+        def recording(self, *args):
+            dtypes.append(self.dtype)
+            return many(self, *args)
+
+        monkeypatch.setattr(StackedEvalEngine, "error_rates_many", recording)
+        run_figure4(ctx, p_levels=(0.0, 0.5), n_trials=2, k=2, counts=(1,))
+        assert dtypes and set(dtypes) == {np.dtype(expected)}
